@@ -26,16 +26,39 @@ DEFAULT_SIZE_CAP = 5000
 DIAGNOSTIC_SIZE = 300
 
 
-def _check_associative(mul):
-    """Return None or a witness triple (a,b,c) with (ab)c != a(bc)."""
-    m = np.asarray(mul, dtype=np.int64)
-    n = m.shape[0]
-    for a in range(n):
-        lhs = m[m[a, :], :]          # lhs[b,c] = (ab)c
-        rhs = m[a, m]                # rhs[b,c] = a(bc)
+def first_nonassociative(elems, product):
+    """The lexicographically first index triple (i, j, k) with
+    (x_i x_j) x_k != x_i (x_j x_k) over the distinct ``elems``, or None.
+
+    Products are interned to integer ids, so a product that leaves ``elems``
+    (as on a window of an infinite monoid) still compares by value; the
+    sweep then runs one vectorised row at a time.
+    """
+    ids = {e: i for i, e in enumerate(elems)}
+
+    def table(xs, ys):
+        flat = (
+            ids.setdefault(product(x, y), len(ids))
+            for x in xs
+            for y in ys
+        )
+        size = len(xs) * len(ys)
+        return np.fromiter(flat, np.int64, count=size).reshape(len(xs), len(ys))
+
+    m = len(ids)
+    m1 = table(elems, elems)
+    mid = list(ids)                 # elems, then the products that leave them
+    if len(mid) == m:
+        left = right = m1
+    else:
+        left = table(mid, elems)    # rows by id
+        right = table(elems, mid)   # columns by id
+    for i in range(m):
+        lhs = left[m1[i, :], :]          # lhs[j,k] = (x_i x_j) x_k
+        rhs = right[i, m1]               # rhs[j,k] = x_i (x_j x_k)
         if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            return (a, int(b), int(c))
+            j, k = np.argwhere(lhs != rhs)[0]
+            return (i, int(j), int(k))
     return None
 
 
@@ -64,7 +87,7 @@ class InverseSemigroup:
         self.names = [str(x) for x in names]
         self.mul = [list(row) for row in mul]
 
-        witness = _check_associative(self.mul)
+        witness = first_nonassociative(range(n), lambda a, b: self.mul[a][b])
         if witness is not None:
             raise NotAssociative(*witness)
 
@@ -186,12 +209,11 @@ def verify_semigroup_properties(S):
     n = S.size
     mul, inv = S.mul, S.inv
 
-    w = None
-    for a in range(n):
-        if mul[mul[a][inv[a]]][a] != a or inv[inv[a]] != a:
-            w = f"a={a}"
-            break
-    rep.add("regularity_and_involution", w is None, w)
+    rep.first_failure("regularity_and_involution", (
+        f"a={a}"
+        for a in range(n)
+        if mul[mul[a][inv[a]]][a] != a or inv[inv[a]] != a
+    ))
 
     try:
         NaturalOrder(S, diagnostics=True)
@@ -200,56 +222,44 @@ def verify_semigroup_properties(S):
         rep.add("order_characterisations_agree", False, str(exc))
 
     leq = S.natural_order().leq
-    w = None
-    for a in range(n):
-        for b in range(n):
-            if leq(a, b) and not leq(inv[a], inv[b]):
-                w = f"{a}<={b}"
-                break
-        if w:
-            break
-    rep.add("order_compatible_with_inversion", w is None, w)
+    rep.first_failure("order_compatible_with_inversion", (
+        f"{a}<={b}"
+        for a in range(n)
+        for b in range(n)
+        if leq(a, b) and not leq(inv[a], inv[b])
+    ))
 
-    w = None
     pairs = [(a, b) for a in range(n) for b in range(n) if leq(a, b)]
-    for a1, a2 in pairs:
-        for b1, b2 in pairs:
-            if not leq(mul[a1][b1], mul[a2][b2]):
-                w = f"{a1}<={a2}, {b1}<={b2}"
-                break
-        if w:
-            break
-    rep.add("order_compatible_with_multiplication", w is None, w)
+    rep.first_failure("order_compatible_with_multiplication", (
+        f"{a1}<={a2}, {b1}<={b2}"
+        for a1, a2 in pairs
+        for b1, b2 in pairs
+        if not leq(mul[a1][b1], mul[a2][b2])
+    ))
 
-    w = None
-    for x in range(n):
-        if leq(x, mul[x][x]) and mul[x][x] != x:
-            w = f"x={x}"
-            break
-    rep.add("elements_below_their_squares_are_idempotent", w is None, w)
+    rep.first_failure("elements_below_their_squares_are_idempotent", (
+        f"x={x}"
+        for x in range(n)
+        if leq(x, mul[x][x]) and mul[x][x] != x
+    ))
 
-    w = None
-    for e in S.idempotents:
-        for f in S.idempotents:
-            if mul[e][f] != mul[f][e]:
-                w = f"({e},{f}) do not commute"
-                break
-            try:
-                m1 = meet_idempotents(S, e, f)
-            except AssertionError as exc:
-                w = str(exc)
-                break
-            for g in S.idempotents:
-                if meet_idempotents(S, m1, g) != meet_idempotents(
-                    S, e, meet_idempotents(S, f, g)
-                ):
-                    w = f"meet not associative at ({e},{f},{g})"
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("idempotent_meets", w is None, w)
+    def meet_failures():
+        for e in S.idempotents:
+            for f in S.idempotents:
+                if mul[e][f] != mul[f][e]:
+                    yield f"({e},{f}) do not commute"
+                try:
+                    m1 = meet_idempotents(S, e, f)
+                except AssertionError as exc:
+                    yield str(exc)
+                    return
+                for g in S.idempotents:
+                    if meet_idempotents(S, m1, g) != meet_idempotents(
+                        S, e, meet_idempotents(S, f, g)
+                    ):
+                        yield f"meet not associative at ({e},{f},{g})"
+
+    rep.first_failure("idempotent_meets", meet_failures())
     return rep
 
 

@@ -62,134 +62,104 @@ def verify_ordered_groupoid(G):
     rep = CheckReport(f"ordered groupoid axioms on {G!r}")
     n = G.n
 
-    w = None
-    for g in range(n):
-        if not (G.is_identity[G.dom[g]] and G.is_identity[G.ran[g]]):
-            w = f"arrow {g} has non-identity endpoint"
-            break
-        if G.inv[G.inv[g]] != g or G.dom[G.inv[g]] != G.ran[g] or G.ran[G.inv[g]] != G.dom[g]:
-            w = f"inverse of arrow {g} is malformed"
-            break
-    rep.add("endpoints_and_inverses", w is None, w)
+    def endpoint_failures():
+        for g in range(n):
+            if not (G.is_identity[G.dom[g]] and G.is_identity[G.ran[g]]):
+                yield f"arrow {g} has non-identity endpoint"
+            if G.inv[G.inv[g]] != g or G.dom[G.inv[g]] != G.ran[g] or G.ran[G.inv[g]] != G.dom[g]:
+                yield f"inverse of arrow {g} is malformed"
 
-    w = None
-    for g in range(n):
-        for h in range(n):
-            defined = (g, h) in G.compose
-            if defined != (G.ran[g] == G.dom[h]):
-                w = f"composability of ({g},{h}) disagrees with range/domain"
-                break
-        if w:
-            break
-    rep.add("composition_domain", w is None, w)
+    rep.first_failure("endpoints_and_inverses", endpoint_failures())
 
-    w = None
-    for g in range(n):
-        gd, gr = G.dom[g], G.ran[g]
-        if G.compose.get((gd, g)) != g or G.compose.get((g, gr)) != g:
-            w = f"identity laws fail at arrow {g}"
-            break
-        if G.compose.get((g, G.inv[g])) != gd or G.compose.get((G.inv[g], g)) != gr:
-            w = f"inverse laws fail at arrow {g}"
-            break
-    rep.add("identity_and_inverse_laws", w is None, w)
+    rep.first_failure("composition_domain", (
+        f"composability of ({g},{h}) disagrees with range/domain"
+        for g in range(n)
+        for h in range(n)
+        if ((g, h) in G.compose) != (G.ran[g] == G.dom[h])
+    ))
 
-    w = None
-    for (g, h), gh in G.compose.items():
-        if G.dom[gh] != G.dom[g] or G.ran[gh] != G.ran[h]:
-            w = f"endpoints of composite ({g},{h}) are wrong"
-            break
-        for k in range(n):
-            if (h, k) in G.compose:
-                if G.compose[(gh, k)] != G.compose[(g, G.compose[(h, k)])]:
-                    w = f"associativity fails at ({g},{h},{k})"
-                    break
-        if w:
-            break
-    rep.add("associativity", w is None, w)
+    def law_failures():
+        for g in range(n):
+            gd, gr = G.dom[g], G.ran[g]
+            if G.compose.get((gd, g)) != g or G.compose.get((g, gr)) != g:
+                yield f"identity laws fail at arrow {g}"
+            if G.compose.get((g, G.inv[g])) != gd or G.compose.get((G.inv[g], g)) != gr:
+                yield f"inverse laws fail at arrow {g}"
 
-    w = None
-    for a in range(n):
-        if not G.leq[a][a]:
-            w = f"order not reflexive at {a}"
-            break
-        for b in range(n):
-            if G.leq[a][b] and G.leq[b][a] and a != b:
-                w = f"order not antisymmetric at ({a},{b})"
-                break
-            if G.leq[a][b]:
-                for c in range(n):
-                    if G.leq[b][c] and not G.leq[a][c]:
-                        w = f"order not transitive at ({a},{b},{c})"
-                        break
-                if w:
-                    break
-        if w:
-            break
-    rep.add("partial_order", w is None, w)
+    rep.first_failure("identity_and_inverse_laws", law_failures())
 
-    w = None
-    for g in range(n):
-        for h in range(n):
-            if G.leq[g][h] and not G.leq[G.inv[g]][G.inv[h]]:
-                w = f"OG1 fails at {g}<={h}"
-                break
-        if w:
-            break
-    rep.add("OG1_inversion_ordered", w is None, w)
+    def associativity_failures():
+        for (g, h), gh in G.compose.items():
+            if G.dom[gh] != G.dom[g] or G.ran[gh] != G.ran[h]:
+                yield f"endpoints of composite ({g},{h}) are wrong"
+            for k in range(n):
+                if (h, k) in G.compose:
+                    if G.compose[(gh, k)] != G.compose[(g, G.compose[(h, k)])]:
+                        yield f"associativity fails at ({g},{h},{k})"
 
-    w = None
+    rep.first_failure("associativity", associativity_failures())
+
+    def order_failures():
+        for a in range(n):
+            if not G.leq[a][a]:
+                yield f"order not reflexive at {a}"
+            for b in range(n):
+                if G.leq[a][b] and G.leq[b][a] and a != b:
+                    yield f"order not antisymmetric at ({a},{b})"
+                if G.leq[a][b]:
+                    for c in range(n):
+                        if G.leq[b][c] and not G.leq[a][c]:
+                            yield f"order not transitive at ({a},{b},{c})"
+
+    rep.first_failure("partial_order", order_failures())
+
+    rep.first_failure("OG1_inversion_ordered", (
+        f"OG1 fails at {g}<={h}"
+        for g in range(n)
+        for h in range(n)
+        if G.leq[g][h] and not G.leq[G.inv[g]][G.inv[h]]
+    ))
+
     pairs = [(a, b) for a in range(n) for b in range(n) if G.leq[a][b]]
-    for g1, g2 in pairs:
-        for h1, h2 in pairs:
-            if (g1, h1) in G.compose and (g2, h2) in G.compose:
-                if not G.leq[G.compose[(g1, h1)]][G.compose[(g2, h2)]]:
-                    w = f"OG2 fails at {g1}<={g2}, {h1}<={h2}"
-                    break
-        if w:
-            break
-    rep.add("OG2_composition_ordered", w is None, w)
+    rep.first_failure("OG2_composition_ordered", (
+        f"OG2 fails at {g1}<={g2}, {h1}<={h2}"
+        for g1, g2 in pairs
+        for h1, h2 in pairs
+        if (g1, h1) in G.compose and (g2, h2) in G.compose
+        if not G.leq[G.compose[(g1, h1)]][G.compose[(g2, h2)]]
+    ))
 
-    w = None
-    for g in range(n):
-        for x in G.identities:
-            if G.leq[x][G.dom[g]]:
-                cands = [h for h in range(n) if G.dom[h] == x and G.leq[h][g]]
-                if len(cands) != 1:
-                    w = f"OG3: {len(cands)} restrictions of {g} to {x}: {cands}"
-                    break
-        if w:
-            break
-    rep.add("OG3_unique_restriction", w is None, w)
+    def restriction_failures():
+        for g in range(n):
+            for x in G.identities:
+                if G.leq[x][G.dom[g]]:
+                    cands = [h for h in range(n) if G.dom[h] == x and G.leq[h][g]]
+                    if len(cands) != 1:
+                        yield f"OG3: {len(cands)} restrictions of {g} to {x}: {cands}"
 
-    w = None
-    if rep.ok:
+    rep.first_failure("OG3_unique_restriction", restriction_failures())
+
+    def corestriction_failures():
+        if not rep.ok:
+            return
         for g in range(n):
             for y in G.identities:
                 if G.leq[y][G.ran[g]]:
                     co = G.inv[restriction(G, y, G.inv[g])]
                     if not (G.ran[co] == y and G.leq[co][g]):
-                        w = f"OG3*: derived corestriction of {g} to {y} is wrong"
-                        break
-                    others = [
-                        h for h in range(n) if G.ran[h] == y and G.leq[h][g]
-                    ]
+                        yield f"OG3*: derived corestriction of {g} to {y} is wrong"
+                    others = [h for h in range(n) if G.ran[h] == y and G.leq[h][g]]
                     if others != [co]:
-                        w = f"OG3*: corestriction of {g} to {y} not unique"
-                        break
-            if w:
-                break
-    rep.add("OG3star_corestriction", w is None, w)
+                        yield f"OG3*: corestriction of {g} to {y} not unique"
 
-    w = None
-    for x in G.identities:
-        for g in range(n):
-            if G.leq[g][x] and not G.is_identity[g]:
-                w = f"non-identity {g} below identity {x}"
-                break
-        if w:
-            break
-    rep.add("identities_downward_closed", w is None, w)
+    rep.first_failure("OG3star_corestriction", corestriction_failures())
+
+    rep.first_failure("identities_downward_closed", (
+        f"non-identity {g} below identity {x}"
+        for x in G.identities
+        for g in range(n)
+        if G.leq[g][x] and not G.is_identity[g]
+    ))
     return rep
 
 
@@ -379,81 +349,11 @@ def wreath_product(group_table, m):
     return elems, table
 
 
-def _monoid_table(elems, mul):
-    index = {e: i for i, e in enumerate(elems)}
-    return [[index[mul(a, b)] for b in elems] for a in elems]
-
-
-def find_monoid_isomorphism(table_a, table_b, budget=200000):
-    """Backtracking search for a multiplication-table isomorphism.
-
-    Elements are fingerprinted (idempotency, index of the identity, row and
-    column value multisets) to cut the search; returns a mapping list or
-    None.  Only intended as a fallback for small monoids.
-    """
-    n = len(table_a)
-    if len(table_b) != n:
-        return None
-
-    def fingerprint(t, x):
-        row = sorted({t[x][y] == x for y in range(n)})
-        return (
-            t[x][x] == x,
-            sum(t[x][y] == y for y in range(n)),
-            sum(t[y][x] == y for y in range(n)),
-            len({t[x][y] for y in range(n)}),
-            len({t[y][x] for y in range(n)}),
-            tuple(row),
-        )
-
-    fa = [fingerprint(table_a, x) for x in range(n)]
-    fb = [fingerprint(table_b, x) for x in range(n)]
-    if sorted(fa) != sorted(fb):
-        return None
-    cands = [[y for y in range(n) if fb[y] == fa[x]] for x in range(n)]
-    mapping = [None] * n
-    used = [False] * n
-    nodes = [0]
-
-    def consistent(x, y):
-        for u in range(n):
-            if mapping[u] is None:
-                continue
-            if mapping[table_a[x][u]] is not None and mapping[table_a[x][u]] != table_b[y][mapping[u]]:
-                return False
-            if mapping[table_a[u][x]] is not None and mapping[table_a[u][x]] != table_b[mapping[u]][y]:
-                return False
-        return True
-
-    def rec(x):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            return False
-        if x == n:
-            for a in range(n):
-                for b in range(n):
-                    if mapping[table_a[a][b]] != table_b[mapping[a]][mapping[b]]:
-                        return False
-            return True
-        for y in cands[x]:
-            if not used[y] and consistent(x, y):
-                mapping[x] = y
-                used[y] = True
-                if rec(x + 1):
-                    return True
-                mapping[x] = None
-                used[y] = False
-        return False
-
-    return list(mapping) if rec(0) else None
-
-
 def check_flow_monoid_structure(G, cap=DEFAULT_FLOW_CAP):
     """Decompose the flow monoid by connected components and verify each
     connected piece against the explicit wreath product."""
     rep = CheckReport(f"flow monoid structure on {G!r}")
     flows = enumerate_flows(G, cap=cap)
-    findex = {t: i for i, t in enumerate(flows)}
     rep.add("flow_count", True, detail=f"|flows| = {len(flows)}")
 
     comps = connected_components(G)
@@ -482,29 +382,24 @@ def check_flow_monoid_structure(G, cap=DEFAULT_FLOW_CAP):
             parts.append(tuple(amap[t[pos[x]]] for x in c))
         return tuple(parts)
 
-    w = None
-    seen = set()
-    for t in flows:
-        s = split(t)
-        if s in seen:
-            w = f"splitting map not injective at flow {t}"
-            break
-        seen.add(s)
-    if w is None:
+    def splitting_failures():
+        seen = set()
+        for t in flows:
+            s = split(t)
+            if s in seen:
+                yield f"splitting map not injective at flow {t}"
+            seen.add(s)
         for t in flows:
             for s in flows:
-                ts = flow_compose(G, t, s)
-                lhs = split(ts)
+                lhs = split(flow_compose(G, t, s))
                 rhs = tuple(
                     flow_compose(Gi, a, b)
                     for Gi, a, b in zip(subs, split(t), split(s))
                 )
                 if lhs != rhs:
-                    w = f"splitting map not multiplicative at ({t},{s})"
-                    break
-            if w:
-                break
-    rep.add("component_product_iso", w is None, w)
+                    yield f"splitting map not multiplicative at ({t},{s})"
+
+    rep.first_failure("component_product_iso", splitting_failures())
 
     for ci, (c, Gi, fl) in enumerate(zip(comps, subs, sub_flows)):
         label = f"component_{ci}_wreath_iso"
@@ -542,40 +437,25 @@ def check_flow_monoid_structure(G, cap=DEFAULT_FLOW_CAP):
             )
             return (lam, theta)
 
-        w = None
-        if len(fl) != len(welems):
-            w = f"sizes differ: {len(fl)} flows vs {len(welems)} wreath elements"
-        else:
+        def wreath_failures():
+            if len(fl) != len(welems):
+                yield f"sizes differ: {len(fl)} flows vs {len(welems)} wreath elements"
+                return
             images = {}
             for t in fl:
                 e = to_wreath(t)
                 if e in images:
-                    w = f"candidate map not injective at flow {t}"
-                    break
+                    yield f"candidate map not injective at flow {t}"
                 images[t] = windex[e]
-            if w is None:
-                for t in fl:
-                    for s in fl:
-                        if images[flow_compose(Gi, t, s)] != wtable[images[t]][images[s]]:
-                            w = f"candidate map not multiplicative at ({t},{s})"
-                            break
-                    if w:
-                        break
-        if w is not None:
-            # the explicit construction failed; fall back to searching
-            fidx = {t: i for i, t in enumerate(fl)}
-            ftable = [
-                [fidx[flow_compose(Gi, t, s)] for s in fl] for t in fl
-            ]
-            found = find_monoid_isomorphism(ftable, wtable)
-            rep.add(
-                label,
-                found is not None,
-                w if found is None else None,
-                detail="isomorphism found by search" if found is not None else None,
-            )
-        else:
-            rep.add(label, True, detail=f"|flows| = {len(fl)} = |L|^{m} * {m}^{m}")
+            for t in fl:
+                for s in fl:
+                    if images[flow_compose(Gi, t, s)] != wtable[images[t]][images[s]]:
+                        yield f"candidate map not multiplicative at ({t},{s})"
+
+        # the size identity is only claimed when the explicit map is an isomorphism
+        w = next(wreath_failures(), None)
+        rep.add(label, w is None, w,
+                detail=None if w else f"|flows| = {len(fl)} = |L|^{m} * {m}^{m}")
     return rep
 
 

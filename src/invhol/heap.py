@@ -9,6 +9,7 @@ from .holomorph import (
     hol_action,
     hol_diamond,
     hol_from_mon,
+    mon_diamond,
     mon_hol,
 )
 from .morphisms import DEFAULT_NODE_BUDGET, is_endomorphism, is_premorphism
@@ -168,41 +169,36 @@ def verify_sha_embedding(S, sha=None):
         sha = enumerate_sha(S)
     rep.add("sha_count", True, detail=f"|heap monoid| = {len(sha)}")
     images = {}
-    w = None
-    for m in sha:
-        h = sha_embed(S, m)
-        if h in images:
-            w = f"maps {images[h]} and {m.eta} share an image"
-            break
-        images[h] = m.eta
-    rep.add("embedding_injective", w is None, w)
 
-    w = None
+    def injectivity_failures():
+        for m in sha:
+            h = sha_embed(S, m)
+            if h in images:
+                yield f"maps {images[h]} and {m.eta} share an image"
+            images[h] = m.eta
+
+    rep.first_failure("embedding_injective", injectivity_failures())
+
     by_eta = {m.eta: sha_embed(S, m) for m in sha}
-    for m1 in sha:
-        for m2 in sha:
-            comp = tuple(m2.eta[m1.eta[a]] for a in range(S.size))
-            lhs = by_eta[comp]
-            rhs = hol_diamond(S, by_eta[m1.eta], by_eta[m2.eta])
-            if lhs != rhs:
-                w = f"embedding not multiplicative at ({m1.eta},{m2.eta})"
-                break
-        if w:
-            break
-    rep.add("embedding_multiplicative", w is None, w)
+    rep.first_failure("embedding_multiplicative", (
+        f"embedding not multiplicative at ({m1.eta},{m2.eta})"
+        for m1 in sha
+        for m2 in sha
+        if by_eta[tuple(m2.eta[m1.eta[a]] for a in range(S.size))]
+        != hol_diamond(S, by_eta[m1.eta], by_eta[m2.eta])
+    ))
 
-    w = None
     mul, inv = S.mul, S.inv
-    for m in sha:
-        phi = m.phi
-        for a in range(S.size):
-            e = mul[inv[a]][a]
-            if phi[e] != mul[m.eta[e]][inv[m.eta[e]]]:
-                w = f"range-idempotent identity fails for {m.eta} at {a}"
-                break
-        if w:
-            break
-    rep.add("phi_on_range_idempotents", w is None, w)
+
+    def range_idempotent_failures():
+        for m in sha:
+            phi = m.phi
+            for a in range(S.size):
+                e = mul[inv[a]][a]
+                if phi[e] != mul[m.eta[e]][inv[m.eta[e]]]:
+                    yield f"range-idempotent identity fails for {m.eta} at {a}"
+
+    rep.first_failure("phi_on_range_idempotents", range_idempotent_failures())
     return rep
 
 
@@ -226,54 +222,49 @@ def verify_sha_monoid_iso(M, sha=None, mon=None):
     )
 
     # forward: every heap map embeds onto an endomorphism pair
-    w = None
+    sub_set = set(sub)
     image = set()
-    for m in sha:
-        h = sha_embed(M, m)
-        a = MonHolElement(h.alpha, h.tau[M.idempotent_position[M.identity]])
-        if not is_endomorphism(M, a.alpha):
-            w = f"embedded pair of {m.eta} has non-endomorphism first component"
-            break
-        if a not in set(sub):
-            w = f"embedded pair of {m.eta} missing from the submonoid"
-            break
-        image.add(a)
-    rep.add("image_in_submonoid", w is None, w)
+
+    def forward_failures():
+        for m in sha:
+            h = sha_embed(M, m)
+            a = MonHolElement(h.alpha, h.tau[M.idempotent_position[M.identity]])
+            if not is_endomorphism(M, a.alpha):
+                yield f"embedded pair of {m.eta} has non-endomorphism first component"
+            elif a not in sub_set:
+                yield f"embedded pair of {m.eta} missing from the submonoid"
+            image.add(a)
+
+    rep.first_failure("image_in_submonoid", forward_failures())
 
     # backward: every endomorphism pair acts as a heap map
-    w = None
-    for a in sub:
-        h = hol_from_mon(M, a)
-        eta = tuple(hol_action(M, s, h) for s in range(M.size))
-        ordered = all(
-            M.leq(eta[x], eta[y])
-            for x in range(M.size)
-            for y in range(M.size)
-            if M.leq(x, y)
-        )
-        if not (ordered and is_heap_preserving(M, eta)):
-            w = f"pair {a} does not act as an ordered heap map"
-            break
-        if a not in image:
-            w = f"pair {a} is not hit by the embedding"
-            break
-    rep.add("submonoid_in_image", w is None, w)
+    def backward_failures():
+        for a in sub:
+            h = hol_from_mon(M, a)
+            eta = tuple(hol_action(M, s, h) for s in range(M.size))
+            ordered = all(
+                M.leq(eta[x], eta[y])
+                for x in range(M.size)
+                for y in range(M.size)
+                if M.leq(x, y)
+            )
+            if not (ordered and is_heap_preserving(M, eta)):
+                yield f"pair {a} does not act as an ordered heap map"
+            elif a not in image:
+                yield f"pair {a} is not hit by the embedding"
+
+    rep.first_failure("submonoid_in_image", backward_failures())
 
     # the bijection is an isomorphism of monoids
-    w = None
-    from .holomorph import mon_diamond
-
     by_eta = {}
     for m in sha:
         h = sha_embed(M, m)
         by_eta[m.eta] = MonHolElement(h.alpha, h.tau[M.idempotent_position[M.identity]])
-    for m1 in sha:
-        for m2 in sha:
-            comp = tuple(m2.eta[m1.eta[x]] for x in range(M.size))
-            if by_eta[comp] != mon_diamond(M, by_eta[m1.eta], by_eta[m2.eta]):
-                w = f"not multiplicative at ({m1.eta},{m2.eta})"
-                break
-        if w:
-            break
-    rep.add("monoid_isomorphism", w is None, w)
+    rep.first_failure("monoid_isomorphism", (
+        f"not multiplicative at ({m1.eta},{m2.eta})"
+        for m1 in sha
+        for m2 in sha
+        if by_eta[tuple(m2.eta[m1.eta[x]] for x in range(M.size))]
+        != mon_diamond(M, by_eta[m1.eta], by_eta[m2.eta])
+    ))
     return rep

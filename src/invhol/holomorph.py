@@ -14,6 +14,7 @@ the holomorph order of a group.
 
 from dataclasses import dataclass
 
+from .core import first_nonassociative
 from .errors import NotMonoid, SizeCap
 from .morphisms import ElementMap, enumerate_premorphisms
 from .report import CheckReport
@@ -184,65 +185,46 @@ def verify_hol_monoid(S, hol=None):
     rep.add("element_count", True, detail=f"|pairs| = {n}")
 
     ident = hol_identity(S)
-    w = None
-    if ident not in index:
-        w = "identity pair is missing"
-    else:
+
+    def identity_failures():
+        if ident not in index:
+            yield "identity pair is missing"
         for h in hol:
             if hol_diamond(S, ident, h) != h or hol_diamond(S, h, ident) != h:
-                w = f"identity law fails at {h}"
-                break
-    rep.add("two_sided_identity", w is None, w)
+                yield f"identity law fails at {h}"
+
+    rep.first_failure("two_sided_identity", identity_failures())
 
     table = [[index[hol_diamond(S, a, b, check=False)] for b in hol] for a in hol]
-    w = None
-    for i in range(n):
-        for j in range(n):
-            tij = table[i][j]
-            for k in range(n):
-                if table[tij][k] != table[i][table[j][k]]:
-                    w = f"associativity fails at ({i},{j},{k})"
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("diamond_associative", w is None, w)
+    bad = first_nonassociative(range(n), lambda i, j: table[i][j])
+    rep.add("diamond_associative", bad is None,
+            bad and "associativity fails at ({},{},{})".format(*bad))
 
-    w = None
-    for s in range(S.size):
-        for i in range(n):
-            for j in range(n):
-                lhs = hol_action(S, s, hol[table[i][j]])
-                rhs = hol_action(S, hol_action(S, s, hol[i]), hol[j])
-                if lhs != rhs:
-                    w = f"action property fails at s={s}, pair ({i},{j})"
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("monoid_action", w is None, w)
+    rep.first_failure("monoid_action", (
+        f"action property fails at s={s}, pair ({i},{j})"
+        for s in range(S.size)
+        for i in range(n)
+        for j in range(n)
+        if hol_action(S, s, hol[table[i][j]])
+        != hol_action(S, hol_action(S, s, hol[i]), hol[j])
+    ))
 
     # tau is pinned down by its values at maximal idempotents via restriction
     leq = S.natural_order().leq
     E = S.idempotents
     pos = S.idempotent_position
     maximal = [e for e in E if not any(leq(e, f) and e != f for f in E)]
-    w = None
-    for h in hol:
-        for e in E:
-            ms = [m for m in maximal if leq(e, m)]
-            if not ms:
-                w = f"idempotent {e} below no maximal idempotent"
-                break
-            rebuilt = S.mul[h.alpha[e]][h.tau[pos[ms[0]]]]
-            if rebuilt != h.tau[pos[e]]:
-                w = f"tau of {h} not recovered at idempotent {e}"
-                break
-        if w:
-            break
-    rep.add("tau_from_maximal_idempotents", w is None, w)
+
+    def restriction_failures():
+        for h in hol:
+            for e in E:
+                ms = [m for m in maximal if leq(e, m)]
+                if not ms:
+                    yield f"idempotent {e} below no maximal idempotent"
+                elif S.mul[h.alpha[e]][h.tau[pos[ms[0]]]] != h.tau[pos[e]]:
+                    yield f"tau of {h} not recovered at idempotent {e}"
+
+    rep.first_failure("tau_from_maximal_idempotents", restriction_failures())
     return rep
 
 
@@ -351,56 +333,37 @@ def verify_mon_hol(M, hol=None, mon=None):
         detail=f"{len(mon)} compressed pairs",
     )
 
-    w = None
     hol_set = set(hol)
-    for a in mon:
-        h = hol_from_mon(M, a)
-        if h not in hol_set or not is_valid_hol(M, h.alpha, h.tau):
-            w = f"expansion of {a} is not a holomorph pair"
-            break
-        if mon_from_hol(M, h) != a:
-            w = f"round trip fails at {a}"
-            break
-    if w is None:
+
+    def bijection_failures():
+        for a in mon:
+            h = hol_from_mon(M, a)
+            if h not in hol_set or not is_valid_hol(M, h.alpha, h.tau):
+                yield f"expansion of {a} is not a holomorph pair"
+            elif mon_from_hol(M, h) != a:
+                yield f"round trip fails at {a}"
         for h in hol:
             if hol_from_mon(M, mon_from_hol(M, h)) != h:
-                w = f"tau of {h} is not determined by its identity value"
-                break
-    rep.add("bijection", w is None, w)
+                yield f"tau of {h} is not determined by its identity value"
 
-    w = None
-    for a in mon:
-        for b in mon:
-            lhs = hol_from_mon(M, mon_diamond(M, a, b))
-            rhs = hol_diamond(M, hol_from_mon(M, a), hol_from_mon(M, b))
-            if lhs != rhs:
-                w = f"diamonds disagree at ({a},{b})"
-                break
-        if w:
-            break
-    rep.add("diamonds_agree", w is None, w)
+    rep.first_failure("bijection", bijection_failures())
 
-    w = None
-    for a in mon:
-        for b in mon:
-            ab = mon_diamond(M, a, b)
-            for c in mon:
-                if mon_diamond(M, ab, c) != mon_diamond(M, a, mon_diamond(M, b, c)):
-                    w = f"associativity fails at ({a},{b},{c})"
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("compressed_diamond_associative", w is None, w)
+    rep.first_failure("diamonds_agree", (
+        f"diamonds disagree at ({a},{b})"
+        for a in mon
+        for b in mon
+        if hol_from_mon(M, mon_diamond(M, a, b))
+        != hol_diamond(M, hol_from_mon(M, a), hol_from_mon(M, b))
+    ))
 
-    w = None
-    for t in range(M.size):
-        for a in mon:
-            if mon_action(M, t, a) != hol_action(M, t, hol_from_mon(M, a)):
-                w = f"actions disagree at t={t}, {a}"
-                break
-        if w:
-            break
-    rep.add("actions_agree", w is None, w)
+    bad = first_nonassociative(mon, lambda a, b: mon_diamond(M, a, b))
+    rep.add("compressed_diamond_associative", bad is None,
+            bad and "associativity fails at ({},{},{})".format(*(mon[i] for i in bad)))
+
+    rep.first_failure("actions_agree", (
+        f"actions disagree at t={t}, {a}"
+        for t in range(M.size)
+        for a in mon
+        if mon_action(M, t, a) != hol_action(M, t, hol_from_mon(M, a))
+    ))
     return rep

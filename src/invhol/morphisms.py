@@ -170,10 +170,12 @@ def _dfs_premorphisms(S, sched, prefix, budget, counter):
 
 
 def _premorphism_branch(args):
-    # top-level so it can cross a process boundary
+    # top-level so it can cross a process boundary; returns the branch's
+    # value vectors and the nodes it visited
     S, first, budget = args
     sched = _premorphism_check_schedule(S)
-    return _dfs_premorphisms(S, sched, [first], budget, [0])
+    counter = [0]
+    return _dfs_premorphisms(S, sched, [first], budget, counter), counter[0]
 
 
 def enumerate_premorphisms(S, budget=DEFAULT_NODE_BUDGET, jobs=1):
@@ -184,11 +186,23 @@ def enumerate_premorphisms(S, budget=DEFAULT_NODE_BUDGET, jobs=1):
     """
     sched = _premorphism_check_schedule(S)
     if jobs > 1 and S.size > 1:
+        # each branch is one subtree of the serial root, so the serial search
+        # overruns exactly when 1 + (nodes of all branches) > budget; a branch
+        # past budget - 1 nodes alone overruns and stops early
         vecs = []
+        nodes = 1
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = [(S, v, budget) for v in range(S.size)]
-            for branch in pool.map(_premorphism_branch, args):
-                vecs.extend(branch)
+            args = [(S, v, budget - 1) for v in range(S.size)]
+            try:
+                for branch, branch_nodes in pool.map(_premorphism_branch, args):
+                    vecs.extend(branch)
+                    nodes += branch_nodes
+            except SearchBudgetExceeded as exc:
+                raise SearchBudgetExceeded(
+                    nodes + exc.nodes, len(vecs) + exc.found, budget
+                ) from None
+        if nodes > budget:
+            raise SearchBudgetExceeded(nodes, len(vecs), budget)
         vecs.sort()
     else:
         vecs = _dfs_premorphisms(S, sched, [], budget, [0])

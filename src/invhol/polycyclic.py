@@ -12,8 +12,7 @@ import string
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
+from .core import first_nonassociative
 from .errors import AlphabetMismatch, ParseError, WindowExceeded, NotSuffixPreserving
 from .report import CheckReport
 
@@ -210,78 +209,37 @@ def verify_poly_window(n, L, report_title=None):
     elems = poly_window(n, L)
     rep.add("window", True, detail=f"{len(elems)} elements, components up to length {L}")
 
-    w = None
-    for x in elems:
-        for y in elems:
-            if _mul(x, y) != rewrite_mul(x, y):
-                w = f"{x} * {y}: table {_mul(x, y)} vs rewriting {rewrite_mul(x, y)}"
-                break
-        if w:
-            break
-    rep.add("matches_rewriting", w is None, w)
+    rep.first_failure("matches_rewriting", (
+        f"{x} * {y}: table {_mul(x, y)} vs rewriting {rewrite_mul(x, y)}"
+        for x in elems
+        for y in elems
+        if _mul(x, y) != rewrite_mul(x, y)
+    ))
 
-    # associativity via interned product tables and a vectorised sweep
-    ids = {}
+    # products leave the window, so the sweep interns them
+    bad = first_nonassociative(elems, _mul)
+    rep.add("associative_on_window", bad is None,
+            bad and "associativity fails at ({},{},{})".format(*(elems[i] for i in bad)))
 
-    def intern(e):
-        if e not in ids:
-            ids[e] = len(ids)
-        return ids[e]
+    rep.first_failure("inverses", (
+        f"inverse laws fail at {x}"
+        for x in elems
+        if _mul(_mul(x, _inv(x)), x) != x or _inv(_inv(x)) != x
+    ))
 
-    for e in elems:
-        intern(e)
-    m = len(elems)
-    m1 = np.empty((m, m), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            m1[i, j] = intern(_mul(x, y))
-    by_id = {v: k for k, v in ids.items()}
-    mid_elems = [by_id[i] for i in range(len(ids))]
-    left = np.empty((len(ids), m), dtype=np.int64)
-    right = np.empty((m, len(ids)), dtype=np.int64)
-    for i, x in enumerate(mid_elems):
-        for j, y in enumerate(elems):
-            left[i, j] = intern(_mul(x, y))
-    for i, x in enumerate(elems):
-        for j, y in enumerate(mid_elems):
-            right[i, j] = intern(_mul(x, y))
-    w = None
-    for i in range(m):
-        lhs = left[m1[i, :], :]     # lhs[j,k] = (x_i x_j) x_k
-        rhs = right[i, m1]          # rhs[j,k] = x_i (x_j x_k)
-        if not np.array_equal(lhs, rhs):
-            j, k = np.argwhere(lhs != rhs)[0]
-            w = f"associativity fails at ({elems[i]},{elems[j]},{elems[k]})"
-            break
-    rep.add("associative_on_window", w is None, w)
-
-    w = None
-    for x in elems:
-        if _mul(_mul(x, _inv(x)), x) != x or _inv(_inv(x)) != x:
-            w = f"inverse laws fail at {x}"
-            break
-    rep.add("inverses", w is None, w)
-
-    w = None
-    for x in elems:
-        idem = _mul(x, x) == x
-        expect = x is None or x[0] == x[1]
-        if idem != expect:
-            w = f"idempotence of {x} is {idem}"
-            break
-    rep.add("idempotents_are_diagonal", w is None, w)
+    rep.first_failure("idempotents_are_diagonal", (
+        f"idempotence of {x} is {_mul(x, x) == x}"
+        for x in elems
+        if (_mul(x, x) == x) != (x is None or x[0] == x[1])
+    ))
 
     # the defining order (via a = a a^-1 b) agrees with suffix comparison
-    w = None
-    for x in elems:
-        for y in elems:
-            npo = _mul(_mul(x, _inv(x)), y) == x
-            if npo != pair_leq(x, y):
-                w = f"order disagreement at ({x},{y})"
-                break
-        if w:
-            break
-    rep.add("natural_order_is_suffix_order", w is None, w)
+    rep.first_failure("natural_order_is_suffix_order", (
+        f"order disagreement at ({x},{y})"
+        for x in elems
+        for y in elems
+        if (_mul(_mul(x, _inv(x)), y) == x) != pair_leq(x, y)
+    ))
     return rep
 
 
@@ -334,81 +292,70 @@ def verify_bicyclic(window=6, param=4):
     rep = CheckReport(f"bicyclic monoid, window {window}, parameters up to {param}")
     pairs = [(i, j) for i in range(window + 1) for j in range(window + 1)]
 
-    w = None
-    for x in pairs:
-        for y in pairs:
-            via_words = rewrite_mul(bicyclic_to_poly(x), bicyclic_to_poly(y))
-            got = bicyclic_mul(x, y)
-            if via_words != bicyclic_to_poly(got):
-                w = f"{x} * {y}: pair formula {got} vs rewriting {via_words}"
-                break
-        if w:
-            break
-    rep.add("pair_formula_matches_rewriting", w is None, w)
-
-    w = None
-    if any(bicyclic_mul((0, 0), x) != x or bicyclic_mul(x, (0, 0)) != x for x in pairs):
-        w = "identity (0,0) fails"
-    rep.add("identity", w is None, w)
-
-    params = [(k, p) for k in range(param + 1) for p in range(param + 1)]
-    w = None
-    for k, p in params:
-        nu = bicyclic_endo(k, p)
+    def formula_failures():
         for x in pairs:
             for y in pairs:
-                if nu.apply_pair(bicyclic_mul(x, y)) != bicyclic_mul(
-                    nu.apply_pair(x), nu.apply_pair(y)
-                ):
-                    w = f"(k,p)=({k},{p}) not multiplicative at {x},{y}"
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("endomorphism_family_multiplicative", w is None, w)
+                via_words = rewrite_mul(bicyclic_to_poly(x), bicyclic_to_poly(y))
+                got = bicyclic_mul(x, y)
+                if via_words != bicyclic_to_poly(got):
+                    yield f"{x} * {y}: pair formula {got} vs rewriting {via_words}"
+
+    rep.first_failure("pair_formula_matches_rewriting", formula_failures())
+
+    rep.first_failure("identity", (
+        "identity (0,0) fails"
+        for x in pairs
+        if bicyclic_mul((0, 0), x) != x or bicyclic_mul(x, (0, 0)) != x
+    ))
+
+    params = [(k, p) for k in range(param + 1) for p in range(param + 1)]
+
+    def multiplicativity_failures():
+        for k, p in params:
+            nu = bicyclic_endo(k, p)
+            for x in pairs:
+                for y in pairs:
+                    if nu.apply_pair(bicyclic_mul(x, y)) != bicyclic_mul(
+                        nu.apply_pair(x), nu.apply_pair(y)
+                    ):
+                        yield f"(k,p)=({k},{p}) not multiplicative at {x},{y}"
+
+    rep.first_failure("endomorphism_family_multiplicative", multiplicativity_failures())
 
     # generator image a -> a^-p a^(p+k) reproduces the formula through powers;
     # the identity pair (0,0) stands for the word a a^-1, not an empty product
-    w = None
-    for k, p in params:
-        nu = bicyclic_endo(k, p)
-        gen = (p, p + k)
-        for i, j in pairs:
-            if i == j == 0:
-                acc = bicyclic_mul(gen, bicyclic_inv(gen))
-            else:
-                acc = None
-                for _ in range(i):
-                    step = bicyclic_inv(gen)
-                    acc = step if acc is None else bicyclic_mul(acc, step)
-                for _ in range(j):
-                    acc = gen if acc is None else bicyclic_mul(acc, gen)
-            if acc != nu.apply_pair((i, j)):
-                w = f"(k,p)=({k},{p}): power evaluation differs at ({i},{j})"
-                break
-        if w:
-            break
-    rep.add("formula_matches_generator_powers", w is None, w)
+    def power_failures():
+        for k, p in params:
+            nu = bicyclic_endo(k, p)
+            gen = (p, p + k)
+            for i, j in pairs:
+                if i == j == 0:
+                    acc = bicyclic_mul(gen, bicyclic_inv(gen))
+                else:
+                    acc = None
+                    for _ in range(i):
+                        step = bicyclic_inv(gen)
+                        acc = step if acc is None else bicyclic_mul(acc, step)
+                    for _ in range(j):
+                        acc = gen if acc is None else bicyclic_mul(acc, gen)
+                if acc != nu.apply_pair((i, j)):
+                    yield f"(k,p)=({k},{p}): power evaluation differs at ({i},{j})"
 
-    w = None
-    for k, p in params:
-        for k2, p2 in params:
-            comp = bicyclic_endo(k, p).compose(bicyclic_endo(k2, p2))
-            if comp != AffineNat(k * k2, p * k2 + p2):
-                w = f"affine composition fails at ({k},{p}),({k2},{p2})"
-                break
-            for x in pairs:
-                if comp.apply_pair(x) != bicyclic_endo(k2, p2).apply_pair(
-                    bicyclic_endo(k, p).apply_pair(x)
-                ):
-                    w = f"composite map wrong at {x}"
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("family_composes_as_affine_maps", w is None, w)
+    rep.first_failure("formula_matches_generator_powers", power_failures())
+
+    def composition_failures():
+        for k, p in params:
+            for k2, p2 in params:
+                comp = bicyclic_endo(k, p).compose(bicyclic_endo(k2, p2))
+                if comp != AffineNat(k * k2, p * k2 + p2):
+                    yield f"affine composition fails at ({k},{p}),({k2},{p2})"
+                for x in pairs:
+                    if comp.apply_pair(x) != bicyclic_endo(k2, p2).apply_pair(
+                        bicyclic_endo(k, p).apply_pair(x)
+                    ):
+                        yield f"composite map wrong at {x}"
+
+    rep.first_failure("family_composes_as_affine_maps", composition_failures())
     return rep
 
 
@@ -424,81 +371,63 @@ def bicyclic_hol_check(param=4, window=6):
     rep = CheckReport(f"bicyclic holomorph, parameters up to {param}, window {window}")
     params = [(k, p) for k in range(param + 1) for p in range(param + 1)]
 
-    w = None
-    for k, p in params:
-        nu = bicyclic_endo(k, p)
-        top = nu.apply_pair((0, 0))
-        for l in range(window + 1):
-            for m in range(window + 1):
-                valid = bicyclic_mul((l, m), bicyclic_inv((l, m))) == top
-                if valid != (l == p):
-                    w = f"(k,p)=({k},{p}): pair ({l},{m}) validity is {valid}"
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("transformation_part_forces_l_eq_p", w is None, w)
+    def validity_failures():
+        for k, p in params:
+            nu = bicyclic_endo(k, p)
+            top = nu.apply_pair((0, 0))
+            for l in range(window + 1):
+                for m in range(window + 1):
+                    valid = bicyclic_mul((l, m), bicyclic_inv((l, m))) == top
+                    if valid != (l == p):
+                        yield f"(k,p)=({k},{p}): pair ({l},{m}) validity is {valid}"
+
+    rep.first_failure("transformation_part_forces_l_eq_p", validity_failures())
 
     def diamond(e1, e2):
         (a1, m1), (a2, m2) = e1, e2
         return (a1.compose(a2), bicyclic_mul(a2.apply_pair(m1), m2))
 
-    w = None
-    for k, p in params:
-        for k2, p2 in params:
-            for m in range(window + 1):
-                for m2 in range(window + 1):
-                    a1, a2 = bicyclic_endo(k, p), bicyclic_endo(k2, p2)
-                    comp_alpha, comp_m = diamond((a1, (p, m)), (a2, (p2, m2)))
-                    want_alpha = AffineNat(k * k2, p * k2 + p2)
-                    want_m = (p * k2 + p2, m * k2 + m2)
-                    if comp_alpha != want_alpha or comp_m != want_m:
-                        w = (
-                            f"composition of ((k,p),m)=(({k},{p}),{m}) and "
-                            f"(({k2},{p2}),{m2}) gave {comp_alpha},{comp_m}"
-                        )
-                        break
-                if w:
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("diamond_matches_semidirect_product", w is None, w)
+    def semidirect_failures():
+        for k, p in params:
+            for k2, p2 in params:
+                for m in range(window + 1):
+                    for m2 in range(window + 1):
+                        a1, a2 = bicyclic_endo(k, p), bicyclic_endo(k2, p2)
+                        comp_alpha, comp_m = diamond((a1, (p, m)), (a2, (p2, m2)))
+                        want_alpha = AffineNat(k * k2, p * k2 + p2)
+                        want_m = (p * k2 + p2, m * k2 + m2)
+                        if comp_alpha != want_alpha or comp_m != want_m:
+                            yield (
+                                f"composition of ((k,p),m)=(({k},{p}),{m}) and "
+                                f"(({k2},{p2}),{m2}) gave {comp_alpha},{comp_m}"
+                            )
+
+    rep.first_failure("diamond_matches_semidirect_product", semidirect_failures())
     rep.note("free part composes as m k' + m'; the translation p' cancels")
 
-    w = None
-    if not bicyclic_hol_identity_check(param):
-        w = "identity pair does not compose neutrally"
-    rep.add("identity_pair_neutral", w is None, w)
+    neutral = bicyclic_hol_identity_check(param)
+    rep.add("identity_pair_neutral", neutral,
+            None if neutral else "identity pair does not compose neutrally")
 
-    w = None
     small = [(k, p) for k in range(3) for p in range(3)]
     pairs_w = [(i, j) for i in range(window + 1) for j in range(window + 1)]
-    for k, p in small:
-        for m in range(3):
-            a = bicyclic_endo(k, p)
-            for k2, p2 in small:
-                for m2 in range(3):
-                    b = bicyclic_endo(k2, p2)
-                    ca, cm = diamond((a, (p, m)), (b, (p2, m2)))
-                    for x in pairs_w:
-                        lhs = bicyclic_mul(ca.apply_pair(x), cm)
-                        step = bicyclic_mul(a.apply_pair(x), (p, m))
-                        rhs = bicyclic_mul(b.apply_pair(step), (p2, m2))
-                        if lhs != rhs:
-                            w = f"action law fails at x={x}"
-                            break
-                    if w:
-                        break
-                if w:
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("action_law", w is None, w)
+
+    def action_failures():
+        for k, p in small:
+            for m in range(3):
+                a = bicyclic_endo(k, p)
+                for k2, p2 in small:
+                    for m2 in range(3):
+                        b = bicyclic_endo(k2, p2)
+                        ca, cm = diamond((a, (p, m)), (b, (p2, m2)))
+                        for x in pairs_w:
+                            lhs = bicyclic_mul(ca.apply_pair(x), cm)
+                            step = bicyclic_mul(a.apply_pair(x), (p, m))
+                            rhs = bicyclic_mul(b.apply_pair(step), (p2, m2))
+                            if lhs != rhs:
+                                yield f"action law fails at x={x}"
+
+    rep.first_failure("action_law", action_failures())
     return rep
 
 
@@ -711,18 +640,17 @@ def window_table(fn, n, L):
     return {u: fn.word_image(u) for u in words_upto(n, L)}
 
 
-def induced_premorphism_check(fn, n, L):
-    """The element map of an ordered function satisfies the premorphism
-    inequality on the element window: image of a product lies below the
-    product of the images."""
+def induced_premorphism_failures(fn, n, L):
+    """Where the element map of an ordered function breaks the premorphism
+    inequality on the element window: the image of a product must lie below
+    the product of the images."""
     elems = poly_window(n, L)
     for x in elems:
         for y in elems:
             lhs = efun_element_image(fn, _mul(x, y))
             rhs = _mul(efun_element_image(fn, x), efun_element_image(fn, y))
             if not pair_leq(lhs, rhs):
-                return f"inequality fails at {x},{y}"
-    return None
+                yield f"inequality fails at {x},{y}"
 
 
 def premorphism_ideal_check(n=2, L=3, param_len=2, elem_len=2):
@@ -744,69 +672,58 @@ def premorphism_ideal_check(n=2, L=3, param_len=2, elem_len=2):
     trans = ["", "a"] + (["ba"] if n >= 2 else [])
     affs = [AffineWordMap(n, imgs, w) for imgs in sigmas for w in trans]
 
-    w = None
-    for w1, t1 in cs:
-        for w2, t2 in cs:
-            got = compose_efuns(ConstPair(n, w1, t1), ConstPair(n, w2, t2))
-            if not efun_equal_on_window(got, ConstPair(n, t2, t2), n, L):
-                w = f"c({w1!r},{t1!r}) then c({w2!r},{t2!r})"
-                break
-        if w:
-            break
-    rep.add("constant_then_constant", w is None, w)
+    rep.first_failure("constant_then_constant", (
+        f"c({w1!r},{t1!r}) then c({w2!r},{t2!r})"
+        for w1, t1 in cs
+        for w2, t2 in cs
+        if not efun_equal_on_window(
+            compose_efuns(ConstPair(n, w1, t1), ConstPair(n, w2, t2)),
+            ConstPair(n, t2, t2), n, L,
+        )
+    ))
 
-    w = None
-    for w1, t1 in cs:
-        for af in affs:
-            got = compose_efuns(ConstPair(n, w1, t1), af)
-            want = ConstPair(n, af.word_image(w1), af.word_image(t1))
-            if not efun_equal_on_window(got, want, n, L):
-                w = f"c({w1!r},{t1!r}) then affine {af}"
-                break
-        if w:
-            break
-    rep.add("constant_then_affine", w is None, w)
+    rep.first_failure("constant_then_affine", (
+        f"c({w1!r},{t1!r}) then affine {af}"
+        for w1, t1 in cs
+        for af in affs
+        if not efun_equal_on_window(
+            compose_efuns(ConstPair(n, w1, t1), af),
+            ConstPair(n, af.word_image(w1), af.word_image(t1)), n, L,
+        )
+    ))
 
-    w = None
-    for w1, t1 in cs:
-        for af in affs:
-            got = compose_efuns(af, ConstPair(n, w1, t1))
-            if not efun_equal_on_window(got, ConstPair(n, w1, t1), n, L):
-                w = f"affine {af} then c({w1!r},{t1!r})"
-                break
-        if w:
-            break
-    rep.add("affine_then_constant", w is None, w)
+    rep.first_failure("affine_then_constant", (
+        f"affine {af} then c({w1!r},{t1!r})"
+        for w1, t1 in cs
+        for af in affs
+        if not efun_equal_on_window(
+            compose_efuns(af, ConstPair(n, w1, t1)), ConstPair(n, w1, t1), n, L
+        )
+    ))
 
     z = ConstZero(n)
-    w = None
-    for fn in [z] + affs + [ConstPair(n, a, b) for a, b in cs]:
-        if not efun_equal_on_window(compose_efuns(fn, z), z, n, L):
-            w = f"{fn} then zero map"
-            break
-    if w is None:
+
+    def zero_failures():
+        for fn in [z] + affs + [ConstPair(n, a, b) for a, b in cs]:
+            if not efun_equal_on_window(compose_efuns(fn, z), z, n, L):
+                yield f"{fn} then zero map"
         for af in affs:
             if not efun_equal_on_window(compose_efuns(z, af), z, n, L):
-                w = f"zero map then affine {af}"
-                break
-    if w is None:
+                yield f"zero map then affine {af}"
         for a, b in cs:
             got = compose_efuns(z, ConstPair(n, a, b))
             if not efun_equal_on_window(got, ConstPair(n, a, a), n, L):
-                w = f"zero map then c({a!r},{b!r}) is not c({a!r},{a!r})"
-                break
-    rep.add("zero_map_composition", w is None, w)
+                yield f"zero map then c({a!r},{b!r}) is not c({a!r},{a!r})"
+
+    rep.first_failure("zero_map_composition", zero_failures())
     rep.note("the zero map absorbs on the right; composing it into a constant "
              "pair yields the constant at that pair's zero value")
 
-    w = None
-    for fn in [z] + [ConstPair(n, a, b) for a, b in cs] + affs:
-        bad = induced_premorphism_check(fn, n, elem_len)
-        if bad:
-            w = f"{fn}: {bad}"
-            break
-    rep.add("induced_maps_are_premorphic", w is None, w,
-            detail=f"element window {elem_len}")
+    rep.first_failure("induced_maps_are_premorphic", (
+        f"{fn}: {bad}"
+        for fn in [z] + [ConstPair(n, a, b) for a, b in cs] + affs
+        for bad in induced_premorphism_failures(fn, n, elem_len)
+    ), detail=f"element window {elem_len}")
     return rep
 
 
@@ -834,23 +751,22 @@ def endo_classification_check(n, sigma_images, w, L):
     )
     ws = words_upto(n, L)
 
-    meet_ok = True
-    witness = None
     points = [None] + ws
-    for x in points:
-        for y in points:
-            lhs_arg = word_meet(x, y)
-            lhs = None if lhs_arg is None else af.word_image(lhs_arg)
-            if x is None or y is None:
-                lhs = None
-            rhs = word_meet(af.word_image(x) if x is not None else None,
-                            af.word_image(y) if y is not None else None)
-            if lhs != rhs:
-                meet_ok = False
-                witness = f"meet mismatch at ({x!r},{y!r}): {lhs!r} vs {rhs!r}"
-                break
-        if not meet_ok:
-            break
+
+    def meet_failures():
+        for x in points:
+            for y in points:
+                lhs_arg = word_meet(x, y)
+                lhs = None if lhs_arg is None else af.word_image(lhs_arg)
+                if x is None or y is None:
+                    lhs = None
+                rhs = word_meet(af.word_image(x) if x is not None else None,
+                                af.word_image(y) if y is not None else None)
+                if lhs != rhs:
+                    yield f"meet mismatch at ({x!r},{y!r}): {lhs!r} vs {rhs!r}"
+
+    witness = next(meet_failures(), None)
+    meet_ok = witness is None
 
     images = ["".join(tuple(sigma_images)[letters(n).index(ch)] for ch in u) for u in ws]
     injective = len(set(images)) == len(images)
@@ -1164,133 +1080,84 @@ def verify_zappa(n=2, L=3, samples=6, seed=0, store=None):
         maps.append(SuffixMap.random(n, store, rng))
     words = [u for u in words_upto(n, 2) if u]
 
-    w = None
-    for phi in maps:
-        for u in words:
-            for v in words:
-                lhs = phi.transfer(u + v)
-                rhs = phi.transfer(v).transfer(u)
-                if not lhs.agrees_with(rhs, L):
-                    w = f"u={u!r}, v={v!r} on {phi}"
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("transfer_splits_concatenation", w is None, w)
+    rep.first_failure("transfer_splits_concatenation", (
+        f"u={u!r}, v={v!r} on {phi}"
+        for phi in maps
+        for u in words
+        for v in words
+        if not phi.transfer(u + v).agrees_with(phi.transfer(v).transfer(u), L)
+    ))
 
-    w = None
-    for phi in maps:
-        for psi in maps:
-            prod = phi.compose(psi)
-            for u in words:
-                lhs = prod.transfer(u)
-                rhs = phi.transfer(u).compose(psi.transfer(phi.apply(u)))
-                if not lhs.agrees_with(rhs, min(L, lhs.L, rhs.L)):
-                    w = f"u={u!r} on {phi}, {psi}"
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("transfer_of_composite", w is None, w)
+    def composite_transfer_failures():
+        for phi in maps:
+            for psi in maps:
+                prod = phi.compose(psi)
+                for u in words:
+                    lhs = prod.transfer(u)
+                    rhs = phi.transfer(u).compose(psi.transfer(phi.apply(u)))
+                    if not lhs.agrees_with(rhs, min(L, lhs.L, rhs.L)):
+                        yield f"u={u!r} on {phi}, {psi}"
 
-    w = None
-    for phi in maps:
-        for psi in maps:
-            prod = phi.compose(psi)
-            for u in words_upto(n, min(L, prod.L)):
-                if prod.apply(u) != psi.apply(phi.apply(u)):
-                    w = f"u={u!r}"
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("action_associates", w is None, w)
+    rep.first_failure("transfer_of_composite", composite_transfer_failures())
 
-    w = None
-    for phi in maps:
-        for u in words:
-            for v in words:
-                if len(v + u) > phi.L:
+    def action_failures():
+        for phi in maps:
+            for psi in maps:
+                prod = phi.compose(psi)
+                for u in words_upto(n, min(L, prod.L)):
+                    if prod.apply(u) != psi.apply(phi.apply(u)):
+                        yield f"u={u!r}"
+
+    rep.first_failure("action_associates", action_failures())
+
+    rep.first_failure("image_of_product_splits", (
+        f"u={u!r}, v={v!r}"
+        for phi in maps
+        for u in words
+        for v in words
+        if len(v + u) <= phi.L
+        if phi.apply(u + v) != phi.transfer(v).apply(u) + phi.apply(v)
+    ))
+
+    def associativity_failures():
+        for phi, psi, chi in product(maps[:4], repeat=3):
+            for u, v, x in product(words[:2], repeat=3):
+                try:
+                    l1 = zappa_compose(zappa_compose((phi, u), (psi, v)), (chi, x))
+                    l2 = zappa_compose((phi, u), zappa_compose((psi, v), (chi, x)))
+                except WindowExceeded:
                     continue
-                lhs = phi.apply(u + v)
-                rhs = phi.transfer(v).apply(u) + phi.apply(v)
-                if lhs != rhs:
-                    w = f"u={u!r}, v={v!r}"
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("image_of_product_splits", w is None, w)
+                if l1[1] != l2[1] or not l1[0].agrees_with(
+                    l2[0], min(L, l1[0].L, l2[0].L)
+                ):
+                    yield f"({phi},{u!r}),({psi},{v!r}),({chi},{x!r})"
 
-    w = None
-    for phi in maps[:4]:
-        for psi in maps[:4]:
-            for chi in maps[:4]:
-                for u in words[:2]:
-                    for v in words[:2]:
-                        for x in words[:2]:
-                            try:
-                                l1 = zappa_compose(zappa_compose((phi, u), (psi, v)), (chi, x))
-                                l2 = zappa_compose((phi, u), zappa_compose((psi, v), (chi, x)))
-                            except WindowExceeded:
-                                continue
-                            if l1[1] != l2[1] or not l1[0].agrees_with(
-                                l2[0], min(L, l1[0].L, l2[0].L)
-                            ):
-                                w = f"({phi},{u!r}),({psi},{v!r}),({chi},{x!r})"
-                                break
-                        if w:
-                            break
-                    if w:
-                        break
-                if w:
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("twisted_product_associative", w is None, w)
+    rep.first_failure("twisted_product_associative", associativity_failures())
 
-    w = None
-    for v in words:
-        for trans in ["", "a", "ab"[: min(2, n)]]:
-            rho = SuffixMap.right_translation(n, store, trans)
-            if not rho.transfer(v).agrees_with(SuffixMap.identity(n, store - len(v)), L):
-                w = f"v={v!r}, w={trans!r}"
-                break
-        if w:
-            break
-    rep.add("translations_transfer_trivially", w is None, w)
+    rep.first_failure("translations_transfer_trivially", (
+        f"v={v!r}, w={trans!r}"
+        for v in words
+        for trans in ["", "a", "ab"[: min(2, n)]]
+        if not SuffixMap.right_translation(n, store, trans).transfer(v).agrees_with(
+            SuffixMap.identity(n, store - len(v)), L
+        )
+    ))
 
-    w = None
-    for phi in maps[:5]:
-        for psi in maps[:5]:
-            for u in words:
-                for v in words:
-                    try:
-                        zphi, zword = zappa_compose((phi, u), (psi, v))
-                        mu_prod = zphi.compose(
-                            SuffixMap.right_translation(n, store, zword)
-                        )
-                        mu_left = phi.compose(SuffixMap.right_translation(n, store, u))
-                        mu_right = psi.compose(SuffixMap.right_translation(n, store, v))
-                        both = mu_left.compose(mu_right)
-                    except WindowExceeded:
-                        continue
-                    if not mu_prod.agrees_with(both, min(L, mu_prod.L, both.L)):
-                        w = f"({phi},{u!r}) ({psi},{v!r})"
-                        break
-                if w:
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("collapse_map_multiplicative", w is None, w)
+    def collapse_failures():
+        for phi, psi in product(maps[:5], repeat=2):
+            for u, v in product(words, repeat=2):
+                try:
+                    zphi, zword = zappa_compose((phi, u), (psi, v))
+                    mu_prod = zphi.compose(SuffixMap.right_translation(n, store, zword))
+                    mu_left = phi.compose(SuffixMap.right_translation(n, store, u))
+                    mu_right = psi.compose(SuffixMap.right_translation(n, store, v))
+                    both = mu_left.compose(mu_right)
+                except WindowExceeded:
+                    continue
+                if not mu_prod.agrees_with(both, min(L, mu_prod.L, both.L)):
+                    yield f"({phi},{u!r}) ({psi},{v!r})"
+
+    rep.first_failure("collapse_map_multiplicative", collapse_failures())
     return rep
 
 

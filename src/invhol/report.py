@@ -26,6 +26,12 @@ class CheckReport:
         self.checks.append(Check(name, bool(ok), witness, detail))
         return ok
 
+    def first_failure(self, name, witnesses, detail=None):
+        """Record the first witness string the iterable yields as a failure,
+        or a pass when it yields none; the rest is never evaluated."""
+        w = next(iter(witnesses), None)
+        return self.add(name, w is None, w, detail)
+
     def note(self, text):
         self.notes.append(text)
 

@@ -49,6 +49,17 @@ def endomorphisms_by_filter(S):
     return [t for t in all_self_maps(S.size) if is_multiplicative_map(S, t)]
 
 
+def first_nonassociative_by_loops(elems, product):
+    """The first index triple (i, j, k), in lexicographic order, with
+    (x_i x_j) x_k != x_i (x_j x_k), by a plain triple loop over the products."""
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            for k, z in enumerate(elems):
+                if product(product(x, y), z) != product(x, product(y, z)):
+                    return (i, j, k)
+    return None
+
+
 def ordered_heap_maps_by_filter(S):
     leq = S.natural_order().leq
     out = []

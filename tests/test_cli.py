@@ -12,7 +12,7 @@ def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("tables")
     zoo = catalog.standard_examples()
     paths = {}
-    for name in ["Z2", "Z3", "I2", "chain2", "clifford4"]:
+    for name in ["Z2", "Z3", "I2", "S3", "chain2", "clifford4"]:
         p = d / f"{name.lower()}.json"
         io.write_semigroup(p, zoo[name])
         paths[name] = str(p)
@@ -143,6 +143,18 @@ def test_jobs_flag(files, capsys):
     assert main(["hol", paths["Z3"], "--jobs", "2"]) == 0
     out = capsys.readouterr().out
     assert "premorphisms: 3" in out
+
+
+@pytest.mark.parametrize("budget", ["20", "150", None])
+@pytest.mark.parametrize("name", ["I2", "S3"])
+def test_jobs_share_one_budget(files, capsys, name, budget):
+    # the worker branches together spend the one budget the serial search has
+    _, paths = files
+    argv = ["hol", paths[name]] + (["--budget", budget] if budget else [])
+    serial = main(argv)
+    capsys.readouterr()
+    assert main(argv + ["--jobs", "2"]) == serial
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_jobs_must_be_positive(files, capsys):

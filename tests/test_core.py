@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from invhol import core
@@ -7,6 +9,7 @@ from invhol.core import (
     build_from_table,
     build_semilattice_of_groups,
     build_symmetric_inverse_monoid,
+    first_nonassociative,
     meet_idempotents,
     natural_leq,
     verify_semigroup_properties,
@@ -18,6 +21,9 @@ from invhol.errors import (
     NotInverse,
     SizeCap,
 )
+from invhol.polycyclic import _mul, poly_window
+
+import oracles
 
 
 def test_trivial_table():
@@ -38,6 +44,54 @@ def test_not_associative_witness():
     with pytest.raises(NotAssociative) as exc:
         build_from_table(["a", "b"], [[1, 1], [0, 0]])
     assert len(exc.value.triple) == 3
+
+
+def _table_product(mul):
+    return lambda a, b: mul[a][b]
+
+
+def test_first_nonassociative_matches_oracle_on_zoo(zoo):
+    for S in zoo.values():
+        product = _table_product(S.mul)
+        assert first_nonassociative(range(S.size), product) is None
+        assert oracles.first_nonassociative_by_loops(range(S.size), product) is None
+
+
+def test_first_nonassociative_matches_oracle_on_corrupted_tables(zoo):
+    mul = [row[:] for row in zoo["S3"].mul]
+    mul[1][2] = 0
+    assert first_nonassociative(range(6), _table_product(mul)) == (1, 1, 2)
+    with pytest.raises(NotAssociative) as exc:
+        build_from_table(zoo["S3"].names, mul)
+    assert exc.value.triple == (1, 1, 2)
+
+    failing = 0
+    for name, S in zoo.items():
+        rng = random.Random(name)
+        for _ in range(5):
+            mul = [row[:] for row in S.mul]
+            mul[rng.randrange(S.size)][rng.randrange(S.size)] = rng.randrange(S.size)
+            product = _table_product(mul)
+            got = first_nonassociative(range(S.size), product)
+            assert got == oracles.first_nonassociative_by_loops(range(S.size), product), name
+            failing += got is not None
+    assert failing > 40
+
+
+def test_first_nonassociative_interns_products_outside_the_window():
+    elems = poly_window(2, 1)
+    # ('', 'aa') lies outside the window but is a product of two elements in it
+    assert _mul(("", "a"), ("", "a")) == ("", "aa")
+    assert first_nonassociative(elems, _mul) is None
+    assert oracles.first_nonassociative_by_loops(elems, _mul) is None
+
+    def bent(x, y):
+        # wrong only on a left factor that no window element equals
+        return ("", "b") if x == ("", "aa") and y == ("a", "") else _mul(x, y)
+
+    got = first_nonassociative(elems, bent)
+    assert got is not None
+    assert got == oracles.first_nonassociative_by_loops(elems, bent)
 
 
 def test_null_semigroup_has_no_inverses():

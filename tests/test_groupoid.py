@@ -239,20 +239,19 @@ def test_flow_monoid_single_object_group():
     assert len(enumerate_flows(G)) == 2
 
 
-def test_find_monoid_isomorphism():
-    from invhol.groupoid import find_monoid_isomorphism
 
-    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
-    # relabel through a permutation and recover the isomorphism
-    perm = [2, 0, 3, 1]
-    inv = [perm.index(i) for i in range(4)]
-    relabeled = [[perm[z4[inv[i]][inv[j]]] for j in range(4)] for i in range(4)]
-    mapping = find_monoid_isomorphism(z4, relabeled)
-    assert mapping is not None
-    for a in range(4):
-        for b in range(4):
-            assert mapping[z4[a][b]] == relabeled[mapping[a]][mapping[b]]
+def test_flow_monoid_reports_wreath_map_failure(monkeypatch):
+    from invhol import groupoid as gp
 
-    v4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
-    assert find_monoid_isomorphism(z4, v4) is None
-    assert find_monoid_isomorphism(z4, [[0]]) is None
+    real = gp.wreath_product
+
+    def rows_swapped(group_table, m):
+        # exchanging two rows leaves a table the explicit map cannot match
+        elems, table = real(group_table, m)
+        return elems, [table[1], table[0]] + table[2:]
+
+    monkeypatch.setattr(gp, "wreath_product", rows_swapped)
+    line = check_flow_monoid_structure(connected_groupoid(2, Z2)).checks[-1]
+    assert line.name == "component_0_wreath_iso" and not line.ok
+    assert line.witness.startswith("candidate map not multiplicative at")
+    assert line.detail is None
