@@ -119,7 +119,7 @@ def cmd_verify(config, out):
 
 def cmd_hol(config, out):
     S = _load_semigroup(config.inputs[0], config)
-    prems = morphisms.enumerate_premorphisms(S, budget=config.budget, jobs=config.jobs)
+    prems = morphisms.enumerate_premorphisms(S, budget=config.budget)
     hol = holomorph.enumerate_holomorph(S, prems=prems)
     units = holomorph.holomorph_units(S, hol)
     out.count("premorphisms", len(prems))
@@ -250,7 +250,10 @@ def build_parser():
     shared.add_argument("--budget", type=int, default=morphisms.DEFAULT_NODE_BUDGET)
     shared.add_argument("--maxlen", type=int, default=3, help="word-length window")
     shared.add_argument("--alphabet", type=int, default=2, help="alphabet size")
-    shared.add_argument("--jobs", type=int, default=1, help="worker processes")
+    shared.add_argument(
+        "--jobs", type=int, default=1,
+        help="echoed in the report header; every search runs in one process",
+    )
     shared.add_argument("--format", choices=["text", "json"], default="text")
     shared.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     shared.add_argument("--dump", default=None, help="write elements/structures here")

@@ -41,10 +41,6 @@ class SearchBudgetExceeded(InvholError):
             f"{found} results found, budget {budget}"
         )
 
-    def __reduce__(self):
-        # rebuild from the fields, so the error can cross a process boundary
-        return (type(self), (self.nodes, self.found, self.budget))
-
 
 class NotInductive(InvholError):
     def __init__(self, x, y):

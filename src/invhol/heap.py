@@ -2,7 +2,7 @@
 self-maps preserving it, with its embedding into the holomorph.
 """
 
-from .errors import NotHeapPreserving, SearchBudgetExceeded
+from .errors import NotHeapPreserving
 from .holomorph import (
     HolElement,
     MonHolElement,
@@ -14,6 +14,7 @@ from .holomorph import (
 )
 from .morphisms import DEFAULT_NODE_BUDGET, is_endomorphism, is_premorphism
 from .report import CheckReport
+from .search import assert_transformation_monoid, backtrack
 
 
 def heap(S, a, b, c):
@@ -91,11 +92,7 @@ def enumerate_sha(S, budget=DEFAULT_NODE_BUDGET):
             if a != b and leq(a, b):
                 order_pairs[max(a, b)].append((a, b))
 
-    eta = [0] * n
-    out = []
-    nodes = [0]
-
-    def ok_at(k):
+    def ok_at(eta, k):
         for a, b in order_pairs[k]:
             if not leq(eta[a], eta[b]):
                 return False
@@ -104,26 +101,9 @@ def enumerate_sha(S, budget=DEFAULT_NODE_BUDGET):
                 return False
         return True
 
-    def rec(k):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise SearchBudgetExceeded(nodes[0], len(out), budget)
-        if k == n:
-            out.append(HeapMap(S, tuple(eta)))
-            return
-        for v in range(n):
-            eta[k] = v
-            if ok_at(k):
-                rec(k + 1)
-
-    rec(0)
-    chosen = {m.eta for m in out}
-    assert tuple(range(n)) in chosen, "identity map missing from the heap monoid"
-    for m1 in out:
-        for m2 in out:
-            comp = tuple(m2.eta[m1.eta[a]] for a in range(n))
-            assert comp in chosen, "heap monoid not closed under composition"
-    return out
+    vecs = backtrack([range(n)] * n, ok_at, budget)
+    assert_transformation_monoid(vecs, "heap maps")
+    return [HeapMap(S, eta) for eta in vecs]
 
 
 def sha_embed(S, eta):

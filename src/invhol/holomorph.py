@@ -18,6 +18,7 @@ from .core import first_nonassociative
 from .errors import NotMonoid, SizeCap
 from .morphisms import ElementMap, enumerate_premorphisms
 from .report import CheckReport
+from .search import backtrack
 
 DEFAULT_TAU_CAP = 10**6
 
@@ -112,46 +113,36 @@ def enumerate_holomorph(S, prems=None, budget=None, tau_cap=DEFAULT_TAU_CAP):
 
     For each premorphism the tau candidates at idempotent e are the elements
     t with t t^-1 = e alpha; the sweep assigns idempotents in order and
-    prunes on the order condition.  Output is sorted by (alpha, tau).
+    prunes on the order condition.  Raises SizeCap once the pairs found
+    exceed tau_cap.  Output is sorted by (alpha, tau).
     """
     if prems is None:
         prems = enumerate_premorphisms(S) if budget is None else enumerate_premorphisms(S, budget=budget)
     mul, inv = S.mul, S.inv
     E = S.idempotents
     leq = S.natural_order().leq
-    rclass = {}
-    for e in E:
-        rclass[e] = [t for t in range(S.size) if mul[t][inv[t]] == e]
+    rclass = {e: [t for t in range(S.size) if mul[t][inv[t]] == e] for e in E}
+    # tau must be ordered: against each earlier idempotent below or above e
+    below = [[j for j in range(i) if leq(E[j], E[i])] for i in range(len(E))]
+    above = [[j for j in range(i) if leq(E[i], E[j])] for i in range(len(E))]
+
+    def ok_at(tau, i):
+        t = tau[i]
+        for j in below[i]:
+            if not leq(tau[j], t):
+                return False
+        for j in above[i]:
+            if not leq(t, tau[j]):
+                return False
+        return True
 
     out = []
     for m in prems:
         alpha = m.theta if isinstance(m, ElementMap) else tuple(m)
-        cands = [rclass[alpha[e]] for e in E]
-        total = 1
-        for c in cands:
-            total *= len(c)
-            if total > tau_cap:
-                raise SizeCap(total, tau_cap)
-        tau = [0] * len(E)
-
-        def rec(i):
-            if i == len(E):
-                out.append(HolElement(alpha, tuple(tau)))
-                return
-            for t in cands[i]:
-                ok = True
-                for j in range(i):
-                    if leq(E[j], E[i]) and not leq(tau[j], t):
-                        ok = False
-                        break
-                    if leq(E[i], E[j]) and not leq(t, tau[j]):
-                        ok = False
-                        break
-                if ok:
-                    tau[i] = t
-                    rec(i + 1)
-
-        rec(0)
+        taus = backtrack([rclass[alpha[e]] for e in E], ok_at)
+        out.extend(HolElement(alpha, tau) for tau in taus)
+        if len(out) > tau_cap:
+            raise SizeCap(len(out), tau_cap)
     out.sort(key=lambda h: (h.alpha, h.tau))
     return out
 
@@ -333,17 +324,33 @@ def verify_mon_hol(M, hol=None, mon=None):
         detail=f"{len(mon)} compressed pairs",
     )
 
+    # each pair is expanded once and each compressed diamond computed once;
+    # a diamond that lands in mon is stored as that element, not a copy
+    expanded, diamonds = {}, {}
+    interned = {a: a for a in mon}
+
+    def expand(a):
+        if a not in expanded:
+            expanded[a] = hol_from_mon(M, a)
+        return expanded[a]
+
+    def diamond(a, b):
+        if (a, b) not in diamonds:
+            d = mon_diamond(M, a, b)
+            diamonds[a, b] = interned.setdefault(d, d)
+        return diamonds[a, b]
+
     hol_set = set(hol)
 
     def bijection_failures():
         for a in mon:
-            h = hol_from_mon(M, a)
+            h = expand(a)
             if h not in hol_set or not is_valid_hol(M, h.alpha, h.tau):
                 yield f"expansion of {a} is not a holomorph pair"
             elif mon_from_hol(M, h) != a:
                 yield f"round trip fails at {a}"
         for h in hol:
-            if hol_from_mon(M, mon_from_hol(M, h)) != h:
+            if expand(mon_from_hol(M, h)) != h:
                 yield f"tau of {h} is not determined by its identity value"
 
     rep.first_failure("bijection", bijection_failures())
@@ -352,11 +359,10 @@ def verify_mon_hol(M, hol=None, mon=None):
         f"diamonds disagree at ({a},{b})"
         for a in mon
         for b in mon
-        if hol_from_mon(M, mon_diamond(M, a, b))
-        != hol_diamond(M, hol_from_mon(M, a), hol_from_mon(M, b))
+        if expand(diamond(a, b)) != hol_diamond(M, expand(a), expand(b))
     ))
 
-    bad = first_nonassociative(mon, lambda a, b: mon_diamond(M, a, b))
+    bad = first_nonassociative(mon, diamond)
     rep.add("compressed_diamond_associative", bad is None,
             bad and "associativity fails at ({},{},{})".format(*(mon[i] for i in bad)))
 
@@ -364,6 +370,6 @@ def verify_mon_hol(M, hol=None, mon=None):
         f"actions disagree at t={t}, {a}"
         for t in range(M.size)
         for a in mon
-        if mon_action(M, t, a) != hol_action(M, t, hol_from_mon(M, a))
+        if mon_action(M, t, a) != hol_action(M, t, expand(a))
     ))
     return rep

@@ -6,11 +6,12 @@ enumeration is a depth-first sweep over full value vectors with early
 pruning; output order is lexicographic on the value vector.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+import operator
 from dataclasses import dataclass, field
 
-from .errors import NotSemilatticeOfGroups, SearchBudgetExceeded
+from .errors import NotSemilatticeOfGroups
 from .core import SemilatticeOfGroups, build_semilattice_of_groups, SemilatticeOfGroupsSpec
+from .search import assert_transformation_monoid, backtrack
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -119,109 +120,44 @@ def is_ordered_map(S, theta):
     return _is_ordered(S, S, tuple(theta))
 
 
-def _premorphism_check_schedule(S):
-    """For each level k, the pairs (a,b) that become checkable at k.
-
-    A pair is checkable once a, b and ab are all assigned; assignment runs
-    in element-index order.
-    """
-    sched = [[] for _ in range(S.size)]
-    for a in range(S.size):
-        for b in range(S.size):
-            k = max(a, b, S.mul[a][b])
-            sched[k].append((a, b))
-    return sched
-
-
-def _dfs_premorphisms(S, sched, prefix, budget, counter):
-    """Yield all premorphism value vectors extending `prefix`, in lex order."""
+def _maps_by_products(S, rel, budget):
+    """Value vectors theta with rel((ab)theta, a.theta b.theta) for all a, b,
+    lexicographic.  A pair is checked at the level where the last of a, b
+    and ab is assigned; assignment runs in element-index order."""
     n = S.size
-    leq = S.natural_order().leq
     mul = S.mul
-    theta = list(prefix) + [0] * (n - len(prefix))
-    out = []
+    sched = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            ab = mul[a][b]
+            sched[max(a, b, ab)].append((a, b, ab))
 
-    def ok_at(k):
-        for a, b in sched[k]:
-            if not leq(theta[mul[a][b]], mul[theta[a]][theta[b]]):
+    def ok_at(theta, k):
+        for a, b, ab in sched[k]:
+            if not rel(theta[ab], mul[theta[a]][theta[b]]):
                 return False
         return True
 
-    def rec(k):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise SearchBudgetExceeded(counter[0], len(out), budget)
-        if k == n:
-            out.append(tuple(theta))
-            return
-        for v in range(n):
-            theta[k] = v
-            if ok_at(k):
-                rec(k + 1)
-
-    start = len(prefix)
-    if start > 0:
-        # the caller fixed a prefix; re-check its levels before descending
-        for k in range(start):
-            if not ok_at(k):
-                return []
-    rec(start)
-    return out
+    return backtrack([range(n)] * n, ok_at, budget)
 
 
-def _premorphism_branch(args):
-    # top-level so it can cross a process boundary; returns the branch's
-    # value vectors and the nodes it visited
-    S, first, budget = args
-    sched = _premorphism_check_schedule(S)
-    counter = [0]
-    return _dfs_premorphisms(S, sched, [first], budget, counter), counter[0]
-
-
-def enumerate_premorphisms(S, budget=DEFAULT_NODE_BUDGET, jobs=1):
+def enumerate_premorphisms(S, budget=DEFAULT_NODE_BUDGET):
     """All premorphic self-maps of S, lexicographic by value vector.
 
     Closure under composition and presence of the identity are asserted
     (Prem(S) is a monoid).  Raises SearchBudgetExceeded past the node budget.
     """
-    sched = _premorphism_check_schedule(S)
-    if jobs > 1 and S.size > 1:
-        # each branch is one subtree of the serial root, so the serial search
-        # overruns exactly when 1 + (nodes of all branches) > budget; a branch
-        # past budget - 1 nodes alone overruns and stops early
-        vecs = []
-        nodes = 1
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = [(S, v, budget - 1) for v in range(S.size)]
-            try:
-                for branch, branch_nodes in pool.map(_premorphism_branch, args):
-                    vecs.extend(branch)
-                    nodes += branch_nodes
-            except SearchBudgetExceeded as exc:
-                raise SearchBudgetExceeded(
-                    nodes + exc.nodes, len(vecs) + exc.found, budget
-                ) from None
-        if nodes > budget:
-            raise SearchBudgetExceeded(nodes, len(vecs), budget)
-        vecs.sort()
-    else:
-        vecs = _dfs_premorphisms(S, sched, [], budget, [0])
-
-    found = set(vecs)
-    ident = tuple(range(S.size))
-    assert ident in found, "identity map is not among the premorphisms"
-    for t1 in vecs:
-        for t2 in vecs:
-            comp = tuple(t2[t1[a]] for a in range(S.size))
-            assert comp in found, (
-                f"premorphisms not closed under composition: {t1} then {t2}"
-            )
+    vecs = _maps_by_products(S, S.natural_order().leq, budget)
+    assert_transformation_monoid(vecs, "premorphisms")
     return [ElementMap(S, S, t) for t in vecs]
 
 
 def enumerate_endomorphisms(S, budget=DEFAULT_NODE_BUDGET):
-    """Endomorphisms, filtered from the premorphism enumeration."""
-    return [m for m in enumerate_premorphisms(S, budget=budget) if m.is_endomorphism]
+    """All endomorphisms of S, lexicographic by value vector: the same search
+    as for premorphisms with equality in place of the natural order."""
+    vecs = _maps_by_products(S, operator.eq, budget)
+    assert_transformation_monoid(vecs, "endomorphisms")
+    return [ElementMap(S, S, t) for t in vecs]
 
 
 def verify_premorphism_laws(S, prems=None, budget=DEFAULT_NODE_BUDGET):
@@ -240,29 +176,42 @@ def verify_premorphism_laws(S, prems=None, budget=DEFAULT_NODE_BUDGET):
     mul, inv = S.mul, S.inv
     leq = S.natural_order().leq
 
-    w_idem = w_inv = w_range = w_split = w_equiv = None
-    for m in prems:
-        t = m.theta
-        for e in S.idempotents:
-            if w_idem is None and not S.is_idempotent[t[e]]:
-                w_idem = f"theta={t}, e={e}"
-        for a in range(S.size):
-            if w_inv is None and t[inv[a]] != inv[t[a]]:
-                w_inv = f"theta={t}, a={a}"
-            if w_range is None and t[mul[a][inv[a]]] != mul[t[a]][inv[t[a]]]:
-                w_range = f"theta={t}, s={a}"
-            for b in range(S.size):
-                ra, db = mul[inv[a]][a], mul[b][inv[b]]
-                if leq(ra, db) or leq(db, ra):
-                    if w_split is None and t[mul[a][b]] != mul[t[a]][t[b]]:
-                        w_split = f"theta={t}, a={a}, b={b}"
-        if w_equiv is None and not is_premorphism(S, S, t, diagnostics=True):
-            w_equiv = f"theta={t}"
-    rep.add("idempotents_map_to_idempotents", w_idem is None, w_idem)
-    rep.add("inverses_preserved", w_inv is None, w_inv)
-    rep.add("range_idempotent_formula", w_range is None, w_range)
-    rep.add("products_split_when_comparable", w_split is None, w_split)
-    rep.add("ordered_multiplicative_equivalence", w_equiv is None, w_equiv)
+    thetas = [m.theta for m in prems]
+    rep.first_failure("idempotents_map_to_idempotents", (
+        f"theta={t}, e={e}"
+        for t in thetas
+        for e in S.idempotents
+        if not S.is_idempotent[t[e]]
+    ))
+    rep.first_failure("inverses_preserved", (
+        f"theta={t}, a={a}"
+        for t in thetas
+        for a in range(S.size)
+        if t[inv[a]] != inv[t[a]]
+    ))
+    rep.first_failure("range_idempotent_formula", (
+        f"theta={t}, s={a}"
+        for t in thetas
+        for a in range(S.size)
+        if t[mul[a][inv[a]]] != mul[t[a]][inv[t[a]]]
+    ))
+    ran = [mul[inv[a]][a] for a in range(S.size)]
+    dom = [mul[b][inv[b]] for b in range(S.size)]
+    comparable = [
+        (a, b)
+        for a in range(S.size)
+        for b in range(S.size)
+        if leq(ran[a], dom[b]) or leq(dom[b], ran[a])
+    ]
+    rep.first_failure("products_split_when_comparable", (
+        f"theta={t}, a={a}, b={b}"
+        for t in thetas
+        for a, b in comparable
+        if t[mul[a][b]] != mul[t[a]][t[b]]
+    ))
+    rep.first_failure("ordered_multiplicative_equivalence", (
+        f"theta={t}" for t in thetas if not is_premorphism(S, S, t, diagnostics=True)
+    ))
     return rep
 
 

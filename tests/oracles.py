@@ -60,6 +60,28 @@ def first_nonassociative_by_loops(elems, product):
     return None
 
 
+def holomorph_pairs_by_filter(S):
+    """Every holomorph pair (alpha, tau), sorted, with tau listed over
+    S.idempotents: each map from premorphisms_by_filter times every map
+    E -> S, kept when (e tau)(e tau)^-1 = e alpha at each idempotent e and
+    e <= f implies e tau <= f tau."""
+    leq = S.natural_order().leq
+    E = S.idempotents
+    out = []
+    for alpha in premorphisms_by_filter(S):
+        for tau in product(range(S.size), repeat=len(E)):
+            if all(
+                S.mul[tau[i]][S.inv[tau[i]]] == alpha[e] for i, e in enumerate(E)
+            ) and all(
+                leq(tau[i], tau[j])
+                for i, e in enumerate(E)
+                for j, f in enumerate(E)
+                if leq(e, f)
+            ):
+                out.append((alpha, tau))
+    return sorted(out)
+
+
 def ordered_heap_maps_by_filter(S):
     leq = S.natural_order().leq
     out = []

@@ -148,13 +148,25 @@ def test_jobs_flag(files, capsys):
 @pytest.mark.parametrize("budget", ["20", "150", None])
 @pytest.mark.parametrize("name", ["I2", "S3"])
 def test_jobs_share_one_budget(files, capsys, name, budget):
-    # the worker branches together spend the one budget the serial search has
+    # --jobs is only echoed: the exit code and the budget line with its
+    # partial progress are the serial run's
     _, paths = files
     argv = ["hol", paths[name]] + (["--budget", budget] if budget else [])
     serial = main(argv)
-    capsys.readouterr()
+    serial_err = capsys.readouterr().err
     assert main(argv + ["--jobs", "2"]) == serial
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == serial_err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_budget_line_reports_partial_progress(files, capsys, jobs):
+    _, paths = files
+    assert main(["hol", paths["I2"], "--budget", "150", "--jobs", jobs]) == 3
+    assert capsys.readouterr().err == (
+        "search budget exceeded: visited 151 nodes, found 16 results, budget 150\n"
+    )
 
 
 def test_jobs_must_be_positive(files, capsys):

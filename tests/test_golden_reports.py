@@ -37,6 +37,10 @@ def _cases():
         cases[f"verify_corrupt_groupoid_{fmt}"] = [
             "verify", "tests/golden/corrupt_i2_groupoid.json", "--format", fmt
         ]
+        cases[f"hol_i2_jobs2_{fmt}"] = ["hol", "data/i2.json", "--jobs", "2", "--format", fmt]
+        cases[f"hol_i2_budget150_{fmt}"] = [
+            "hol", "data/i2.json", "--budget", "150", "--format", fmt
+        ]
     return cases
 
 

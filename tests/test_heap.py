@@ -114,9 +114,3 @@ def test_phi_formula(zoo):
             rhs = S.mul[m.eta[e]][S.inv[m.eta[e]]]
             assert lhs == rhs
 
-
-def test_sha_search_budget(zoo):
-    from invhol.errors import SearchBudgetExceeded
-
-    with pytest.raises(SearchBudgetExceeded):
-        enumerate_sha(zoo["I2"], budget=5)

@@ -191,3 +191,18 @@ def test_tau_space_cap(zoo):
 
     with pytest.raises(SizeCap):
         enumerate_holomorph(zoo["Z3"], tau_cap=1)
+
+
+@pytest.mark.parametrize("name", ["I2", "clifford4"])
+def test_tau_cap_counts_pairs_found(zoo, name):
+    # four tau candidates before pruning, two pairs after: a cap of 2 holds
+    S = zoo[name]
+    hol = enumerate_holomorph(S, prems=[tuple(range(S.size))], tau_cap=2)
+    assert len(hol) == 2
+
+
+def test_holomorph_matches_filter_oracle(zoo):
+    for name, S in zoo.items():
+        if S.size <= 6:
+            pairs = [(h.alpha, h.tau) for h in enumerate_holomorph(S)]
+            assert pairs == oracles.holomorph_pairs_by_filter(S), name

@@ -5,6 +5,7 @@ import pytest
 from invhol import morphisms as mo
 from invhol.catalog import two_chain_clifford, z2_with_zero_clifford
 from invhol.errors import NotSemilatticeOfGroups, SearchBudgetExceeded
+from invhol.heap import enumerate_sha
 from invhol.morphisms import (
     ElementMap,
     enumerate_endomorphisms,
@@ -123,17 +124,24 @@ def test_element_map_flags(zoo):
     assert not m2.is_ordered and not m2.is_premorphism
 
 
-def test_search_budget(zoo):
-    with pytest.raises(SearchBudgetExceeded) as exc:
-        enumerate_premorphisms(zoo["I2"], budget=10)
-    assert exc.value.nodes > 10 - 1
+def test_endomorphisms_match_filter_oracle(zoo):
+    for name, S in zoo.items():
+        if S.size <= 6:
+            endos = [m.theta for m in enumerate_endomorphisms(S)]
+            assert endos == oracles.endomorphisms_by_filter(S), name
 
 
-def test_parallel_enumeration_matches_serial(zoo):
-    S = zoo["clifford4"]
-    serial = [m.theta for m in enumerate_premorphisms(S, jobs=1)]
-    parallel = [m.theta for m in enumerate_premorphisms(S, jobs=2)]
-    assert serial == parallel
+@pytest.mark.parametrize(
+    "search",
+    [enumerate_premorphisms, enumerate_endomorphisms, enumerate_sha],
+    ids=["premorphisms", "endomorphisms", "sha"],
+)
+def test_search_budget(zoo, search):
+    # the search stops on the first node past the budget
+    for budget in [1, 10, 50]:
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            search(zoo["I2"], budget=budget)
+        assert (exc.value.nodes, exc.value.budget) == (budget + 1, budget)
 
 
 def test_sog_identity_premorphism():
