@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import product
 
 from . import core, groupoid, heap, holomorph, io, morphisms, polycyclic
 from .errors import InvholError, ParseError, SearchBudgetExceeded, SizeCap
@@ -121,13 +122,14 @@ def cmd_hol(config, out):
     S = _load_semigroup(config.inputs[0], config)
     prems = morphisms.enumerate_premorphisms(S, budget=config.budget)
     hol = holomorph.enumerate_holomorph(S, prems=prems)
-    units = holomorph.holomorph_units(S, hol)
+    table = holomorph.hol_table(S, hol)
+    units = holomorph.holomorph_units(S, table)
     out.count("premorphisms", len(prems))
     out.count("holomorph_pairs", len(hol))
     out.count("holomorph_units", len(units))
     out.add_report(morphisms.verify_premorphism_laws(S, prems))
-    out.add_report(holomorph.verify_hol_monoid(S, hol))
-    out.add_report(holomorph.verify_interchange(S, hol))
+    out.add_report(holomorph.verify_hol_monoid(S, table))
+    out.add_report(holomorph.verify_interchange(S, table))
     if S.identity is not None:
         out.add_report(holomorph.verify_mon_hol(S, hol))
     if config.dump:
@@ -149,7 +151,8 @@ def cmd_sha(config, out):
     out.count("bijective_heap_maps", len(heap.bijective_heap_maps(sha)))
     out.add_report(heap.verify_sha_embedding(S, sha))
     if S.identity is not None:
-        out.add_report(heap.verify_sha_monoid_iso(S, sha))
+        mon = holomorph.mon_hol(S, morphisms.enumerate_premorphisms(S, budget=config.budget))
+        out.add_report(heap.verify_sha_monoid_iso(S, sha, mon))
     if config.dump:
         io._dump({"elements": [{"eta": list(m.eta)} for m in sha]}, config.dump)
         out.line(f"dumped {len(sha)} maps to {config.dump}")
@@ -221,7 +224,7 @@ def cmd_poly(config, out, args):
             ws = polycyclic.words_upto(n, 2)
             bad = None
             count = 0
-            for images in _image_tuples(n, ws):
+            for images in product(ws, repeat=n):
                 sub = polycyclic.endo_classification_check(n, images, "", L)
                 count += 1
                 if not sub.ok and bad is None:
@@ -232,12 +235,6 @@ def cmd_poly(config, out, args):
             out.add_report(polycyclic.heap_type_check_polycyclic(n, 1, 2))
         else:
             raise ParseError(f"unknown check {c!r}")
-
-
-def _image_tuples(n, ws):
-    from itertools import product as _product
-
-    return _product(ws, repeat=n)
 
 
 def build_parser():

@@ -5,14 +5,15 @@ self-maps preserving it, with its embedding into the holomorph.
 from .errors import NotHeapPreserving
 from .holomorph import (
     HolElement,
-    MonHolElement,
     hol_action,
     hol_diamond,
     hol_from_mon,
+    is_valid_hol,
     mon_diamond,
+    mon_from_hol,
     mon_hol,
 )
-from .morphisms import DEFAULT_NODE_BUDGET, is_endomorphism, is_premorphism
+from .morphisms import DEFAULT_NODE_BUDGET, is_endomorphism, is_ordered_map, is_premorphism
 from .report import CheckReport
 from .search import assert_transformation_monoid, backtrack
 
@@ -117,19 +118,11 @@ def sha_embed(S, eta):
         hm = eta
     else:
         eta = tuple(eta)
-        ordered = all(
-            S.leq(eta[a], eta[b])
-            for a in range(S.size)
-            for b in range(S.size)
-            if S.leq(a, b)
-        )
-        if not (ordered and is_heap_preserving(S, eta)):
+        if not (is_ordered_map(S, eta) and is_heap_preserving(S, eta)):
             raise NotHeapPreserving(f"map {eta} is not an ordered heap map")
         hm = HeapMap(S, eta)
     h = HolElement(hm.phi, hm.tau)
     assert is_premorphism(S, S, h.alpha), "phi of a heap map must be premorphic"
-    from .holomorph import is_valid_hol
-
     assert is_valid_hol(S, h.alpha, h.tau)
     for s in range(S.size):
         assert hol_action(S, s, h) == hm.eta[s], (
@@ -148,18 +141,18 @@ def verify_sha_embedding(S, sha=None):
     if sha is None:
         sha = enumerate_sha(S)
     rep.add("sha_count", True, detail=f"|heap monoid| = {len(sha)}")
+    by_eta = {m.eta: sha_embed(S, m) for m in sha}
     images = {}
 
     def injectivity_failures():
         for m in sha:
-            h = sha_embed(S, m)
+            h = by_eta[m.eta]
             if h in images:
                 yield f"maps {images[h]} and {m.eta} share an image"
             images[h] = m.eta
 
     rep.first_failure("embedding_injective", injectivity_failures())
 
-    by_eta = {m.eta: sha_embed(S, m) for m in sha}
     rep.first_failure("embedding_multiplicative", (
         f"embedding not multiplicative at ({m1.eta},{m2.eta})"
         for m1 in sha
@@ -202,13 +195,13 @@ def verify_sha_monoid_iso(M, sha=None, mon=None):
     )
 
     # forward: every heap map embeds onto an endomorphism pair
+    by_eta = {m.eta: mon_from_hol(M, sha_embed(M, m)) for m in sha}
     sub_set = set(sub)
     image = set()
 
     def forward_failures():
         for m in sha:
-            h = sha_embed(M, m)
-            a = MonHolElement(h.alpha, h.tau[M.idempotent_position[M.identity]])
+            a = by_eta[m.eta]
             if not is_endomorphism(M, a.alpha):
                 yield f"embedded pair of {m.eta} has non-endomorphism first component"
             elif a not in sub_set:
@@ -222,13 +215,7 @@ def verify_sha_monoid_iso(M, sha=None, mon=None):
         for a in sub:
             h = hol_from_mon(M, a)
             eta = tuple(hol_action(M, s, h) for s in range(M.size))
-            ordered = all(
-                M.leq(eta[x], eta[y])
-                for x in range(M.size)
-                for y in range(M.size)
-                if M.leq(x, y)
-            )
-            if not (ordered and is_heap_preserving(M, eta)):
+            if not (is_ordered_map(M, eta) and is_heap_preserving(M, eta)):
                 yield f"pair {a} does not act as an ordered heap map"
             elif a not in image:
                 yield f"pair {a} is not hit by the embedding"
@@ -236,10 +223,6 @@ def verify_sha_monoid_iso(M, sha=None, mon=None):
     rep.first_failure("submonoid_in_image", backward_failures())
 
     # the bijection is an isomorphism of monoids
-    by_eta = {}
-    for m in sha:
-        h = sha_embed(M, m)
-        by_eta[m.eta] = MonHolElement(h.alpha, h.tau[M.idempotent_position[M.identity]])
     rep.first_failure("monoid_isomorphism", (
         f"not multiplicative at ({m1.eta},{m2.eta})"
         for m1 in sha

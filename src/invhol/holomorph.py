@@ -14,6 +14,8 @@ the holomorph order of a group.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import first_nonassociative
 from .errors import NotMonoid, SizeCap
 from .morphisms import ElementMap, enumerate_premorphisms
@@ -33,6 +35,13 @@ class HolElement:
 class MonHolElement:
     alpha: tuple
     m: int
+
+
+@dataclass(frozen=True, eq=False)
+class HolTable:
+    pairs: list          # the holomorph pairs; row i is pairs[i]
+    index: dict          # pair -> row
+    diamond: np.ndarray  # int32, |pairs| x |pairs|
 
 
 def is_valid_hol(S, alpha, tau):
@@ -147,58 +156,62 @@ def enumerate_holomorph(S, prems=None, budget=None, tau_cap=DEFAULT_TAU_CAP):
     return out
 
 
-def holomorph_units(S, hol=None):
-    """Invertible elements of (Hol, diamond): the classical holomorph when S
-    is a group."""
-    if hol is None:
-        hol = enumerate_holomorph(S)
-    index = {h: i for i, h in enumerate(hol)}
-    e = index[hol_identity(S)]
-    table = [
-        [index[hol_diamond(S, a, b, check=False)] for b in hol] for a in hol
-    ]
-    units = []
-    for i in range(len(hol)):
-        if any(table[i][j] == e and table[j][i] == e for j in range(len(hol))):
-            units.append(hol[i])
-    return units
-
-
-def verify_hol_monoid(S, hol=None):
-    """Diamond is associative with (id, e -> e) as two-sided identity; the
-    action by alpha then tau is a genuine monoid action; tau is recoverable
-    from its values on maximal idempotents."""
-    rep = CheckReport(f"holomorph monoid laws on {S!r}")
+def hol_table(S, hol=None):
+    """The diamond multiplication table of Hol(S): diamond[i, j] is the row
+    of pairs[i] <> pairs[j], rows in the order of ``hol``."""
     if hol is None:
         hol = enumerate_holomorph(S)
     index = {h: i for i, h in enumerate(hol)}
     n = len(hol)
+    flat = (index[hol_diamond(S, a, b, check=False)] for a in hol for b in hol)
+    return HolTable(hol, index, np.fromiter(flat, np.int32, count=n * n).reshape(n, n))
+
+
+def holomorph_units(S, table=None):
+    """Invertible elements of (Hol, diamond): the classical holomorph when S
+    is a group."""
+    if table is None:
+        table = hol_table(S)
+    D = table.diamond
+    e = table.index[hol_identity(S)]
+    return [table.pairs[i] for i in np.flatnonzero(((D == e) & (D.T == e)).any(axis=1))]
+
+
+def verify_hol_monoid(S, table=None):
+    """Diamond is associative with (id, e -> e) as two-sided identity; the
+    action by alpha then tau is a genuine monoid action; tau is recoverable
+    from its values on maximal idempotents."""
+    rep = CheckReport(f"holomorph monoid laws on {S!r}")
+    if table is None:
+        table = hol_table(S)
+    hol, D = table.pairs, table.diamond
+    n = len(hol)
     rep.add("element_count", True, detail=f"|pairs| = {n}")
 
-    ident = hol_identity(S)
-
     def identity_failures():
-        if ident not in index:
+        e = table.index.get(hol_identity(S))
+        if e is None:
             yield "identity pair is missing"
-        for h in hol:
-            if hol_diamond(S, ident, h) != h or hol_diamond(S, h, ident) != h:
-                yield f"identity law fails at {h}"
+            return
+        rows = np.arange(n)
+        for i in np.flatnonzero((D[e] != rows) | (D[:, e] != rows)):
+            yield f"identity law fails at {hol[i]}"
 
     rep.first_failure("two_sided_identity", identity_failures())
 
-    table = [[index[hol_diamond(S, a, b, check=False)] for b in hol] for a in hol]
-    bad = first_nonassociative(range(n), lambda i, j: table[i][j])
+    bad = first_nonassociative(range(n), D.item)
     rep.add("diamond_associative", bad is None,
             bad and "associativity fails at ({},{},{})".format(*bad))
 
-    rep.first_failure("monoid_action", (
-        f"action property fails at s={s}, pair ({i},{j})"
-        for s in range(S.size)
-        for i in range(n)
-        for j in range(n)
-        if hol_action(S, s, hol[table[i][j]])
-        != hol_action(S, hol_action(S, s, hol[i]), hol[j])
-    ))
+    # act[i, s] = s <| pairs[i]; the law (s <| i) <| j = s <| (i <> j), one s at a time
+    act = np.array([[hol_action(S, s, h) for s in range(S.size)] for h in hol], np.int32)
+
+    def action_failures():
+        for s in range(S.size):
+            for i, j in np.argwhere(act[D, s] != act.T[act[:, s]])[:1]:
+                yield f"action property fails at s={s}, pair ({i},{j})"
+
+    rep.first_failure("monoid_action", action_failures())
 
     # tau is pinned down by its values at maximal idempotents via restriction
     leq = S.natural_order().leq
@@ -219,51 +232,38 @@ def verify_hol_monoid(S, hol=None):
     return rep
 
 
-def verify_interchange(S, hol=None):
+def verify_interchange(S, table=None):
     """Both compositions interact by the interchange law on every quadruple
     whose two groupoid composites are defined."""
     rep = CheckReport(f"interchange law on {S!r}")
-    if hol is None:
-        hol = enumerate_holomorph(S)
-    n = len(hol)
-    index = {h: i for i, h in enumerate(hol)}
-    targets = [target_premorphism(S, h) for h in hol]
+    if table is None:
+        table = hol_table(S)
+    hol, D = table.pairs, table.diamond
     by_alpha = {}
+    for j, h in enumerate(hol):
+        by_alpha.setdefault(h.alpha, []).append(j)
+    # comp[i, j] = row of the groupoid composite of pairs i and j, -1 if undefined
+    comp = np.full(D.shape, -1, np.int32)
     for i, h in enumerate(hol):
-        by_alpha.setdefault(h.alpha, []).append(i)
+        for j in by_alpha.get(target_premorphism(S, h), ()):
+            comp[i, j] = table.index[hol_groupoid_compose(S, h, hol[j])]
+    composable = np.argwhere(comp >= 0)
+    rep.add("composable_pairs", True, detail=f"{len(composable)} composable pairs")
 
-    pairs = []
-    gcomp = {}
-    for i in range(n):
-        for j in by_alpha.get(targets[i], []):
-            c = hol_groupoid_compose(S, hol[i], hol[j])
-            pairs.append((i, j))
-            gcomp[(i, j)] = index[c]
-    rep.add("composable_pairs", True, detail=f"{len(pairs)} composable pairs")
-
-    dia = [[index[hol_diamond(S, a, b, check=False)] for b in hol] for a in hol]
-    w = None
-    checked = 0
-    for (i, j) in pairs:
-        for (k, l) in pairs:
-            left = dia[gcomp[(i, j)]][gcomp[(k, l)]]
-            a, b = dia[i][k], dia[j][l]
-            right = gcomp.get((a, b))
-            if right is None:
-                c = hol_groupoid_compose(S, hol[a], hol[b])
-                right = index[c] if c is not None else None
-            checked += 1
-            if right is None or left != right:
-                w = f"quadruple ({i},{j},{k},{l})"
-                break
-        if w:
+    # one row of quadruples (i, j, k, l) per composable (i, j), over every
+    # (k, l); where the two diamonds do not compose, -1 fails the comparison
+    K, L = composable.T
+    KL = comp[K, L]
+    w, checked = None, 0
+    for i, j in composable.tolist():
+        bad = np.flatnonzero(D[comp[i, j], KL] != comp[D[i, K], D[j, L]])
+        if bad.size:
+            t = int(bad[0])
+            checked += t + 1
+            w = f"quadruple ({i},{j},{K[t]},{L[t]})"
             break
-    rep.add(
-        "interchange_law",
-        w is None,
-        w,
-        detail=f"{checked} quadruple(s) checked",
-    )
+        checked += len(KL)
+    rep.add("interchange_law", w is None, w, detail=f"{checked} quadruple(s) checked")
     return rep
 
 

@@ -405,9 +405,20 @@ def bicyclic_hol_check(param=4, window=6):
     rep.first_failure("diamond_matches_semidirect_product", semidirect_failures())
     rep.note("free part composes as m k' + m'; the translation p' cancels")
 
-    neutral = bicyclic_hol_identity_check(param)
-    rep.add("identity_pair_neutral", neutral,
-            None if neutral else "identity pair does not compose neutrally")
+    ident = (bicyclic_endo(1, 0), (0, 0))
+
+    def identity_failures():
+        for k, p, m in product(range(param + 1), repeat=3):
+            e = (bicyclic_endo(k, p), (p, m))
+            if diamond(ident, e) != e or diamond(e, ident) != e:
+                yield "identity pair does not compose neutrally"
+        # translations compose additively
+        for m, m2 in product(range(param + 1), repeat=2):
+            got = diamond((bicyclic_endo(1, 0), (0, m)), (bicyclic_endo(1, 0), (0, m2)))
+            if got != (bicyclic_endo(1, 0), (0, m + m2)):
+                yield "identity pair does not compose neutrally"
+
+    rep.first_failure("identity_pair_neutral", identity_failures())
 
     small = [(k, p) for k in range(3) for p in range(3)]
     pairs_w = [(i, j) for i in range(window + 1) for j in range(window + 1)]
@@ -429,28 +440,6 @@ def bicyclic_hol_check(param=4, window=6):
 
     rep.first_failure("action_law", action_failures())
     return rep
-
-
-def bicyclic_hol_identity_check(W):
-    ident = (bicyclic_endo(1, 0), (0, 0))
-
-    def diamond(e1, e2):
-        (a1, m1), (a2, m2) = e1, e2
-        return (a1.compose(a2), bicyclic_mul(a2.apply_pair(m1), m2))
-
-    for k in range(W + 1):
-        for p in range(W + 1):
-            for m in range(W + 1):
-                e = (bicyclic_endo(k, p), (p, m))
-                if diamond(ident, e) != e or diamond(e, ident) != e:
-                    return False
-    # translations compose additively
-    for m in range(W + 1):
-        for m2 in range(W + 1):
-            got = diamond((bicyclic_endo(1, 0), (0, m)), (bicyclic_endo(1, 0), (0, m2)))
-            if got != (bicyclic_endo(1, 0), (0, m + m2)):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -625,15 +614,6 @@ class Classification:
     w: str | None = None
     t: str | None = None
     witness: str | None = None
-
-    def describe(self):
-        if self.kind == "constant_zero":
-            return "constant zero"
-        if self.kind == "constant_pair":
-            return f"constant pair (0 -> {self.w!r}, words -> {self.t!r})"
-        if self.kind == "affine":
-            return f"affine (letters -> {self.sigma}, translation {self.w!r})"
-        return f"rejected: {self.witness}"
 
 
 def window_table(fn, n, L):

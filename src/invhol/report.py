@@ -35,12 +35,6 @@ class CheckReport:
     def note(self, text):
         self.notes.append(text)
 
-    def merge(self, other, prefix=""):
-        for c in other.checks:
-            self.checks.append(Check(prefix + c.name, c.ok, c.witness, c.detail))
-        for n in other.notes:
-            self.notes.append(prefix + n)
-
     @property
     def ok(self):
         return all(c.ok for c in self.checks)

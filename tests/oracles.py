@@ -8,6 +8,11 @@ import re
 from itertools import permutations, product
 from string import ascii_lowercase
 
+from invhol.holomorph import (
+    hol_action,
+    hol_groupoid_compose,
+    hol_identity,
+)
 from invhol.polycyclic import _inv, _mul
 
 
@@ -80,6 +85,59 @@ def holomorph_pairs_by_filter(S):
             ):
                 out.append((alpha, tau))
     return sorted(out)
+
+
+def holomorph_units_by_definition(S, table):
+    """The pairs i with some j such that i <> j and j <> i are both the
+    identity pair, reading the diamond table entry by entry."""
+    D = table.diamond.tolist()
+    e = table.index[hol_identity(S)]
+    n = len(table.pairs)
+    return [
+        table.pairs[i]
+        for i in range(n)
+        if any(D[i][j] == e and D[j][i] == e for j in range(n))
+    ]
+
+
+def monoid_action_witness(S, table):
+    """The first (s, i, j), in that loop order, with
+    s <| (pairs[i] <> pairs[j]) != (s <| pairs[i]) <| pairs[j], the product
+    read from the table and each action computed by hol_action; as the
+    report's witness text, or None."""
+    hol, D = table.pairs, table.diamond.tolist()
+    for s in range(S.size):
+        for i in range(len(hol)):
+            for j in range(len(hol)):
+                if hol_action(S, s, hol[D[i][j]]) != hol_action(
+                    S, hol_action(S, s, hol[i]), hol[j]
+                ):
+                    return f"action property fails at s={s}, pair ({i},{j})"
+    return None
+
+
+def interchange_sweep(S, table):
+    """The interchange law by a plain loop: over composable pairs (i, j),
+    then (k, l), each in row order, compare the diamond of the two groupoid
+    composites with the groupoid composite of the two diamonds, the
+    composites found by hol_groupoid_compose.  Returns the first failing
+    quadruple as the report's witness text (or None) and the number of
+    quadruples checked up to and including it."""
+    hol, D = table.pairs, table.diamond.tolist()
+    gcomp = {}
+    for i, h in enumerate(hol):
+        for j, g in enumerate(hol):
+            c = hol_groupoid_compose(S, h, g)
+            if c is not None:
+                gcomp[i, j] = table.index[c]
+    checked = 0
+    for (i, j), ij in gcomp.items():
+        for (k, l), kl in gcomp.items():
+            checked += 1
+            right = gcomp.get((D[i][k], D[j][l]))
+            if right is None or D[ij][kl] != right:
+                return f"quadruple ({i},{j},{k},{l})", checked
+    return None, checked
 
 
 def ordered_heap_maps_by_filter(S):

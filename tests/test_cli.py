@@ -12,7 +12,7 @@ def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("tables")
     zoo = catalog.standard_examples()
     paths = {}
-    for name in ["Z2", "Z3", "I2", "S3", "chain2", "clifford4"]:
+    for name in ["Z2", "Z3", "I2", "S3", "chain2", "clifford4", "diamond"]:
         p = d / f"{name.lower()}.json"
         io.write_semigroup(p, zoo[name])
         paths[name] = str(p)
@@ -167,6 +167,21 @@ def test_budget_line_reports_partial_progress(files, capsys, jobs):
     assert capsys.readouterr().err == (
         "search budget exceeded: visited 151 nodes, found 16 results, budget 150\n"
     )
+
+
+@pytest.mark.parametrize("name, budget, line", [
+    ("I2", "150", "visited 151 nodes, found 16 results, budget 150"),
+    ("diamond", "74", "visited 75 nodes, found 35 results, budget 74"),
+], ids=["I2", "diamond"])
+def test_sha_budget_limits_premorphism_search(files, capsys, name, budget, line):
+    # the heap search fits the budget (112 nodes on I2, 64 on diamond) but the
+    # premorphism search behind the endomorphism pairs does not
+    _, paths = files
+    assert main(["sha", paths[name], "--budget", budget]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"search budget exceeded: {line}\n"
+    assert "[pass] embedding_injective" in captured.out
+    assert "heap monoid vs endomorphism pairs" not in captured.out
 
 
 def test_jobs_must_be_positive(files, capsys):

@@ -21,6 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 TABLES = ["chain2", "clifford4", "i2", "z2", "z3"]
+# the zoo's largest holomorphs (S3: 60 pairs, V4: 64), from catalog.standard_examples()
+LARGE = ["s3", "v4"]
 POLY_CHECKS = ["arith", "bicyclic", "functors", "endo", "heap"]
 
 
@@ -30,6 +32,9 @@ def _cases():
         for cmd in ["verify", "hol", "sha", "esn", "flows"]:
             for t in TABLES:
                 cases[f"{cmd}_{t}_{fmt}"] = [cmd, f"data/{t}.json", "--format", fmt]
+        for cmd in ["hol", "sha"]:
+            for t in LARGE:
+                cases[f"{cmd}_{t}_{fmt}"] = [cmd, f"tests/golden/{t}.json", "--format", fmt]
         for check in POLY_CHECKS:
             cases[f"poly_{check}_{fmt}"] = [
                 "poly", "--check", check, "--maxlen", "2", "--format", fmt
@@ -38,9 +43,10 @@ def _cases():
             "verify", "tests/golden/corrupt_i2_groupoid.json", "--format", fmt
         ]
         cases[f"hol_i2_jobs2_{fmt}"] = ["hol", "data/i2.json", "--jobs", "2", "--format", fmt]
-        cases[f"hol_i2_budget150_{fmt}"] = [
-            "hol", "data/i2.json", "--budget", "150", "--format", fmt
-        ]
+        for cmd in ["hol", "sha"]:
+            cases[f"{cmd}_i2_budget150_{fmt}"] = [
+                cmd, "data/i2.json", "--budget", "150", "--format", fmt
+            ]
     return cases
 
 

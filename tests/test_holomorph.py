@@ -1,3 +1,7 @@
+import dataclasses
+import random
+
+import numpy as np
 import pytest
 
 from invhol.errors import NotMonoid
@@ -10,6 +14,7 @@ from invhol.holomorph import (
     hol_groupoid_compose,
     hol_identity,
     hol_inverse_arrow,
+    hol_table,
     holomorph_units,
     is_valid_hol,
     mon_diamond,
@@ -206,3 +211,46 @@ def test_holomorph_matches_filter_oracle(zoo):
         if S.size <= 6:
             pairs = [(h.alpha, h.tau) for h in enumerate_holomorph(S)]
             assert pairs == oracles.holomorph_pairs_by_filter(S), name
+
+
+def _check_line(rep, name):
+    (c,) = [c for c in rep.checks if c.name == name]
+    return c
+
+
+def test_table_checks_match_loop_oracles(zoo):
+    # the table-driven units, monoid_action and interchange_law against plain
+    # element loops reading the same table, on the true table and on copies
+    # with one diamond entry changed
+    failing = {"units": 0, "monoid_action": 0, "interchange_law": 0}
+    for name, S in zoo.items():
+        table = hol_table(S)
+        n = len(table.pairs)
+        if n > 64:
+            continue
+        rng = random.Random(name)
+        e = table.index[hol_identity(S)]
+        # two random entries and one product equal to the identity pair
+        cells = [(rng.randrange(n), rng.randrange(n)) for _ in range(2)]
+        cells.append(tuple(rng.choice(np.argwhere(table.diamond == e).tolist())))
+        tables = [table]
+        for i, j in cells if n > 1 else []:
+            D = table.diamond.copy()
+            D[i, j] = (D[i, j] + rng.randrange(1, n)) % n
+            tables.append(dataclasses.replace(table, diamond=D))
+        for t in tables:
+            units = holomorph_units(S, t)
+            assert units == oracles.holomorph_units_by_definition(S, t), name
+            failing["units"] += units != holomorph_units(S, table)
+
+            action = _check_line(verify_hol_monoid(S, t), "monoid_action")
+            w = oracles.monoid_action_witness(S, t)
+            assert (action.ok, action.witness, action.detail) == (w is None, w, None), name
+            failing["monoid_action"] += not action.ok
+
+            law = _check_line(verify_interchange(S, t), "interchange_law")
+            w, checked = oracles.interchange_sweep(S, t)
+            assert (law.ok, law.witness, law.detail) == (
+                w is None, w, f"{checked} quadruple(s) checked"), name
+            failing["interchange_law"] += not law.ok
+    assert min(failing.values()) >= 10, failing
