@@ -2,7 +2,7 @@
 
 Subcommands: verify, hol, sha, flows, esn, poly.  Reports are deterministic
 given identical inputs, caps and seed; exit codes are 0 for all-pass, 1 for
-check failures, 2 for usage or parse errors, 3 for exhausted search budgets.
+check failures, 2 for usage or parse errors, 3 for an exhausted budget or cap.
 """
 
 import argparse
@@ -166,10 +166,10 @@ def cmd_flows(config, out):
         out.line("input is a semigroup table; using its ordered groupoid")
     else:
         G = io.read_groupoid(path)
-    flows = groupoid.enumerate_flows(G)
+    flows = groupoid.enumerate_flows(G, cap=config.cap_size)
     out.count("flows", len(flows))
     out.count("ordered_flows", len(groupoid.ordered_flows(G, flows)))
-    out.add_report(groupoid.check_flow_monoid_structure(G))
+    out.add_report(groupoid.check_flow_monoid_structure(G, cap=config.cap_size))
 
 
 def cmd_esn(config, out):
@@ -318,6 +318,7 @@ def main(argv=None):
         )
         return 3
     except SizeCap as exc:
+        print(out.render())
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ParseError as exc:

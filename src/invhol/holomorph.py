@@ -20,7 +20,7 @@ from .core import first_nonassociative
 from .errors import NotMonoid, SizeCap
 from .morphisms import ElementMap, enumerate_premorphisms
 from .report import CheckReport
-from .search import backtrack
+from .search import backtrack, row_lookup
 
 DEFAULT_TAU_CAP = 10**6
 
@@ -63,7 +63,7 @@ def hol_identity(S):
     return HolElement(tuple(range(S.size)), tuple(S.idempotents))
 
 
-def hol_diamond(S, h1, h2, check=True):
+def hol_diamond(S, h1, h2):
     """(alpha, tau) <> (beta, sigma) = (alpha beta, e -> (e tau)beta ((e tau)^-1 (e tau))sigma)."""
     mul, inv = S.mul, S.inv
     pos = S.idempotent_position
@@ -74,8 +74,7 @@ def hol_diamond(S, h1, h2, check=True):
         r = mul[inv[t]][t]
         tau.append(mul[h2.alpha[t]][h2.tau[pos[r]]])
     out = HolElement(alpha, tuple(tau))
-    if check:
-        assert is_valid_hol(S, out.alpha, out.tau), "diamond left the holomorph"
+    assert is_valid_hol(S, out.alpha, out.tau), "diamond left the holomorph"
     return out
 
 
@@ -158,13 +157,23 @@ def enumerate_holomorph(S, prems=None, budget=None, tau_cap=DEFAULT_TAU_CAP):
 
 def hol_table(S, hol=None):
     """The diamond multiplication table of Hol(S): diamond[i, j] is the row
-    of pairs[i] <> pairs[j], rows in the order of ``hol``."""
+    of pairs[i] <> pairs[j], rows in the order of ``hol``.  Row i is one
+    gather, alpha A[:, A[i]] and tau mul[A[:, t], T[:, R[t]]] with t = T[i]
+    and R[t] the position of t^-1 t, looked up among the pairs."""
     if hol is None:
         hol = enumerate_holomorph(S)
-    index = {h: i for i, h in enumerate(hol)}
     n = len(hol)
-    flat = (index[hol_diamond(S, a, b, check=False)] for a in hol for b in hol)
-    return HolTable(hol, index, np.fromiter(flat, np.int32, count=n * n).reshape(n, n))
+    mul = np.array(S.mul, np.int32)
+    A = np.array([h.alpha for h in hol], np.int32).reshape(n, S.size)
+    T = np.array([h.tau for h in hol], np.int32).reshape(n, len(S.idempotents))
+    R = np.array([S.idempotent_position[S.mul[S.inv[t]][t]] for t in range(S.size)])
+    lookup = row_lookup(np.hstack([A, T]))
+    D = np.empty((n, n), np.int32)
+    for i, t in enumerate(T):
+        D[i] = lookup(np.hstack([A[:, A[i]], mul[A[:, t], T[:, R[t]]]]))
+        if D[i].min() < 0:  # -1 marks the first diamond not among the pairs
+            raise AssertionError(f"diamond of pairs {i} and {D[i].argmin()} left the holomorph")
+    return HolTable(hol, {h: i for i, h in enumerate(hol)}, D)
 
 
 def holomorph_units(S, table=None):

@@ -5,6 +5,8 @@ holomorph pairs are all vectors chosen position by position from candidate
 lists, pruned by a check at the position just assigned.
 """
 
+import numpy as np
+
 from .errors import SearchBudgetExceeded
 
 
@@ -39,15 +41,32 @@ def backtrack(candidates, ok_at, budget=None):
     return out
 
 
+def row_lookup(table):
+    """A function taking each row of a query matrix to the index of an equal
+    row of `table`, or to -1.  Keys are the rows' big-endian int32 bytes as
+    np.void, which sort lexicographically; rows need not come sorted."""
+    def keys(rows):
+        rows = np.ascontiguousarray(rows, ">i4")
+        return rows.view(np.dtype((np.void, 4 * rows.shape[1])))[:, 0]
+
+    order = np.argsort(keys(table), kind="stable")
+    ordered = keys(table)[order]
+
+    def lookup(queries):
+        at = order[np.searchsorted(ordered, keys(queries)).clip(max=len(order) - 1)]
+        return np.where((table[at] == queries).all(axis=1), at, -1)
+
+    return lookup
+
+
 def assert_transformation_monoid(vecs, what):
     """Assert the self-maps `vecs` (value vectors) hold the identity and are
-    closed under composition."""
-    found = set(vecs)
-    assert vecs and tuple(range(len(vecs[0]))) in found, (
-        f"identity map is not among the {what}"
-    )
-    for t1 in vecs:
-        for t2 in vecs:
-            assert tuple(map(t2.__getitem__, t1)) in found, (
-                f"{what} not closed under composition: {t1} then {t2}"
-            )
+    closed under composition: row j of P[:, P[i]] is vecs[i] then vecs[j]."""
+    assert vecs and tuple(range(len(vecs[0]))) in vecs, (
+        f"identity map is not among the {what}")
+    P = np.array(vecs, np.int32)
+    lookup = row_lookup(P)
+    for i, t1 in enumerate(vecs):
+        row = lookup(P[:, P[i]])  # -1 marks a missing composite
+        assert row.min() >= 0, (
+            f"{what} not closed under composition: {t1} then {vecs[row.argmin()]}")

@@ -8,8 +8,12 @@ import re
 from itertools import permutations, product
 from string import ascii_lowercase
 
+import numpy as np
+
+from invhol.core import build_from_table
 from invhol.holomorph import (
     hol_action,
+    hol_diamond,
     hol_groupoid_compose,
     hol_identity,
 )
@@ -85,6 +89,39 @@ def holomorph_pairs_by_filter(S):
             ):
                 out.append((alpha, tau))
     return sorted(out)
+
+
+def relabelled(S, p):
+    """S with element a moved to position p[a]: the product of p[a] and
+    p[b] is p[ab]."""
+    n = S.size
+    names, mul = [None] * n, [[0] * n for _ in range(n)]
+    for a in range(n):
+        names[p[a]] = S.names[a]
+        for b in range(n):
+            mul[p[a]][p[b]] = p[S.mul[a][b]]
+    return build_from_table(names, mul)
+
+
+def hol_table_by_diamonds(S, hol):
+    """The diamond table of the pairs `hol`, one hol_diamond call per entry:
+    entry (i, j) is the position of hol[i] <> hol[j] in `hol`, -1 where that
+    diamond is not in the list."""
+    index = {h: i for i, h in enumerate(hol)}
+    return np.array(
+        [[index.get(hol_diamond(S, a, b), -1) for b in hol] for a in hol], np.int32
+    ).reshape(len(hol), len(hol))
+
+
+def closure_failure_by_loops(vecs):
+    """The first pair (t1, t2) of value vectors, t1 in the outer loop, whose
+    composite t1 then t2 is not in `vecs`, or None."""
+    found = set(vecs)
+    for t1 in vecs:
+        for t2 in vecs:
+            if tuple(t2[a] for a in t1) not in found:
+                return t1, t2
+    return None
 
 
 def holomorph_units_by_definition(S, table):

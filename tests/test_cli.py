@@ -115,6 +115,17 @@ def test_flows_accepts_semigroup(files, capsys):
     assert "ordered_flows: 1" in out
 
 
+def test_flows_honour_cap_size(files, capsys):
+    # I2 has 7 elements, so the table loads under cap 7, and 8 flows
+    _, paths = files
+    assert main(["flows", paths["I2"], "--cap-size", "8"]) == 0
+    assert "flows: 8" in capsys.readouterr().out
+    assert main(["flows", paths["I2"], "--cap-size", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: requested size 8 exceeds cap 7\n"
+    assert captured.out.endswith("using its ordered groupoid\noverall: pass\n")
+
+
 def test_poly_expression(capsys):
     assert main(["poly", "(ab)^-1 a * b^-1 1", "--alphabet", "2"]) == 0
     out = capsys.readouterr().out

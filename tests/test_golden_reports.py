@@ -47,6 +47,10 @@ def _cases():
             cases[f"{cmd}_i2_budget150_{fmt}"] = [
                 cmd, "data/i2.json", "--budget", "150", "--format", fmt
             ]
+        # I2 has 7 elements and 8 flows: the table loads, the flow search stops
+        cases[f"flows_i2_cap7_{fmt}"] = [
+            "flows", "data/i2.json", "--cap-size", "7", "--format", fmt
+        ]
     return cases
 
 

@@ -1,10 +1,13 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from invhol import core
 from invhol.errors import NotMonoid
+from invhol.heap import enumerate_sha
 from invhol.holomorph import (
     HolElement,
     MonHolElement,
@@ -24,6 +27,7 @@ from invhol.holomorph import (
     verify_interchange,
     verify_mon_hol,
 )
+from invhol.morphisms import enumerate_endomorphisms, enumerate_premorphisms
 
 import oracles
 
@@ -161,8 +165,6 @@ def test_mon_hol_bijection_and_laws(zoo):
 
 
 def test_mon_hol_requires_identity():
-    from invhol import core
-
     # a semilattice with no top: two incomparable points over a bottom
     T = core.diamond_semilattice()
     sub = [1, 2, 3]
@@ -254,3 +256,85 @@ def test_table_checks_match_loop_oracles(zoo):
                 w is None, w, f"{checked} quadruple(s) checked"), name
             failing["interchange_law"] += not law.ok
     assert min(failing.values()) >= 10, failing
+
+
+def test_hol_table_matches_diamond_oracle(zoo):
+    # the row-key fill against one hol_diamond call per entry, on each zoo
+    # structure and two seeded relabellings of it, with the pairs in
+    # enumeration order and shuffled
+    for name, S in zoo.items():
+        rng = random.Random(name)
+        for T in [S] + [oracles.relabelled(S, rng.sample(range(S.size), S.size))
+                        for _ in range(2)]:
+            hol = enumerate_holomorph(T)
+            for pairs in [hol, rng.sample(hol, len(hol))]:
+                assert np.array_equal(hol_table(T, pairs).diamond,
+                                      oracles.hol_table_by_diamonds(T, pairs)), name
+
+
+def test_hol_table_raises_on_a_dropped_pair(zoo):
+    # with one seeded pair missing, the table raises at the first diamond, in
+    # row order, that the oracle does not find among the pairs left
+    raised = 0
+    for name, S in zoo.items():
+        hol = enumerate_holomorph(S)
+        rng = random.Random(name)
+        for k in rng.sample(range(len(hol)), min(2, len(hol))):
+            pairs = hol[:k] + hol[k + 1:]
+            missing = np.argwhere(oracles.hol_table_by_diamonds(S, pairs) < 0)
+            if not len(missing):
+                hol_table(S, pairs)
+                continue
+            i, j = missing[0]
+            with pytest.raises(AssertionError, match=rf"^diamond of pairs {i} and {j} left"):
+                hol_table(S, pairs)
+            raised += 1
+    assert raised >= 20, raised
+
+
+def _moved(p, vec):
+    """The value vector vec with every element a renamed p[a]."""
+    out = [0] * len(vec)
+    for a, b in enumerate(vec):
+        out[p[a]] = p[b]
+    return tuple(out)
+
+
+def test_results_follow_a_relabelling(zoo):
+    # a renamed table has the renamed Prem, End, Sha and Hol, and its units
+    # are the renamed units
+    for name, S in zoo.items():
+        if S.size > 7:
+            continue
+        p = random.Random(name).sample(range(S.size), S.size)
+        T = oracles.relabelled(S, p)
+        unmoved = {b: a for a, b in enumerate(p)}
+
+        def moved_pair(h):
+            tau = dict(zip(S.idempotents, h.tau))
+            return HolElement(_moved(p, h.alpha),
+                              tuple(p[tau[unmoved[f]]] for f in T.idempotents))
+
+        for enumerate_maps in [enumerate_premorphisms, enumerate_endomorphisms]:
+            assert [m.theta for m in enumerate_maps(T)] == sorted(
+                _moved(p, m.theta) for m in enumerate_maps(S)), name
+        assert [m.eta for m in enumerate_sha(T)] == sorted(
+            _moved(p, m.eta) for m in enumerate_sha(S)), name
+        assert enumerate_holomorph(T) == sorted(
+            map(moved_pair, enumerate_holomorph(S)), key=lambda h: (h.alpha, h.tau)), name
+        assert set(holomorph_units(T)) == set(map(moved_pair, holomorph_units(S))), name
+
+
+def test_hol_table_memory_stays_near_the_table():
+    # S4 has 1,392 pairs: the table takes 7.8 MB, while gathering every
+    # diamond's value vector at once would take 186 MB
+    S = core.symmetric_group(4)
+    hol = enumerate_holomorph(S)
+    tracemalloc.start()
+    try:
+        table = hol_table(S, hol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.pairs) == 1392
+    assert peak < 2 * table.diamond.nbytes, peak

@@ -1,7 +1,13 @@
+import random
+
 import pytest
 
 from invhol.errors import SearchBudgetExceeded
+from invhol.heap import enumerate_sha
+from invhol.morphisms import enumerate_endomorphisms, enumerate_premorphisms
 from invhol.search import assert_transformation_monoid, backtrack
+
+import oracles
 
 
 def _increasing(vec, k):
@@ -32,3 +38,34 @@ def test_transformation_monoid_assertion():
         assert_transformation_monoid([(0, 0), (1, 1)], "maps")
     with pytest.raises(AssertionError, match="closed"):
         assert_transformation_monoid([(0, 1, 2), (1, 2, 2)], "maps")
+
+
+def _transformation_monoids(zoo):
+    for name, S in zoo.items():
+        yield f"Prem({name})", "premorphisms", [m.theta for m in enumerate_premorphisms(S)]
+        yield f"End({name})", "endomorphisms", [m.theta for m in enumerate_endomorphisms(S)]
+        yield f"Sha({name})", "heap maps", [m.eta for m in enumerate_sha(S)]
+
+
+def test_transformation_monoid_assertion_matches_loop_oracle(zoo):
+    # on the zoo's Prem, End and Sha, and on shuffled copies with one seeded
+    # non-identity map dropped: the row-key closure check fails exactly when
+    # the pair loop does, and on the same first pair (t1, t2)
+    failed = 0
+    for label, what, vecs in _transformation_monoids(zoo):
+        assert oracles.closure_failure_by_loops(vecs) is None, label
+        assert_transformation_monoid(vecs, what)
+        rng = random.Random(label)
+        others = [v for v in vecs if v != tuple(range(len(v)))]
+        for drop in rng.sample(others, min(2, len(others))):
+            rest = rng.sample([v for v in vecs if v != drop], len(vecs) - 1)
+            w = oracles.closure_failure_by_loops(rest)
+            if w is None:
+                assert_transformation_monoid(rest, what)
+                continue
+            with pytest.raises(AssertionError) as exc:
+                assert_transformation_monoid(rest, what)
+            assert str(exc.value) == (
+                f"{what} not closed under composition: {w[0]} then {w[1]}"), label
+            failed += 1
+    assert failed >= 20, failed
