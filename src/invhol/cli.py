@@ -191,6 +191,10 @@ def cmd_esn(config, out):
         out.line(f"wrote groupoid to {config.dump}")
 
 
+# the window checks of `invhol poly`, in the order `--check all` runs them
+POLY_CHECKS = ("arith", "bicyclic", "functors", "zappa", "endo", "heap")
+
+
 def cmd_poly(config, out, args):
     n, L = config.alphabet, config.maxlen
     if args.expr:
@@ -199,7 +203,7 @@ def cmd_poly(config, out, args):
         out.count("expression", args.expr)
     checks = args.check or ([] if args.expr else ["all"])
     if "all" in checks:
-        checks = ["arith", "bicyclic", "functors", "zappa", "endo", "heap"]
+        checks = POLY_CHECKS
     for c in checks:
         if c == "arith":
             out.add_report(polycyclic.verify_poly_window(n, L))
@@ -266,7 +270,7 @@ def build_parser():
     pp.add_argument(
         "--check",
         action="append",
-        choices=["arith", "bicyclic", "functors", "zappa", "endo", "heap", "all"],
+        choices=[*POLY_CHECKS, "all"],
         help="window checks to run (repeatable)",
     )
     pp.add_argument("--samples", type=int, default=6, help="sampled maps for checks")

@@ -10,6 +10,7 @@ are checked on explicit length windows; every report states its window.
 
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .core import first_nonassociative
@@ -25,12 +26,25 @@ def letters(n):
     return ALPHABET[:n]
 
 
+@lru_cache(maxsize=None)
 def words_upto(n, L):
     """All words of length <= L, ordered by length then lexicographically."""
     out = [""]
     for k in range(1, L + 1):
         out.extend("".join(w) for w in product(letters(n), repeat=k))
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _word_ranks(n, L):
+    """Each word of length <= L to its position in words_upto(n, L), its
+    length-lex rank; the rank of a word does not depend on L."""
+    return {u: i for i, u in enumerate(words_upto(n, L))}
+
+
+def _first_rank(n, k):
+    """The rank of the first word of length k: the number of shorter words."""
+    return k if n == 1 else (n**k - 1) // (n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +561,7 @@ def classify_ordered_functor(n, L, zero_image, table):
     def value(x):
         return zero_image if x is None else table[x]
 
-    points = [None] + ws
+    points = [None, *ws]
     for x in points:
         for y in points:
             if word_leq(x, y) and not word_leq(value(x), value(y)):
@@ -731,7 +745,7 @@ def endo_classification_check(n, sigma_images, w, L):
     )
     ws = words_upto(n, L)
 
-    points = [None] + ws
+    points = [None, *ws]
 
     def meet_failures():
         for x in points:
@@ -933,81 +947,123 @@ def heap_type_check_polycyclic(n=2, L=1, param_len=2, deep_reps=True):
 # suffix-preserving maps and the twisted product
 
 
+def _outside_window(u, L):
+    return WindowExceeded(f"word {u!r} is outside window {L}")
+
+
 class SuffixMap:
     """A suffix-preserving self-map of the free monoid, stored on a window.
 
     The defining property: the image of p + u always ends with the image of
     u.  The prefix-transfer of u sends p to the left-over prefix of the image
     of p + u after the image of u is removed.
+
+    ``images`` holds the image of every word of the window, indexed by the
+    word's length-lex rank.  Only maps built from raw data are validated:
+    the constructor, ``random`` and ``from_affine``.  The results of
+    ``identity``, ``right_translation``, ``constant``, ``transfer`` and
+    ``compose`` are suffix-preserving by construction.
     """
 
     def __init__(self, n, L, table):
-        self.n = n
-        self.L = L
-        self.table = dict(table)
-        for u in words_upto(n, L):
-            if u not in self.table:
+        ws = words_upto(n, L)
+        for u in ws:
+            if u not in table:
                 raise WindowExceeded(f"map is missing the word {u!r} inside its window")
-        for u in words_upto(n, L):
-            if len(u) >= 1:
-                rest = u[1:]
-                if not self.table[u].endswith(self.table[rest]):
-                    raise NotSuffixPreserving(
-                        f"image of {u!r} does not end with the image of {rest!r}"
-                    )
+        images = tuple(table[u] for u in ws)
+        ranks = _word_ranks(n, L)
+        for u, img in zip(ws[1:], images[1:]):
+            rest = u[1:]
+            if not img.endswith(images[ranks[rest]]):
+                raise NotSuffixPreserving(
+                    f"image of {u!r} does not end with the image of {rest!r}"
+                )
+        self.n, self.L, self.images = n, L, images
+
+    @classmethod
+    def _trusted(cls, n, L, images):
+        """A map from its images in rank order, not validated."""
+        sm = cls.__new__(cls)
+        sm.n, sm.L, sm.images = n, L, images
+        return sm
+
+    def _rank(self, u):
+        r = _word_ranks(self.n, self.L).get(u)
+        if r is None:
+            if len(u) > self.L:
+                raise _outside_window(u, self.L)
+            bad = next(ch for ch in u if ch not in letters(self.n))
+            raise AlphabetMismatch(f"letter {bad!r} outside alphabet of size {self.n}")
+        return r
 
     def apply(self, u):
-        if len(u) > self.L:
-            raise WindowExceeded(f"word {u!r} is outside window {self.L}")
-        return self.table[u]
+        return self.images[self._rank(u)]
 
     def transfer(self, u):
-        """The prefix-transfer map of u, on the shrunken window."""
-        if len(u) > self.L:
-            raise WindowExceeded(f"word {u!r} is outside window {self.L}")
-        base = self.table[u]
-        out = {}
-        for p in words_upto(self.n, self.L - len(u)):
-            img = self.table[p + u]
-            out[p] = img[: len(img) - len(base)]
-        return SuffixMap(self.n, self.L - len(u), out)
+        """The prefix-transfer map of u, on the shrunken window.
+
+        For p of length k, the rank of p + u is that of the first word of
+        length k + |u| plus lex(p) n^|u| + lex(u), where lex is the rank among
+        words of one length; so each length k is one strided slice."""
+        r = self._rank(u)
+        n, m, cut = self.n, len(u), len(self.images[r])
+        lex = r - _first_rank(n, m)
+        out = []
+        for k in range(self.L - m + 1):
+            start = _first_rank(n, k + m) + lex
+            block = self.images[start : start + n ** (k + m) : n**m]
+            out.extend([img[: len(img) - cut] for img in block] if cut else block)
+        return SuffixMap._trusted(n, self.L - m, tuple(out))
 
     def compose(self, other, L_out=None):
         """Apply self, then other; the result lives on the largest window on
         which every intermediate image fits inside the other map's window."""
         if L_out is None:
-            L_out = self.L
-            for u in words_upto(self.n, self.L):
-                if len(u) <= L_out and len(self.table[u]) > other.L:
-                    L_out = len(u) - 1
+            # one less than the length of the first word whose image leaves
+            # the other map's window
+            bounds = [_first_rank(self.n, k) for k in range(self.L + 2)]
+            L_out = next((
+                k - 1
+                for k in range(self.L + 1)
+                if max(map(len, self.images[bounds[k] : bounds[k + 1]])) > other.L
+            ), self.L)
         if L_out < 0:
             raise WindowExceeded("composition has an empty window")
-        out = {}
-        for u in words_upto(self.n, L_out):
-            mid = self.table[u]
+        mids = self.images[: _first_rank(self.n, L_out + 1)]
+        ranks = list(map(_word_ranks(other.n, other.L).get, mids))
+        if None in ranks:
+            mid = mids[ranks.index(None)]
             if len(mid) > other.L:
                 raise WindowExceeded(
                     f"intermediate image {mid!r} is outside window {other.L}"
                 )
-            out[u] = other.table[mid]
-        return SuffixMap(self.n, L_out, out)
+            other._rank(mid)  # raises AlphabetMismatch
+        if L_out > self.L:
+            raise _outside_window(letters(self.n)[0] * (self.L + 1), self.L)
+        return SuffixMap._trusted(self.n, L_out, tuple(map(other.images.__getitem__, ranks)))
 
     def agrees_with(self, other, L=None):
+        if self.n != other.n:
+            raise AlphabetMismatch(f"alphabet sizes differ: {self.n} vs {other.n}")
+        low = min(self.L, other.L)
         if L is None:
-            L = min(self.L, other.L)
-        return all(self.table[u] == other.table[u] for u in words_upto(self.n, L))
+            L = low
+        if L > low:
+            raise _outside_window(letters(self.n)[0] * (low + 1), low)
+        k = len(words_upto(self.n, L))
+        return self.images[:k] == other.images[:k]
 
     @staticmethod
     def identity(n, L):
-        return SuffixMap(n, L, {u: u for u in words_upto(n, L)})
+        return SuffixMap._trusted(n, L, words_upto(n, L))
 
     @staticmethod
     def right_translation(n, L, w):
-        return SuffixMap(n, L, {u: u + w for u in words_upto(n, L)})
+        return SuffixMap._trusted(n, L, tuple([u + w for u in words_upto(n, L)]))
 
     @staticmethod
     def constant(n, L, t):
-        return SuffixMap(n, L, {u: t for u in words_upto(n, L)})
+        return SuffixMap._trusted(n, L, (t,) * len(words_upto(n, L)))
 
     @staticmethod
     def from_affine(n, L, images, w):
@@ -1019,13 +1075,11 @@ class SuffixMap:
         """Build a random suffix-preserving map down the word tree: the image
         of x + u is an arbitrary prefix glued onto the image of u."""
         table = {"": "".join(rng.choice(letters(n)) for _ in range(rng.randint(0, root_len)))}
-        for k in range(1, L + 1):
-            for u in words_upto(n, k):
-                if len(u) == k:
-                    snippet = "".join(
-                        rng.choice(letters(n)) for _ in range(rng.randint(0, snippet_len))
-                    )
-                    table[u] = snippet + table[u[1:]]
+        for u in words_upto(n, L)[1:]:
+            snippet = "".join(
+                rng.choice(letters(n)) for _ in range(rng.randint(0, snippet_len))
+            )
+            table[u] = snippet + table[u[1:]]
         return SuffixMap(n, L, table)
 
     def __repr__(self):

@@ -17,7 +17,8 @@ from invhol.holomorph import (
     hol_groupoid_compose,
     hol_identity,
 )
-from invhol.polycyclic import _inv, _mul
+from invhol.errors import NotSuffixPreserving, WindowExceeded
+from invhol.polycyclic import AffineWordMap, _inv, _mul
 
 
 def all_self_maps(n):
@@ -262,3 +263,99 @@ def constant_pair_witness(text):
     if found is None or found[2] != found[3]:
         return None
     return found[1], found[2], found[4], found[5]
+
+
+def words_by_length(n, L):
+    """All words of length <= L over the first n letters, in length-lex order."""
+    out = [""]
+    for k in range(1, L + 1):
+        out.extend("".join(w) for w in product(ascii_lowercase[:n], repeat=k))
+    return out
+
+
+class DictSuffixMap:
+    """A suffix-preserving map stored as a dict from word to image, every
+    result validated: the reference for polycyclic.SuffixMap."""
+
+    def __init__(self, n, L, table):
+        self.n = n
+        self.L = L
+        self.table = dict(table)
+        for u in words_by_length(n, L):
+            if u not in self.table:
+                raise WindowExceeded(f"map is missing the word {u!r} inside its window")
+        for u in words_by_length(n, L):
+            if len(u) >= 1:
+                rest = u[1:]
+                if not self.table[u].endswith(self.table[rest]):
+                    raise NotSuffixPreserving(
+                        f"image of {u!r} does not end with the image of {rest!r}"
+                    )
+
+    def apply(self, u):
+        if len(u) > self.L:
+            raise WindowExceeded(f"word {u!r} is outside window {self.L}")
+        return self.table[u]
+
+    def transfer(self, u):
+        if len(u) > self.L:
+            raise WindowExceeded(f"word {u!r} is outside window {self.L}")
+        base = self.table[u]
+        out = {}
+        for p in words_by_length(self.n, self.L - len(u)):
+            img = self.table[p + u]
+            out[p] = img[: len(img) - len(base)]
+        return DictSuffixMap(self.n, self.L - len(u), out)
+
+    def compose(self, other, L_out=None):
+        if L_out is None:
+            L_out = self.L
+            for u in words_by_length(self.n, self.L):
+                if len(u) <= L_out and len(self.table[u]) > other.L:
+                    L_out = len(u) - 1
+        if L_out < 0:
+            raise WindowExceeded("composition has an empty window")
+        out = {}
+        for u in words_by_length(self.n, L_out):
+            mid = self.table[u]
+            if len(mid) > other.L:
+                raise WindowExceeded(
+                    f"intermediate image {mid!r} is outside window {other.L}"
+                )
+            out[u] = other.table[mid]
+        return DictSuffixMap(self.n, L_out, out)
+
+    def agrees_with(self, other, L=None):
+        if L is None:
+            L = min(self.L, other.L)
+        return all(self.table[u] == other.table[u] for u in words_by_length(self.n, L))
+
+    @staticmethod
+    def identity(n, L):
+        return DictSuffixMap(n, L, {u: u for u in words_by_length(n, L)})
+
+    @staticmethod
+    def right_translation(n, L, w):
+        return DictSuffixMap(n, L, {u: u + w for u in words_by_length(n, L)})
+
+    @staticmethod
+    def constant(n, L, t):
+        return DictSuffixMap(n, L, {u: t for u in words_by_length(n, L)})
+
+    @staticmethod
+    def from_affine(n, L, images, w):
+        fn = AffineWordMap(n, tuple(images), w)
+        return DictSuffixMap(n, L, {u: fn.word_image(u) for u in words_by_length(n, L)})
+
+    @staticmethod
+    def random(n, L, rng, root_len=2, snippet_len=1):
+        alphabet = ascii_lowercase[:n]
+        table = {"": "".join(rng.choice(alphabet) for _ in range(rng.randint(0, root_len)))}
+        for k in range(1, L + 1):
+            for u in words_by_length(n, k):
+                if len(u) == k:
+                    snippet = "".join(
+                        rng.choice(alphabet) for _ in range(rng.randint(0, snippet_len))
+                    )
+                    table[u] = snippet + table[u[1:]]
+        return DictSuffixMap(n, L, table)

@@ -3,14 +3,18 @@
 ``bench/tracing.py`` wraps functions by module and attribute path, and
 ``bench/jobs.py`` calls library functions by name.  A rename in the program
 would otherwise surface only as a crashed benchmark run; here it fails a
-test.  Both files are imported without running anything of the benchmark.
+test.  The poly workload's jobs must stay the checks of ``poly --check all``.
+Both files are imported without running anything of the benchmark.
 """
 
+import argparse
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from invhol import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -40,3 +44,11 @@ def test_library_function_exists(job):
     module, fn, _ = jobs.LIBRARY[job]
     assert module.__name__.startswith("invhol.")
     assert callable(getattr(module, fn)), job
+
+
+def test_poly_jobs_are_the_checks_of_check_all():
+    """The poly workload times `invhol poly --check all` split one job per check."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    check = next(a for a in sub.choices["poly"]._actions if a.dest == "check")
+    assert jobs.POLY_CHECKS == tuple(c for c in check.choices if c != "all")

@@ -39,6 +39,13 @@ def _cases():
             cases[f"poly_{check}_{fmt}"] = [
                 "poly", "--check", check, "--maxlen", "2", "--format", fmt
             ]
+        # the twisted-product check, on a short window and on one letter
+        cases[f"poly_zappa_maxlen2_{fmt}"] = [
+            "poly", "--check", "zappa", "--maxlen", "2", "--format", fmt
+        ]
+        cases[f"poly_zappa_alphabet1_{fmt}"] = [
+            "poly", "--check", "zappa", "--alphabet", "1", "--format", fmt
+        ]
         cases[f"verify_corrupt_groupoid_{fmt}"] = [
             "verify", "tests/golden/corrupt_i2_groupoid.json", "--format", fmt
         ]

@@ -284,6 +284,133 @@ def test_suffix_map_validation():
         P.SuffixMap(2, 2, table)
     with pytest.raises(WindowExceeded):
         P.SuffixMap(2, 2, {"": ""})
+    # broken at two words, listed last first: the first in length-lex order is named
+    table = {u: u for u in reversed(P.words_upto(2, 3))}
+    table["aab"] = "b"  # should end with the image "ab" of "ab"
+    table["bb"] = "a"  # should end with the image "b" of "b"
+    bb_first = "^image of 'bb' does not end with the image of 'b'$"
+    with pytest.raises(NotSuffixPreserving, match=bb_first):
+        P.SuffixMap(2, 3, table)
+    missing_ab = "^map is missing the word 'ab' inside its window$"
+    with pytest.raises(WindowExceeded, match=missing_ab):
+        P.SuffixMap(2, 2, {u: u for u in P.words_upto(2, 2) if u != "ab"})
+
+
+def test_only_raw_data_is_validated(monkeypatch):
+    """The constructor checks a raw table; maps derived from valid maps
+    are suffix-preserving by construction and skip it."""
+    built = []
+    validate = P.SuffixMap.__init__
+
+    def counting(self, n, L, table):
+        built.append(L)
+        validate(self, n, L, table)
+
+    monkeypatch.setattr(P.SuffixMap, "__init__", counting)
+    phi = P.SuffixMap.random(2, 4, random.Random(3))
+    psi = P.SuffixMap.from_affine(2, 4, ("ba", "b"), "a")
+    assert built == [4, 4]
+    ident = P.SuffixMap.identity(2, 4)
+    P.SuffixMap.right_translation(2, 4, "a").compose(P.SuffixMap.constant(2, 4, "b"))
+    phi.transfer("ab").compose(psi).agrees_with(ident, 0)
+    assert built == [4, 4]
+
+
+def test_suffix_map_window_errors():
+    small, large = P.SuffixMap.identity(2, 3), P.SuffixMap.identity(2, 5)
+    for a, b in [(small, large), (large, small)]:
+        with pytest.raises(WindowExceeded, match="^word 'aaaa' is outside window 3$"):
+            a.agrees_with(b, 4)
+        assert a.agrees_with(b, 3)
+    with pytest.raises(WindowExceeded, match="^word 'aaaa' is outside window 3$"):
+        small.compose(large, 4)
+    with pytest.raises(WindowExceeded, match="^composition has an empty window$"):
+        small.compose(large, -1)
+    assert small.compose(large, 3).agrees_with(small)
+    # an intermediate image past the other window is met first, in word order
+    with pytest.raises(WindowExceeded, match="^intermediate image 'aaaa' is outside window 3$"):
+        large.compose(small, 5)
+
+
+def test_suffix_map_alphabet_errors():
+    sm = P.SuffixMap.identity(2, 3)
+    for word in ["c", "abc", "ca"]:
+        with pytest.raises(AlphabetMismatch, match="^letter 'c' outside alphabet of size 2$"):
+            sm.apply(word)
+        with pytest.raises(AlphabetMismatch, match="^letter 'c' outside alphabet of size 2$"):
+            sm.transfer(word)
+    with pytest.raises(WindowExceeded):
+        sm.apply("cccc")  # the window is checked first
+    with pytest.raises(AlphabetMismatch):
+        sm.agrees_with(P.SuffixMap.identity(3, 3))
+    # an image outside the other map's alphabet cannot be looked up there
+    with pytest.raises(AlphabetMismatch, match="^letter 'b' outside alphabet of size 1$"):
+        sm.compose(P.SuffixMap.identity(1, 3))
+
+
+def _suffix_preserving(sm):
+    return all(sm.apply(u).endswith(sm.apply(u[1:])) for u in P.words_upto(sm.n, sm.L)[1:])
+
+
+def _outcome(call):
+    """A call's result, a map as (window, images in length-lex order), or
+    the error it raised."""
+    try:
+        got = call()
+    except (WindowExceeded, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, P.SuffixMap):
+        assert _suffix_preserving(got)
+        return got.L, got.images
+    if isinstance(got, oracles.DictSuffixMap):
+        return got.L, tuple(got.table[u] for u in oracles.words_by_length(got.n, got.L))
+    return got
+
+
+def _map_pairs(n):
+    """The same maps on windows 0-5, as SuffixMap and as the dict oracle:
+    two seeded random maps, the identity, two translations, a constant and
+    an affine map on each window."""
+    last = P.letters(n)[-1]
+    for L in range(6):
+        for seed in range(2):
+            yield (
+                P.SuffixMap.random(n, L, random.Random(100 * n + 10 * L + seed)),
+                oracles.DictSuffixMap.random(n, L, random.Random(100 * n + 10 * L + seed)),
+            )
+        yield P.SuffixMap.identity(n, L), oracles.DictSuffixMap.identity(n, L)
+        for w in ["a", last + "a"]:
+            yield (
+                P.SuffixMap.right_translation(n, L, w),
+                oracles.DictSuffixMap.right_translation(n, L, w),
+            )
+        yield P.SuffixMap.constant(n, L, last), oracles.DictSuffixMap.constant(n, L, last)
+        images = [ch + "a" for ch in P.letters(n)]
+        yield (
+            P.SuffixMap.from_affine(n, L, images, last),
+            oracles.DictSuffixMap.from_affine(n, L, images, last),
+        )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_suffix_map_matches_dict_oracle(n):
+    pairs = list(_map_pairs(n))
+    for new, old in pairs:
+        outside = ["a" * (new.L + 1), P.letters(n)[-1] * (new.L + 2)]
+        for u in [*P.words_upto(n, new.L), *outside]:
+            for op in ["apply", "transfer"]:
+                want = _outcome(lambda: getattr(old, op)(u))
+                assert _outcome(lambda: getattr(new, op)(u)) == want, (new, op, u)
+        for new2, old2 in pairs:
+            for L in [None, *range(min(new.L, new2.L) + 1)]:
+                assert new.agrees_with(new2, L) == old.agrees_with(old2, L), (new, new2, L)
+            for L_out in [None, *range(-1, new.L + 2)]:
+                got = _outcome(lambda: new.compose(new2, L_out))
+                want = _outcome(lambda: old.compose(old2, L_out))
+                if want[0] == "KeyError":  # the oracle's error past its window
+                    assert got[0] == "WindowExceeded", (new, new2, L_out)
+                else:
+                    assert got == want, (new, new2, L_out)
 
 
 def test_random_suffix_maps_are_valid():
