@@ -45,21 +45,62 @@ def first_nonassociative(elems, product):
         size = len(xs) * len(ys)
         return np.fromiter(flat, np.int64, count=size).reshape(len(xs), len(ys))
 
-    m = len(ids)
     m1 = table(elems, elems)
     mid = list(ids)                 # elems, then the products that leave them
-    if len(mid) == m:
+    if len(mid) == len(m1):
+        return first_nonassociative_table(m1)
+    # rows of `left` and columns of `right` run over every id
+    return first_nonassociative_table(m1, table(mid, elems), table(elems, mid))
+
+
+def first_nonassociative_table(m1, left=None, right=None):
+    """first_nonassociative over a table of product ids, one vectorised row
+    per left factor; `left` and `right` extend it to ids outside it."""
+    if left is None:
         left = right = m1
-    else:
-        left = table(mid, elems)    # rows by id
-        right = table(elems, mid)   # columns by id
-    for i in range(m):
+    for i in range(len(m1)):
         lhs = left[m1[i, :], :]          # lhs[j,k] = (x_i x_j) x_k
         rhs = right[i, m1]               # rhs[j,k] = x_i (x_j x_k)
-        if not np.array_equal(lhs, rhs):
-            j, k = np.argwhere(lhs != rhs)[0]
-            return (i, int(j), int(k))
+        differ = lhs != rhs
+        if differ.any():
+            return (i, *next(hits(differ)))
     return None
+
+
+# The sweeps below keep to array methods, operators and indexing: in a
+# freshly started or forked process each further numpy function costs a
+# first call of 0.1-0.3 ms, which small tables would feel.
+
+
+def hits(mask):
+    """The True entries of a 2-D boolean array as (row, column) pairs of ints,
+    in row-major order."""
+    rows, cols = mask.nonzero()
+    return zip(rows.tolist(), cols.tolist())
+
+
+def replay(flagged, witnesses):
+    """The witnesses of each flagged row in row order.  A vectorised sweep
+    flags every row that fails (or raises); ``witnesses(r)`` is the loop
+    body for row r, run only there, so the first witness and its text are
+    those of the full loop."""
+    for r in flagged.nonzero()[0].tolist():
+        yield from witnesses(r)
+
+
+def row_blocks(rows, width, entries=1 << 16):
+    """Slices of ``rows`` rows each at most ``entries`` // ``width`` long, so a
+    sweep over rows x width pairs keeps its temporaries small."""
+    step = max(1, entries // max(width, 1))
+    return [slice(start, min(rows, start + step)) for start in range(0, rows, step)]
+
+
+def first_hits(rows, width, mask_of):
+    """The True entries (r, c) of a rows x width boolean matrix in row-major
+    order, each block of rows computed by mask_of(block) only when reached."""
+    for block in row_blocks(rows, width):
+        for r, c in hits(mask_of(block)):
+            yield block.start + r, c
 
 
 class InverseSemigroup:
@@ -71,6 +112,8 @@ class InverseSemigroup:
 
     def __init__(self, names, mul, cap=DEFAULT_SIZE_CAP):
         n = len(mul)
+        if n == 0:
+            raise ValueError("multiplication table is empty")
         if cap is not None and n > cap:
             raise SizeCap(n, cap)
         if names is None:
@@ -86,42 +129,43 @@ class InverseSemigroup:
         self.size = n
         self.names = [str(x) for x in names]
         self.mul = [list(row) for row in mul]
+        # the same table as an array, for the vectorised sweeps; the lists
+        # stay for the searches, which index them element by element
+        M = self.mul_array = np.array(self.mul, np.intp)
 
-        witness = first_nonassociative(range(n), lambda a, b: self.mul[a][b])
+        witness = first_nonassociative_table(M)
         if witness is not None:
             raise NotAssociative(*witness)
 
-        # unique inverse per element, found by exhaustive scan
-        self.inv = []
-        for a in range(n):
-            cands = [
-                b
-                for b in range(n)
-                if self.mul[self.mul[a][b]][a] == a and self.mul[self.mul[b][a]][b] == b
-            ]
-            if len(cands) != 1:
-                raise NotInverse(
-                    f"element {a} ({self.names[a]}) has {len(cands)} inverses: {cands}"
-                )
-            self.inv.append(cands[0])
+        # b is an inverse of a iff a b a = a and b a b = b: is_inv[a, b]
+        ar = np.arange(n)
+        is_inv = (M[M, ar[:, None]] == ar[:, None]) & (M[M.T, ar] == ar)
+        counts = is_inv.sum(axis=1)
+        if (counts != 1).any():
+            a = int((counts != 1).argmax())
+            cands = is_inv[a].nonzero()[0].tolist()
+            raise NotInverse(
+                f"element {a} ({self.names[a]}) has {len(cands)} inverses: {cands}"
+            )
+        self.inv_array = is_inv.argmax(axis=1)
+        self.inv = self.inv_array.tolist()
 
-        self.is_idempotent = [self.mul[a][a] == a for a in range(n)]
+        self.is_idempotent = (M[ar, ar] == ar).tolist()
         self.idempotents = [a for a in range(n) if self.is_idempotent[a]]
         self.idempotent_position = {e: i for i, e in enumerate(self.idempotents)}
-        for e, f in combinations(self.idempotents, 2):
-            if self.mul[e][f] != self.mul[f][e]:
-                raise NotInverse(f"idempotents {e} and {f} do not commute")
+        E = np.array(self.idempotents)
+        EE = M[E][:, E]
+        for i, j in hits((EE != EE.T) & (E[:, None] < E)):
+            e, f = self.idempotents[i], self.idempotents[j]
+            raise NotInverse(f"idempotents {e} and {f} do not commute")
 
-        self.identity = None
-        for e in range(n):
-            if all(self.mul[e][a] == a and self.mul[a][e] == a for a in range(n)):
-                self.identity = e
-                break
-        self.zero = None
-        for z in range(n):
-            if all(self.mul[z][a] == z and self.mul[a][z] == z for a in range(n)):
-                self.zero = z
-                break
+        def first_or_none(mask):
+            return int(mask.argmax()) if mask.any() else None
+
+        rows_fixed, cols_fixed = M == ar[:, None], M == ar
+        # e a = a and a e = a for every a; z a = z and a z = z for every a
+        self.identity = first_or_none(cols_fixed.all(axis=1) & rows_fixed.all(axis=0))
+        self.zero = first_or_none(rows_fixed.all(axis=1) & cols_fixed.all(axis=0))
 
         self._order = None
 
@@ -159,30 +203,30 @@ class NaturalOrder:
 
     With diagnostics on, all four equivalent characterisations are computed
     and asserted to agree:  a = a a^-1 b,  a = b a^-1 a,  exists idempotent e
-    with a = be,  exists idempotent e with a = eb.
+    with a = be,  exists idempotent e with a = eb.  ``table`` holds the order
+    as lists of bools, ``array`` as a boolean array.
     """
 
     def __init__(self, S, diagnostics=True):
-        n = S.size
-        mul, inv = S.mul, S.inv
-        table = [
-            [mul[mul[a][inv[a]]][b] == a for b in range(n)]
-            for a in range(n)
-        ]
+        M, inv, ar = S.mul_array, S.inv_array, np.arange(S.size)
+        col = ar[:, None]
+        leq = M[M[ar, inv]] == col                    # a a^-1 b == a
         if diagnostics:
-            E = S.idempotents
-            for a in range(n):
-                for b in range(n):
-                    c1 = table[a][b]
-                    c2 = mul[b][mul[inv[a]][a]] == a
-                    c3 = any(mul[b][e] == a for e in E)
-                    c4 = any(mul[e][b] == a for e in E)
-                    if not (c1 == c2 == c3 == c4):
-                        raise AssertionError(
-                            f"natural-order characterisations disagree at "
-                            f"({a},{b}): {c1},{c2},{c3},{c4}"
-                        )
-        self.table = table
+            E = np.array(S.idempotents, np.intp)
+            c2 = M[:, M[inv, ar]].T == col            # b a^-1 a == a
+            c3 = np.zeros(leq.shape, bool)
+            c3[M[:, E], col] = True                   # a = b e
+            c4 = np.zeros(leq.shape, bool)
+            c4[M[E, :], ar] = True                    # a = e b
+            bad = next(hits((leq != c2) | (c2 != c3) | (c3 != c4)), None)
+            if bad is not None:
+                found = ",".join(str(bool(c[bad])) for c in (leq, c2, c3, c4))
+                raise AssertionError(
+                    f"natural-order characterisations disagree at "
+                    f"({bad[0]},{bad[1]}): {found}"
+                )
+        self.array = leq
+        self.table = leq.tolist()
 
     def leq(self, a, b):
         return self.table[a][b]
@@ -206,13 +250,12 @@ def verify_semigroup_properties(S):
     from .report import CheckReport
 
     rep = CheckReport(f"inverse semigroup properties on {S!r}")
-    n = S.size
-    mul, inv = S.mul, S.inv
+    mul = S.mul
+    M, I, ar = S.mul_array, S.inv_array, np.arange(S.size)
 
     rep.first_failure("regularity_and_involution", (
         f"a={a}"
-        for a in range(n)
-        if mul[mul[a][inv[a]]][a] != a or inv[inv[a]] != a
+        for a in ((M[M[ar, I], ar] != ar) | (I[I] != ar)).nonzero()[0].tolist()
     ))
 
     try:
@@ -221,46 +264,69 @@ def verify_semigroup_properties(S):
     except AssertionError as exc:
         rep.add("order_characterisations_agree", False, str(exc))
 
-    leq = S.natural_order().leq
+    L = S.natural_order().array
     rep.first_failure("order_compatible_with_inversion", (
-        f"{a}<={b}"
-        for a in range(n)
-        for b in range(n)
-        if leq(a, b) and not leq(inv[a], inv[b])
+        f"{a}<={b}" for a, b in hits(L & ~L[I][:, I])
     ))
 
-    pairs = [(a, b) for a in range(n) for b in range(n) if leq(a, b)]
+    # every pair of order pairs (a1 <= a2, b1 <= b2), a block of rows at a time
+    P1, P2 = L.nonzero()
     rep.first_failure("order_compatible_with_multiplication", (
-        f"{a1}<={a2}, {b1}<={b2}"
-        for a1, a2 in pairs
-        for b1, b2 in pairs
-        if not leq(mul[a1][b1], mul[a2][b2])
+        f"{P1[p]}<={P2[p]}, {P1[q]}<={P2[q]}"
+        for p, q in first_hits(
+            len(P1), len(P1), lambda rows: ~L[M[P1[rows]][:, P1], M[P2[rows]][:, P2]]
+        )
     ))
 
+    sq = M[ar, ar]
     rep.first_failure("elements_below_their_squares_are_idempotent", (
-        f"x={x}"
-        for x in range(n)
-        if leq(x, mul[x][x]) and mul[x][x] != x
+        f"x={x}" for x in (L[ar, sq] & (sq != ar)).nonzero()[0].tolist()
     ))
 
-    def meet_failures():
-        for e in S.idempotents:
-            for f in S.idempotents:
-                if mul[e][f] != mul[f][e]:
-                    yield f"({e},{f}) do not commute"
-                try:
-                    m1 = meet_idempotents(S, e, f)
-                except AssertionError as exc:
-                    yield str(exc)
-                    return
-                for g in S.idempotents:
-                    if meet_idempotents(S, m1, g) != meet_idempotents(
-                        S, e, meet_idempotents(S, f, g)
-                    ):
-                        yield f"meet not associative at ({e},{f},{g})"
+    def meet_failures(e):
+        for f in S.idempotents:
+            if mul[e][f] != mul[f][e]:
+                yield f"({e},{f}) do not commute"
+            try:
+                m1 = meet_idempotents(S, e, f)
+            except AssertionError as exc:
+                yield str(exc)
+                return
+            for g in S.idempotents:
+                if meet_idempotents(S, m1, g) != meet_idempotents(
+                    S, e, meet_idempotents(S, f, g)
+                ):
+                    yield f"meet not associative at ({e},{f},{g})"
 
-    rep.first_failure("idempotent_meets", meet_failures())
+    rep.first_failure("idempotent_meets", replay(_meet_flags(S, L), meet_failures))
     return rep
+
+
+def _meet_flags(S, L):
+    """For each element e, whether the idempotent-meet loop at row e (over
+    idempotents f, g) yields a witness or raises: e f != f e, a product that is
+    not idempotent, a product of idempotents that is not their glb in L, or
+    (e f) g != e (f g).  Rows that are not idempotents stay unflagged; a fault
+    that every row meets (a pair f, g whose meet fails) flags every row."""
+    M = S.mul_array
+    E = np.array(S.idempotents, np.intp)
+    is_idem = np.array(S.is_idempotent)
+    EE = M[E][:, E]                          # EE[i, j] = e_i e_j
+    below = L[E][:, E]                       # below[h, i]: e_h <= e_i
+    is_glb = L[EE, E] & L[EE, E[:, None]]    # the product is a lower bound
+    for i in range(len(E)):
+        # an idempotent h below e_i and e_j but not below their product
+        lower = below[:, [i]] & below
+        is_glb[i] &= ~(lower & ~L[E[:, None], EE[i]]).any(axis=0)
+    flags = np.zeros(S.size, bool)
+    if not (is_glb.all() and is_idem[EE].all()):
+        flags[E] = True
+        return flags
+    for i, e in enumerate(E):
+        # (e f) g against e (f g), each product read from the table
+        flags[e] = (EE[i] != EE[:, i]).any() or (
+            M[EE[i][:, None], E] != M[e, EE]).any()
+    return flags
 
 
 def meet_idempotents(S, e, f):

@@ -2,18 +2,28 @@
 conversions both ways, and flow monoids.
 
 Arrows are integer indices with domain/range given as identity-arrow indices.
-Partial composition is stored sparsely as a dict keyed by composable pairs.
-The partial order is a boolean table.  Instances are immutable after
-validation and safe to share.
+Partial composition is stored as a dict keyed by composable pairs and as an
+n x n array of composites (-1 where a pair does not compose).  The partial
+order is a boolean table, kept both as lists and as an array.  Instances are
+immutable after validation and safe to share.
 """
 
+from functools import cached_property
 from itertools import product
 
-from .core import build_from_table
+import numpy as np
+
+from .core import build_from_table, first_hits, hits, replay, row_blocks
 from .errors import NotBelowDomain, NotInductive, SizeCap
 from .report import CheckReport
 
 DEFAULT_FLOW_CAP = 10**6
+
+
+def _check_indices(values, n, what):
+    for v in values:
+        if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
+            raise ValueError(f"{what} {v!r} out of range")
 
 
 class OrderedGroupoid:
@@ -26,139 +36,217 @@ class OrderedGroupoid:
         self.compose = dict(compose)
         self.leq = [list(map(bool, row)) for row in leq]
         self.names = [str(x) for x in names] if names else [f"g{i}" for i in range(n)]
-        self.is_identity = [
-            self.dom[g] == g and self.ran[g] == g and self.compose.get((g, g)) == g
-            for g in range(n)
-        ]
-        self.identities = [g for g in range(n) if self.is_identity[g]]
-        self._restriction = None
+        if len(self.ran) != n or len(self.inv) != n:
+            raise ValueError("arrow data disagree in length")
+        _check_indices(self.dom + self.ran, n, "endpoint")
+        _check_indices(self.inv, n, "inverse")
+        _check_indices([x for pair in self.compose for x in pair], n, "composable arrow")
+        _check_indices(self.compose.values(), n, "composite")
+
+        # the tables that the axiom checks, restrictions and pseudoproducts read
+        self.dom_array = np.array(self.dom, np.intp)
+        self.ran_array = np.array(self.ran, np.intp)
+        self.inv_array = np.array(self.inv, np.intp)
+        self.leq_array = np.array(self.leq, bool).reshape(n, n)
+        self.composite = np.zeros((n, n), np.intp) - 1
+        pairs = np.array(list(self.compose), np.intp).reshape(-1, 2)
+        self.composite[pairs[:, 0], pairs[:, 1]] = list(self.compose.values())
+        ar = np.arange(n)
+        is_identity = (
+            (self.dom_array == ar) & (self.ran_array == ar) & (self.composite[ar, ar] == ar)
+        )
+        self.is_identity = is_identity.tolist()
+        self.identity_array = is_identity.nonzero()[0]
+        self.identities = self.identity_array.tolist()
+        # position of each identity in self.identities, -1 for other arrows
+        self.identity_pos = np.zeros(n, np.intp) - 1
+        self.identity_pos[self.identity_array] = np.arange(len(self.identities))
+
+    @cached_property
+    def restrictions(self):
+        """restrictions[i, g]: the unique arrow below g whose domain is the
+        i-th identity, or -1 where that identity is not below dom(g) or the
+        arrow is not unique."""
+        return _unique_below(self, self.dom_array)
+
+    @cached_property
+    def meets(self):
+        """meets[i, j]: the meet of the i-th and j-th identities among the
+        identities, or -1 where they have none."""
+        return _glbs(self, self.identity_array, self.identity_array)
 
     def star(self, x):
         """Arrows with domain x."""
         return [g for g in range(self.n) if self.dom[g] == x]
 
-    def _restriction_index(self):
-        if self._restriction is None:
-            idx = {}
-            for g in range(self.n):
-                for x in self.identities:
-                    if self.leq[x][self.dom[g]]:
-                        cands = [
-                            h
-                            for h in range(self.n)
-                            if self.dom[h] == x and self.leq[h][g]
-                        ]
-                        if len(cands) == 1:
-                            idx[(x, g)] = cands[0]
-            self._restriction = idx
-        return self._restriction
-
     def __repr__(self):
         return f"<ordered groupoid, {self.n} arrows, {len(self.identities)} identities>"
 
 
+def _unique_below(G, ends):
+    """[i, g] -> the one arrow h <= g with ends[h] the i-th identity x, or -1
+    where x is not below ends[g] or there is not exactly one such h."""
+    ids, L = G.identity_array, G.leq_array.astype(np.float32)
+    at = (ends == ids[:, None]).astype(np.float32)  # at[i, h]: ends[h] == x
+    count, total = at @ L, (at * np.arange(G.n, dtype=np.float32)) @ L
+    out = total.astype(np.intp)
+    out[~(G.leq_array[ids][:, ends] & (count == 1))] = -1
+    return out
+
+
+def _glbs(G, xs, ys):
+    """[i, j] -> the first identity z below xs[i] and ys[j] that every such
+    identity is below, or -1."""
+    ids, xs, ys = G.identity_array, np.array(xs, np.intp), np.array(ys, np.intp)
+    out = np.zeros((len(xs), len(ys)), np.intp) - 1
+    if not len(ids):
+        return out
+    below = G.leq_array[ids]                                # below[z, v]: z <= v
+    not_above = (~below[:, ids]).T.astype(np.float32)       # [z, w]: not w <= z
+    for rows in row_blocks(len(xs), len(ids) * len(ys)):
+        # lower[z, (i, j)]: z below xs[i] and ys[j], a block of rows i at a time
+        lower = (below[:, xs[rows], None] & below[:, None, ys]).reshape(len(ids), -1)
+        glb = lower & (not_above @ lower == 0)
+        has = glb.any(axis=0)
+        out[rows].reshape(-1)[has] = ids[glb.argmax(axis=0)[has]]
+    return out
+
+
 def verify_ordered_groupoid(G):
-    """Check every groupoid and order axiom; failures carry a witness."""
+    """Check every groupoid and order axiom; failures carry a witness.
+
+    Each axiom is decided by one sweep over the arrays; on a failure the
+    per-arrow loop body runs from the first flagged arrow to name the witness.
+    """
     rep = CheckReport(f"ordered groupoid axioms on {G!r}")
     n = G.n
+    dom, ran, inv = G.dom_array, G.ran_array, G.inv_array
+    L, C, ar = G.leq_array, G.composite, np.arange(n)
+    ids, is_id = G.identity_array, np.array(G.is_identity, bool)
 
-    def endpoint_failures():
-        for g in range(n):
-            if not (G.is_identity[G.dom[g]] and G.is_identity[G.ran[g]]):
-                yield f"arrow {g} has non-identity endpoint"
-            if G.inv[G.inv[g]] != g or G.dom[G.inv[g]] != G.ran[g] or G.ran[G.inv[g]] != G.dom[g]:
-                yield f"inverse of arrow {g} is malformed"
+    def endpoint_failures(g):
+        if not (G.is_identity[G.dom[g]] and G.is_identity[G.ran[g]]):
+            yield f"arrow {g} has non-identity endpoint"
+        if G.inv[G.inv[g]] != g or G.dom[G.inv[g]] != G.ran[g] or G.ran[G.inv[g]] != G.dom[g]:
+            yield f"inverse of arrow {g} is malformed"
 
-    rep.first_failure("endpoints_and_inverses", endpoint_failures())
+    rep.first_failure("endpoints_and_inverses", replay(
+        ~(is_id[dom] & is_id[ran]) | (inv[inv] != ar) | (dom[inv] != ran) | (ran[inv] != dom),
+        endpoint_failures,
+    ))
 
     rep.first_failure("composition_domain", (
         f"composability of ({g},{h}) disagrees with range/domain"
-        for g in range(n)
-        for h in range(n)
-        if ((g, h) in G.compose) != (G.ran[g] == G.dom[h])
+        for g, h in hits((C >= 0) != (ran[:, None] == dom))
     ))
 
-    def law_failures():
-        for g in range(n):
-            gd, gr = G.dom[g], G.ran[g]
-            if G.compose.get((gd, g)) != g or G.compose.get((g, gr)) != g:
-                yield f"identity laws fail at arrow {g}"
-            if G.compose.get((g, G.inv[g])) != gd or G.compose.get((G.inv[g], g)) != gr:
-                yield f"inverse laws fail at arrow {g}"
+    def law_failures(g):
+        gd, gr = G.dom[g], G.ran[g]
+        if G.compose.get((gd, g)) != g or G.compose.get((g, gr)) != g:
+            yield f"identity laws fail at arrow {g}"
+        if G.compose.get((g, G.inv[g])) != gd or G.compose.get((G.inv[g], g)) != gr:
+            yield f"inverse laws fail at arrow {g}"
 
-    rep.first_failure("identity_and_inverse_laws", law_failures())
+    rep.first_failure("identity_and_inverse_laws", replay(
+        (C[dom, ar] != ar) | (C[ar, ran] != ar) | (C[ar, inv] != dom) | (C[inv, ar] != ran),
+        law_failures,
+    ))
 
-    def associativity_failures():
-        for (g, h), gh in G.compose.items():
-            if G.dom[gh] != G.dom[g] or G.ran[gh] != G.ran[h]:
-                yield f"endpoints of composite ({g},{h}) are wrong"
-            for k in range(n):
-                if (h, k) in G.compose:
-                    if G.compose[(gh, k)] != G.compose[(g, G.compose[(h, k)])]:
-                        yield f"associativity fails at ({g},{h},{k})"
+    # composable pairs in the dict's order, each against every third arrow
+    items = list(G.compose.items())
+    pairs = np.array([pair for pair, _ in items], np.intp).reshape(-1, 2)
+    first, second = pairs[:, 0], pairs[:, 1]
+    both = np.array([gh for _, gh in items], np.intp)
+    flags = (dom[both] != dom[first]) | (ran[both] != ran[second])
+    for rows in row_blocks(len(items), n):
+        hk = C[second[rows]]
+        lhs, rhs = C[both[rows]], C[first[rows, None], hk]
+        flags[rows] |= ((hk >= 0) & ((lhs < 0) | (rhs < 0) | (lhs != rhs))).any(axis=1)
 
-    rep.first_failure("associativity", associativity_failures())
+    def associativity_failures(i):
+        (g, h), gh = items[i]
+        if G.dom[gh] != G.dom[g] or G.ran[gh] != G.ran[h]:
+            yield f"endpoints of composite ({g},{h}) are wrong"
+        for k in range(n):
+            if (h, k) in G.compose:
+                if G.compose[(gh, k)] != G.compose[(g, G.compose[(h, k)])]:
+                    yield f"associativity fails at ({g},{h},{k})"
 
-    def order_failures():
-        for a in range(n):
-            if not G.leq[a][a]:
-                yield f"order not reflexive at {a}"
-            for b in range(n):
-                if G.leq[a][b] and G.leq[b][a] and a != b:
-                    yield f"order not antisymmetric at ({a},{b})"
-                if G.leq[a][b]:
-                    for c in range(n):
-                        if G.leq[b][c] and not G.leq[a][c]:
-                            yield f"order not transitive at ({a},{b},{c})"
+    rep.first_failure("associativity", replay(flags, associativity_failures))
 
-    rep.first_failure("partial_order", order_failures())
+    def order_failures(a):
+        if not G.leq[a][a]:
+            yield f"order not reflexive at {a}"
+        for b in range(n):
+            if G.leq[a][b] and G.leq[b][a] and a != b:
+                yield f"order not antisymmetric at ({a},{b})"
+            if G.leq[a][b]:
+                for c in range(n):
+                    if G.leq[b][c] and not G.leq[a][c]:
+                        yield f"order not transitive at ({a},{b},{c})"
+
+    Lf = L.astype(np.float32)
+    rep.first_failure("partial_order", replay(
+        ~L[ar, ar]
+        | (L & L.T & (ar[:, None] != ar)).any(axis=1)
+        | ((Lf @ Lf > 0) & ~L).any(axis=1),
+        order_failures,
+    ))
 
     rep.first_failure("OG1_inversion_ordered", (
         f"OG1 fails at {g}<={h}"
-        for g in range(n)
-        for h in range(n)
-        if G.leq[g][h] and not G.leq[G.inv[g]][G.inv[h]]
+        for g, h in hits(L & ~L[inv][:, inv])
     ))
 
-    pairs = [(a, b) for a in range(n) for b in range(n) if G.leq[a][b]]
+    P1, P2 = L.nonzero()
+
+    def og2_mask(rows):
+        gh1, gh2 = C[P1[rows]][:, P1], C[P2[rows]][:, P2]
+        fails = (gh1 >= 0) & (gh2 >= 0)
+        fails[fails] = ~L[gh1[fails], gh2[fails]]
+        return fails
+
     rep.first_failure("OG2_composition_ordered", (
-        f"OG2 fails at {g1}<={g2}, {h1}<={h2}"
-        for g1, g2 in pairs
-        for h1, h2 in pairs
-        if (g1, h1) in G.compose and (g2, h2) in G.compose
-        if not G.leq[G.compose[(g1, h1)]][G.compose[(g2, h2)]]
+        f"OG2 fails at {P1[p]}<={P2[p]}, {P1[q]}<={P2[q]}"
+        for p, q in first_hits(len(P1), len(P1), og2_mask)
     ))
 
-    def restriction_failures():
-        for g in range(n):
-            for x in G.identities:
-                if G.leq[x][G.dom[g]]:
-                    cands = [h for h in range(n) if G.dom[h] == x and G.leq[h][g]]
-                    if len(cands) != 1:
-                        yield f"OG3: {len(cands)} restrictions of {g} to {x}: {cands}"
+    def restriction_failures(g):
+        for x in G.identities:
+            if G.leq[x][G.dom[g]]:
+                cands = [h for h in range(n) if G.dom[h] == x and G.leq[h][g]]
+                if len(cands) != 1:
+                    yield f"OG3: {len(cands)} restrictions of {g} to {x}: {cands}"
 
-    rep.first_failure("OG3_unique_restriction", restriction_failures())
+    R = G.restrictions
+    rep.first_failure("OG3_unique_restriction", replay(
+        (L[ids][:, dom] & (R < 0)).any(axis=0), restriction_failures
+    ))
 
-    def corestriction_failures():
-        if not rep.ok:
-            return
-        for g in range(n):
-            for y in G.identities:
-                if G.leq[y][G.ran[g]]:
-                    co = G.inv[restriction(G, y, G.inv[g])]
-                    if not (G.ran[co] == y and G.leq[co][g]):
-                        yield f"OG3*: derived corestriction of {g} to {y} is wrong"
-                    others = [h for h in range(n) if G.ran[h] == y and G.leq[h][g]]
-                    if others != [co]:
-                        yield f"OG3*: corestriction of {g} to {y} not unique"
+    def corestriction_failures(g):
+        for y in G.identities:
+            if G.leq[y][G.ran[g]]:
+                co = G.inv[restriction(G, y, G.inv[g])]
+                if not (G.ran[co] == y and G.leq[co][g]):
+                    yield f"OG3*: derived corestriction of {g} to {y} is wrong"
+                others = [h for h in range(n) if G.ran[h] == y and G.leq[h][g]]
+                if others != [co]:
+                    yield f"OG3*: corestriction of {g} to {y} not unique"
 
-    rep.first_failure("OG3star_corestriction", corestriction_failures())
+    witnesses = ()
+    if rep.ok:
+        to_inverse = R[:, inv]                       # (y | g^-1), -1 if none
+        co = inv[to_inverse]
+        wrong = (
+            (to_inverse < 0) | (ran[co] != ids[:, None]) | ~L[co, ar]
+            | (_unique_below(G, ran) != co)
+        )
+        witnesses = replay((L[ids][:, ran] & wrong).any(axis=0), corestriction_failures)
+    rep.first_failure("OG3star_corestriction", witnesses)
 
     rep.first_failure("identities_downward_closed", (
-        f"non-identity {g} below identity {x}"
-        for x in G.identities
-        for g in range(n)
-        if G.leq[g][x] and not G.is_identity[g]
+        f"non-identity {g} below identity {G.identities[x]}"
+        for x, g in hits(L[:, ids].T & ~is_id)
     ))
     return rep
 
@@ -167,10 +255,10 @@ def restriction(G, x, g):
     """The unique arrow (x|g) below g with domain x."""
     if not (G.is_identity[x] and G.leq[x][G.dom[g]]):
         raise NotBelowDomain(f"identity {x} is not below the domain of arrow {g}")
-    idx = G._restriction_index()
-    if (x, g) not in idx:
+    h = int(G.restrictions[G.identity_pos[x], g])
+    if h < 0:
         raise NotBelowDomain(f"no unique restriction of {g} to {x}")
-    return idx[(x, g)]
+    return h
 
 
 def corestriction(G, g, y):
@@ -180,11 +268,9 @@ def corestriction(G, g, y):
 
 def meet_identities(G, x, y):
     """Greatest lower bound of two identities, or None when absent."""
-    lower = [z for z in G.identities if G.leq[z][x] and G.leq[z][y]]
-    for z in lower:
-        if all(G.leq[w][z] for w in lower):
-            return z
-    return None
+    i, j = G.identity_pos[x], G.identity_pos[y]
+    z = G.meets[i, j] if i >= 0 and j >= 0 else _glbs(G, [x], [y])[0, 0]
+    return None if z < 0 else int(z)
 
 
 def pseudoproduct(G, a, b):
@@ -192,7 +278,11 @@ def pseudoproduct(G, a, b):
     ell = meet_identities(G, G.ran[a], G.dom[b])
     if ell is None:
         return None
-    return G.compose[(corestriction(G, a, ell), restriction(G, ell, b))]
+    pair = (corestriction(G, a, ell), restriction(G, ell, b))
+    ab = int(G.composite[pair])
+    if ab < 0:
+        raise KeyError(pair)
+    return ab
 
 
 # ---------------------------------------------------------------------------
@@ -205,30 +295,41 @@ def esn_forward(S):
     Arrows are the elements; composition ab is defined exactly when
     a^-1 a = b b^-1; the order is the natural partial order.
     """
-    n = S.size
-    mul, inv = S.mul, S.inv
-    dom = [mul[a][inv[a]] for a in range(n)]
-    ran = [mul[inv[a]][a] for a in range(n)]
-    compose = {
-        (a, b): mul[a][b] for a in range(n) for b in range(n) if ran[a] == dom[b]
-    }
-    order = S.natural_order()
-    leq = [[order.leq(a, b) for b in range(n)] for a in range(n)]
-    return OrderedGroupoid(dom, ran, inv, compose, leq, names=S.names)
+    M, I, ar = S.mul_array, S.inv_array, np.arange(S.size)
+    dom, ran = M[ar, I], M[I, ar]
+    g, h = (ran[:, None] == dom).nonzero()
+    compose = dict(zip(zip(g.tolist(), h.tolist()), M[g, h].tolist()))
+    return OrderedGroupoid(
+        dom.tolist(), ran.tolist(), S.inv, compose, S.natural_order().table, names=S.names
+    )
 
 
 def esn_back(G, cap=None):
     """Recover an inverse semigroup from an inductive ordered groupoid.
 
     Multiplication is the pseudoproduct; requires every pair of identities
-    to have a meet.
+    to have a meet.  The table is read from the meet, restriction and
+    composite tables at once; pairs it cannot settle there (an endpoint that
+    is not an identity, a missing restriction or composite) go through
+    pseudoproduct one by one, in row order, which raises where it must.
     """
-    for x in G.identities:
-        for y in G.identities:
-            if meet_identities(G, x, y) is None:
-                raise NotInductive(x, y)
+    missing = next(hits(G.meets < 0), None)
+    if missing is not None:
+        raise NotInductive(*(G.identities[i] for i in missing))
     n = G.n
-    mul = [[pseudoproduct(G, a, b) for b in range(n)] for a in range(n)]
+    unsettled = ~np.zeros((n, n), bool)
+    ab = np.zeros((n, n), np.intp) - 1
+    if G.identities:  # with none, every pair is unsettled and has no meet
+        R, pos, inv = G.restrictions, G.identity_pos, G.inv_array
+        x, y = pos[G.ran_array][:, None], pos[G.dom_array]
+        ell = pos[G.meets[x, y]]                # position of ran(a) ^ dom(b)
+        to_inverse = R[ell, inv[:, None]]       # (l | a^-1), whose inverse is (a | l)
+        to_b = R[ell, np.arange(n)]             # (l | b)
+        ab = G.composite[inv[to_inverse], to_b]
+        unsettled = (x < 0) | (y < 0) | (to_inverse < 0) | (to_b < 0) | (ab < 0)
+    mul = ab.tolist()
+    for a, b in hits(unsettled):
+        mul[a][b] = pseudoproduct(G, a, b)
     return build_from_table(G.names, mul, cap=cap)
 
 

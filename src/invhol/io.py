@@ -102,7 +102,7 @@ def read_groupoid(path):
             leq[a][b] = True
         names = obj.get("names")
         return OrderedGroupoid(dom, ran, inv, compose, leq, names=names)
-    except (TypeError, IndexError, KeyError) as exc:
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise ParseError(f"{path}: malformed groupoid data: {exc}") from exc
 
 

@@ -907,11 +907,12 @@ def heap_type_check_polycyclic(n=2, L=1, param_len=2, deep_reps=True):
             break
     rep.add("diagonal_constant_acts_as_translation", w is None, w)
 
+    pad = tuple(letters(n))[2:]  # letters past 'b' map to themselves
     sig_reps = [
         tuple(letters(n)),
-        ("aa", "ba") if n >= 2 else ("aa",),
-        ("ab", "b") if n >= 2 else ("a",),
-        ("b", "a") if n >= 2 else ("",),
+        ("aa", "ba") + pad if n >= 2 else ("aa",),
+        ("ab", "b") + pad if n >= 2 else ("a",),
+        ("b", "a") + pad if n >= 2 else ("",),
     ]
     w = None
     for images in sig_reps:
@@ -1108,7 +1109,9 @@ def verify_zappa(n=2, L=3, samples=6, seed=0, store=None):
     )
     maps = [SuffixMap.identity(n, store), SuffixMap.right_translation(n, store, "a")]
     if n >= 2:
-        maps.append(SuffixMap.from_affine(n, store, ("ba", "b"), "a"))
+        maps.append(
+            SuffixMap.from_affine(n, store, ("ba", "b") + tuple(letters(n))[2:], "a")
+        )
         maps.append(SuffixMap.constant(n, store, "ab"))
     for _ in range(samples):
         maps.append(SuffixMap.random(n, store, rng))

@@ -11,6 +11,7 @@ from string import ascii_lowercase
 import numpy as np
 
 from invhol.core import build_from_table
+from invhol.errors import NotAssociative, NotBelowDomain, NotIdempotent, NotInductive, NotInverse
 from invhol.holomorph import (
     hol_action,
     hol_diamond,
@@ -18,6 +19,7 @@ from invhol.holomorph import (
     hol_identity,
 )
 from invhol.errors import NotSuffixPreserving, WindowExceeded
+from invhol.report import CheckReport
 from invhol.polycyclic import AffineWordMap, _inv, _mul
 
 
@@ -359,3 +361,330 @@ class DictSuffixMap:
                     )
                     table[u] = snippet + table[u[1:]]
         return DictSuffixMap(n, L, table)
+
+
+# ---------------------------------------------------------------------------
+# the table layer by plain loops: the references for the numpy sweeps of
+# core.InverseSemigroup, core.NaturalOrder, core.verify_semigroup_properties,
+# groupoid.verify_ordered_groupoid and groupoid.esn_back
+
+
+def inverse_semigroup_scans(names, mul):
+    """What the InverseSemigroup constructor derives from a table, by
+    exhaustive scans: {"inv", "idempotents", "identity", "zero"}, or the
+    constructor's exception for a table that is not an inverse semigroup."""
+    n = len(mul)
+    if n == 0:
+        raise ValueError("multiplication table is empty")
+    if names is None:
+        names = [f"x{i}" for i in range(n)]
+    if len(names) != n:
+        raise ValueError("names and table size disagree")
+    for row in mul:
+        if len(row) != n:
+            raise ValueError("multiplication table is not square")
+        for v in row:
+            if not (isinstance(v, int) and 0 <= v < n):
+                raise ValueError(f"table entry {v!r} out of range")
+    witness = first_nonassociative_by_loops(range(n), lambda a, b: mul[a][b])
+    if witness is not None:
+        raise NotAssociative(*witness)
+    inv = []
+    for a in range(n):
+        cands = [
+            b
+            for b in range(n)
+            if mul[mul[a][b]][a] == a and mul[mul[b][a]][b] == b
+        ]
+        if len(cands) != 1:
+            raise NotInverse(f"element {a} ({names[a]}) has {len(cands)} inverses: {cands}")
+        inv.append(cands[0])
+    idempotents = [a for a in range(n) if mul[a][a] == a]
+    for i, e in enumerate(idempotents):
+        for f in idempotents[i + 1:]:
+            if mul[e][f] != mul[f][e]:
+                raise NotInverse(f"idempotents {e} and {f} do not commute")
+    identity = next(
+        (e for e in range(n) if all(mul[e][a] == a and mul[a][e] == a for a in range(n))),
+        None,
+    )
+    zero = next(
+        (z for z in range(n) if all(mul[z][a] == z and mul[a][z] == z for a in range(n))),
+        None,
+    )
+    return {"inv": inv, "idempotents": idempotents, "identity": identity, "zero": zero}
+
+
+def natural_order_by_loops(S, diagnostics=True):
+    """The table of a <= b iff a = a a^-1 b over S.mul and S.inv; with
+    diagnostics, the AssertionError naming the first pair (a, b) at which
+    a = b a^-1 a, a = be and a = eb (e idempotent) do not all agree with it."""
+    n = S.size
+    mul, inv = S.mul, S.inv
+    table = [[mul[mul[a][inv[a]]][b] == a for b in range(n)] for a in range(n)]
+    if diagnostics:
+        E = S.idempotents
+        for a in range(n):
+            for b in range(n):
+                c1 = table[a][b]
+                c2 = mul[b][mul[inv[a]][a]] == a
+                c3 = any(mul[b][e] == a for e in E)
+                c4 = any(mul[e][b] == a for e in E)
+                if not (c1 == c2 == c3 == c4):
+                    raise AssertionError(
+                        f"natural-order characterisations disagree at "
+                        f"({a},{b}): {c1},{c2},{c3},{c4}"
+                    )
+    return table
+
+
+def meet_idempotents_by_scan(S, e, f, table):
+    """The product of two idempotents, checked to be their glb in `table`."""
+    if not S.is_idempotent[e]:
+        raise NotIdempotent(f"element {e} ({S.names[e]}) is not idempotent")
+    if not S.is_idempotent[f]:
+        raise NotIdempotent(f"element {f} ({S.names[f]}) is not idempotent")
+    m = S.mul[e][f]
+    assert table[m][e] and table[m][f], "product of idempotents is not a lower bound"
+    for h in S.idempotents:
+        if table[h][e] and table[h][f] and not table[h][m]:
+            raise AssertionError(f"idempotent product {m} is not the glb of {e},{f}")
+    return m
+
+
+def semigroup_properties_by_loops(S):
+    """verify_semigroup_properties by generators over every element, pair and
+    pair of order pairs, reading the order from S.natural_order().table."""
+    rep = CheckReport(f"inverse semigroup properties on {S!r}")
+    n = S.size
+    mul, inv = S.mul, S.inv
+
+    rep.first_failure("regularity_and_involution", (
+        f"a={a}"
+        for a in range(n)
+        if mul[mul[a][inv[a]]][a] != a or inv[inv[a]] != a
+    ))
+    try:
+        natural_order_by_loops(S, diagnostics=True)
+        rep.add("order_characterisations_agree", True)
+    except AssertionError as exc:
+        rep.add("order_characterisations_agree", False, str(exc))
+    table = S.natural_order().table
+
+    def leq(a, b):
+        return table[a][b]
+
+    rep.first_failure("order_compatible_with_inversion", (
+        f"{a}<={b}"
+        for a in range(n)
+        for b in range(n)
+        if leq(a, b) and not leq(inv[a], inv[b])
+    ))
+    pairs = [(a, b) for a in range(n) for b in range(n) if leq(a, b)]
+    rep.first_failure("order_compatible_with_multiplication", (
+        f"{a1}<={a2}, {b1}<={b2}"
+        for a1, a2 in pairs
+        for b1, b2 in pairs
+        if not leq(mul[a1][b1], mul[a2][b2])
+    ))
+    rep.first_failure("elements_below_their_squares_are_idempotent", (
+        f"x={x}"
+        for x in range(n)
+        if leq(x, mul[x][x]) and mul[x][x] != x
+    ))
+
+    def meet(e, f):
+        return meet_idempotents_by_scan(S, e, f, table)
+
+    def meet_failures():
+        for e in S.idempotents:
+            for f in S.idempotents:
+                if mul[e][f] != mul[f][e]:
+                    yield f"({e},{f}) do not commute"
+                try:
+                    m1 = meet(e, f)
+                except AssertionError as exc:
+                    yield str(exc)
+                    return
+                for g in S.idempotents:
+                    if meet(m1, g) != meet(e, meet(f, g)):
+                        yield f"meet not associative at ({e},{f},{g})"
+
+    rep.first_failure("idempotent_meets", meet_failures())
+    return rep
+
+
+def restriction_by_scan(G, x, g):
+    """The unique arrow below g with domain x, by a scan over every arrow."""
+    if not (G.is_identity[x] and G.leq[x][G.dom[g]]):
+        raise NotBelowDomain(f"identity {x} is not below the domain of arrow {g}")
+    cands = [h for h in range(G.n) if G.dom[h] == x and G.leq[h][g]]
+    if len(cands) != 1:
+        raise NotBelowDomain(f"no unique restriction of {g} to {x}")
+    return cands[0]
+
+
+def ordered_groupoid_axioms_by_loops(G):
+    """verify_ordered_groupoid by generators over every arrow, pair, triple
+    and pair of order pairs, reading G.compose, G.leq and the endpoints."""
+    rep = CheckReport(f"ordered groupoid axioms on {G!r}")
+    n = G.n
+
+    def endpoint_failures():
+        for g in range(n):
+            if not (G.is_identity[G.dom[g]] and G.is_identity[G.ran[g]]):
+                yield f"arrow {g} has non-identity endpoint"
+            if G.inv[G.inv[g]] != g or G.dom[G.inv[g]] != G.ran[g] or G.ran[G.inv[g]] != G.dom[g]:
+                yield f"inverse of arrow {g} is malformed"
+
+    rep.first_failure("endpoints_and_inverses", endpoint_failures())
+    rep.first_failure("composition_domain", (
+        f"composability of ({g},{h}) disagrees with range/domain"
+        for g in range(n)
+        for h in range(n)
+        if ((g, h) in G.compose) != (G.ran[g] == G.dom[h])
+    ))
+
+    def law_failures():
+        for g in range(n):
+            gd, gr = G.dom[g], G.ran[g]
+            if G.compose.get((gd, g)) != g or G.compose.get((g, gr)) != g:
+                yield f"identity laws fail at arrow {g}"
+            if G.compose.get((g, G.inv[g])) != gd or G.compose.get((G.inv[g], g)) != gr:
+                yield f"inverse laws fail at arrow {g}"
+
+    rep.first_failure("identity_and_inverse_laws", law_failures())
+
+    def associativity_failures():
+        for (g, h), gh in G.compose.items():
+            if G.dom[gh] != G.dom[g] or G.ran[gh] != G.ran[h]:
+                yield f"endpoints of composite ({g},{h}) are wrong"
+            for k in range(n):
+                if (h, k) in G.compose:
+                    if G.compose[(gh, k)] != G.compose[(g, G.compose[(h, k)])]:
+                        yield f"associativity fails at ({g},{h},{k})"
+
+    rep.first_failure("associativity", associativity_failures())
+
+    def order_failures():
+        for a in range(n):
+            if not G.leq[a][a]:
+                yield f"order not reflexive at {a}"
+            for b in range(n):
+                if G.leq[a][b] and G.leq[b][a] and a != b:
+                    yield f"order not antisymmetric at ({a},{b})"
+                if G.leq[a][b]:
+                    for c in range(n):
+                        if G.leq[b][c] and not G.leq[a][c]:
+                            yield f"order not transitive at ({a},{b},{c})"
+
+    rep.first_failure("partial_order", order_failures())
+    rep.first_failure("OG1_inversion_ordered", (
+        f"OG1 fails at {g}<={h}"
+        for g in range(n)
+        for h in range(n)
+        if G.leq[g][h] and not G.leq[G.inv[g]][G.inv[h]]
+    ))
+    pairs = [(a, b) for a in range(n) for b in range(n) if G.leq[a][b]]
+    rep.first_failure("OG2_composition_ordered", (
+        f"OG2 fails at {g1}<={g2}, {h1}<={h2}"
+        for g1, g2 in pairs
+        for h1, h2 in pairs
+        if (g1, h1) in G.compose and (g2, h2) in G.compose
+        if not G.leq[G.compose[(g1, h1)]][G.compose[(g2, h2)]]
+    ))
+
+    def restriction_failures():
+        for g in range(n):
+            for x in G.identities:
+                if G.leq[x][G.dom[g]]:
+                    cands = [h for h in range(n) if G.dom[h] == x and G.leq[h][g]]
+                    if len(cands) != 1:
+                        yield f"OG3: {len(cands)} restrictions of {g} to {x}: {cands}"
+
+    rep.first_failure("OG3_unique_restriction", restriction_failures())
+
+    def corestriction_failures():
+        if not rep.ok:
+            return
+        for g in range(n):
+            for y in G.identities:
+                if G.leq[y][G.ran[g]]:
+                    co = G.inv[restriction_by_scan(G, y, G.inv[g])]
+                    if not (G.ran[co] == y and G.leq[co][g]):
+                        yield f"OG3*: derived corestriction of {g} to {y} is wrong"
+                    others = [h for h in range(n) if G.ran[h] == y and G.leq[h][g]]
+                    if others != [co]:
+                        yield f"OG3*: corestriction of {g} to {y} not unique"
+
+    rep.first_failure("OG3star_corestriction", corestriction_failures())
+    rep.first_failure("identities_downward_closed", (
+        f"non-identity {g} below identity {x}"
+        for x in G.identities
+        for g in range(n)
+        if G.leq[g][x] and not G.is_identity[g]
+    ))
+    return rep
+
+
+def meet_identities_by_scan(G, x, y):
+    """The first identity below x and y that every such identity is below."""
+    lower = [z for z in G.identities if G.leq[z][x] and G.leq[z][y]]
+    for z in lower:
+        if all(G.leq[w][z] for w in lower):
+            return z
+    return None
+
+
+def pseudoproduct_by_scans(G, a, b):
+    """(a|l)(l|b) for the meet l of ran(a) and dom(b), each part by a scan;
+    None without a meet, KeyError when the two parts do not compose."""
+    ell = meet_identities_by_scan(G, G.ran[a], G.dom[b])
+    if ell is None:
+        return None
+    co = G.inv[restriction_by_scan(G, ell, G.inv[a])]
+    return G.compose[(co, restriction_by_scan(G, ell, b))]
+
+
+def esn_back_by_loops(G, cap=None):
+    """esn_back with every meet and every pseudoproduct found by a scan."""
+    for x in G.identities:
+        for y in G.identities:
+            if meet_identities_by_scan(G, x, y) is None:
+                raise NotInductive(x, y)
+    mul = [[pseudoproduct_by_scans(G, a, b) for b in range(G.n)] for a in range(G.n)]
+    return build_from_table(G.names, mul, cap=cap)
+
+
+def inverse_subsemigroup(n, gens, cap=20):
+    """The inverse subsemigroup of I_n generated by the partial bijections
+    `gens` and their inverses, or None past `cap` elements.
+
+    A partial bijection is a length-n tuple whose i-th entry is the image of
+    point i+1, 0 where undefined; products compose left to right, as in
+    core.build_symmetric_inverse_monoid.  Elements are sorted and named in
+    that one-line notation.
+    """
+    def compose(f, g):
+        return tuple(g[x - 1] if x else 0 for x in f)
+
+    def inverse(f):
+        out = [0] * n
+        for i, x in enumerate(f):
+            if x:
+                out[x - 1] = i + 1
+        return tuple(out)
+
+    elems = set(gens) | {inverse(g) for g in gens}
+    frontier = list(elems)
+    while frontier:
+        new = {compose(a, b) for a in frontier for b in elems}
+        new |= {compose(b, a) for a in frontier for b in elems}
+        frontier = list(new - elems)
+        elems |= new
+        if len(elems) > cap:
+            return None
+    elems = sorted(elems)
+    index = {f: i for i, f in enumerate(elems)}
+    names = ["".join("-" if x == 0 else str(x) for x in f) or "()" for f in elems]
+    return build_from_table(names, [[index[compose(a, b)] for b in elems] for a in elems])

@@ -44,6 +44,26 @@ def test_verify_empty_file_exits_2(files, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "hol", "sha", "esn", "flows"])
+def test_empty_table_exits_2(tmp_path, capsys, command):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"mul": []}\n')
+    assert main([command, str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {empty}: multiplication table is empty\n"
+
+
+def test_groupoid_index_out_of_range_exits_2(tmp_path, capsys):
+    bad = tmp_path / "badg.json"
+    # one identity arrow whose inverse points past the arrow list
+    bad.write_text('{"arrows": [[0, 0, 3]], "compose": [[0, 0, 0]], "leq": [[0, 0]]}\n')
+    assert main(["verify", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: malformed groupoid data: inverse 3 out of range\n"
+    )
+
+
 def test_verify_corrupted_groupoid_exits_1(files, capsys, tmp_path):
     _, paths = files
     from invhol import groupoid as gp

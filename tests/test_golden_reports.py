@@ -24,6 +24,7 @@ TABLES = ["chain2", "clifford4", "i2", "z2", "z3"]
 # the zoo's largest holomorphs (S3: 60 pairs, V4: 64), from catalog.standard_examples()
 LARGE = ["s3", "v4"]
 POLY_CHECKS = ["arith", "bicyclic", "functors", "endo", "heap"]
+BROKEN = ["nonassociative", "two_inverses", "noncommuting_idempotents"]
 
 
 def _cases():
@@ -45,6 +46,25 @@ def _cases():
         ]
         cases[f"poly_zappa_alphabet1_{fmt}"] = [
             "poly", "--check", "zappa", "--alphabet", "1", "--format", fmt
+        ]
+        # the top rung of the validation and ESN ladder below I4
+        for cmd in ["verify", "esn"]:
+            cases[f"{cmd}_i3_{fmt}"] = [cmd, "tests/golden/i3.json", "--format", fmt]
+        # tables the constructor rejects: I2 with one product changed, the
+        # two-element left-zero band, and a right-zero band with an identity
+        # adjoined, whose idempotents e, f do not commute (ef = f, fe = e); in
+        # a regular semigroup that shows first as an element with two inverses
+        for broken in BROKEN:
+            cases[f"verify_broken_{broken}_{fmt}"] = [
+                "verify", f"tests/golden/broken_{broken}.json", "--format", fmt
+            ]
+        # three letters: the letter images past 'b' are padded with the letters
+        cases[f"poly_zappa_alphabet3_{fmt}"] = [
+            "poly", "--check", "zappa", "--alphabet", "3", "--maxlen", "2",
+            "--samples", "3", "--format", fmt
+        ]
+        cases[f"poly_heap_alphabet3_{fmt}"] = [
+            "poly", "--check", "heap", "--alphabet", "3", "--maxlen", "1", "--format", fmt
         ]
         cases[f"verify_corrupt_groupoid_{fmt}"] = [
             "verify", "tests/golden/corrupt_i2_groupoid.json", "--format", fmt
