@@ -88,10 +88,15 @@ def replay(flagged, witnesses):
         yield from witnesses(r)
 
 
-def row_blocks(rows, width, entries=1 << 16):
-    """Slices of ``rows`` rows each at most ``entries`` // ``width`` long, so a
-    sweep over rows x width pairs keeps its temporaries small."""
-    step = max(1, entries // max(width, 1))
+# entries per block of a row-chunked sweep: 64k entries keep each temporary
+# near 0.5 MB, while the ~10 us cost of a numpy call stays small per block
+BLOCK_ENTRIES = 1 << 16
+
+
+def row_blocks(rows, width):
+    """Slices of ``rows`` rows each at most BLOCK_ENTRIES // ``width`` long, so
+    a sweep over rows x width pairs keeps its temporaries small."""
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
     return [slice(start, min(rows, start + step)) for start in range(0, rows, step)]
 
 

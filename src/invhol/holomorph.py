@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import first_nonassociative
+from .core import first_nonassociative, first_nonassociative_table
 from .errors import NotMonoid, SizeCap
 from .morphisms import ElementMap, enumerate_premorphisms
 from .report import CheckReport
@@ -208,7 +208,7 @@ def verify_hol_monoid(S, table=None):
 
     rep.first_failure("two_sided_identity", identity_failures())
 
-    bad = first_nonassociative(range(n), D.item)
+    bad = first_nonassociative_table(D)
     rep.add("diamond_associative", bad is None,
             bad and "associativity fails at ({},{},{})".format(*bad))
 

@@ -221,10 +221,11 @@ def _check_line(rep, name):
 
 
 def test_table_checks_match_loop_oracles(zoo):
-    # the table-driven units, monoid_action and interchange_law against plain
-    # element loops reading the same table, on the true table and on copies
-    # with one diamond entry changed
-    failing = {"units": 0, "monoid_action": 0, "interchange_law": 0}
+    # the table-driven units, diamond_associative, monoid_action and
+    # interchange_law against plain element loops reading the same table, on
+    # the true table and on copies with one diamond entry changed
+    failing = {"units": 0, "monoid_action": 0, "interchange_law": 0,
+               "diamond_associative": 0}
     for name, S in zoo.items():
         table = hol_table(S)
         n = len(table.pairs)
@@ -245,7 +246,14 @@ def test_table_checks_match_loop_oracles(zoo):
             assert units == oracles.holomorph_units_by_definition(S, t), name
             failing["units"] += units != holomorph_units(S, table)
 
-            action = _check_line(verify_hol_monoid(S, t), "monoid_action")
+            monoid = verify_hol_monoid(S, t)
+            assoc = _check_line(monoid, "diamond_associative")
+            w = oracles.first_nonassociative_by_loops(range(n), t.diamond.item)
+            assert (assoc.ok, assoc.witness) == (
+                w is None, w and "associativity fails at ({},{},{})".format(*w)), name
+            failing["diamond_associative"] += not assoc.ok
+
+            action = _check_line(monoid, "monoid_action")
             w = oracles.monoid_action_witness(S, t)
             assert (action.ok, action.witness, action.detail) == (w is None, w, None), name
             failing["monoid_action"] += not action.ok
