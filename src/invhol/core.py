@@ -88,8 +88,8 @@ def replay(flagged, witnesses):
         yield from witnesses(r)
 
 
-# entries per block of a row-chunked sweep: 64k entries keep each temporary
-# near 0.5 MB, while the ~10 us cost of a numpy call stays small per block
+# entries per block of a row-chunked sweep: an int64 temporary of 64k entries
+# is 0.5 MB, and a block still holds enough work to amortise its numpy calls
 BLOCK_ENTRIES = 1 << 16
 
 
