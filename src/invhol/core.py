@@ -158,11 +158,9 @@ class InverseSemigroup:
         self.is_idempotent = (M[ar, ar] == ar).tolist()
         self.idempotents = [a for a in range(n) if self.is_idempotent[a]]
         self.idempotent_position = {e: i for i, e in enumerate(self.idempotents)}
-        E = np.array(self.idempotents)
-        EE = M[E][:, E]
-        for i, j in hits((EE != EE.T) & (E[:, None] < E)):
-            e, f = self.idempotents[i], self.idempotents[j]
-            raise NotInverse(f"idempotents {e} and {f} do not commute")
+        # idempotents need no check that they commute: every element has
+        # exactly one inverse, and a regular semigroup with unique inverses
+        # has commuting idempotents
 
         def first_or_none(mask):
             return int(mask.argmax()) if mask.any() else None

@@ -2,7 +2,10 @@
 self-maps preserving it, with its embedding into the holomorph.
 """
 
-from .errors import NotHeapPreserving
+import numpy as np
+
+from .core import row_blocks
+from .errors import NotHeapPreserving, SearchBudgetExceeded
 from .holomorph import (
     HolElement,
     hol_action,
@@ -15,7 +18,7 @@ from .holomorph import (
 )
 from .morphisms import DEFAULT_NODE_BUDGET, is_endomorphism, is_ordered_map, is_premorphism
 from .report import CheckReport
-from .search import assert_transformation_monoid, backtrack
+from .search import assert_transformation_monoid
 
 
 def heap(S, a, b, c):
@@ -64,45 +67,150 @@ class HeapMap:
         return f"HeapMap{self.eta}"
 
 
-def _heap_check_schedule(S):
-    """Triples (a,b,c) grouped by the level at which they become checkable
-    (all of a, b, c and the heap value assigned)."""
-    sched = [[] for _ in range(S.size)]
-    for a in range(S.size):
-        for b in range(S.size):
-            for c in range(S.size):
-                h = heap(S, a, b, c)
-                sched[max(a, b, c, h)].append((a, b, c, h))
-    return sched
+def _forcing_plan(S):
+    """The order in which enumerate_sha places the elements, and what each
+    level checks.
+
+    The smallest unplaced element is a branching position; the placed set is
+    then closed under <a,b,c>, each newly reached element appended in
+    ascending order as a derived position with its first witness (a, b, c)
+    among the elements placed before it.  Every heap triple (a, b, c, h) and
+    every strict order pair a < b is checked at the level of its last-placed
+    member.  Returns (order, witnesses, pairs, triples): witnesses[k] is None
+    at a branching level, pairs[k] is (A, B) and triples[k] is (A, B, C, H),
+    arrays of element indices.
+    """
+    n = S.size
+    mul = S.mul_array.astype(np.int32)
+    H = mul[mul[:, S.inv_array]]                    # H[a, b, c] = <a, b, c>
+    placed = np.zeros(n, bool)
+    order, witnesses = [], []
+    while len(order) < n:
+        order.append(int(placed.argmin()))
+        witnesses.append(None)
+        placed[order[-1]] = True
+        while True:
+            P = placed.nonzero()[0]
+            reached = H[P][:, P][:, :, P].ravel()
+            new = np.zeros(n, bool)
+            new[reached] = True
+            new &= ~placed
+            if not new.any():
+                break
+            k = len(P)
+            for h in new.nonzero()[0].tolist():
+                i = int((reached == h).argmax())
+                order.append(h)
+                witnesses.append((int(P[i // (k * k)]), int(P[i // k % k]), int(P[i % k])))
+            placed |= new
+
+    rank = np.empty(n, np.int32)
+    rank[order] = np.arange(n)
+
+    def by_level(levels):
+        """The indices of `levels`, grouped by level and ascending within one."""
+        by = levels.argsort(kind="stable")
+        bounds = levels[by].searchsorted(np.arange(n + 1)).tolist()
+        return [by[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    levels = np.maximum(np.maximum(rank[:, None], rank)[:, :, None], rank)
+    np.maximum(levels, rank[H], out=levels)
+    triples = [
+        tuple(x.astype(np.int32) for x in (t // (n * n), t // n % n, t % n, H.ravel()[t]))
+        for t in by_level(levels.ravel())
+    ]
+    lo, hi = (S.natural_order().array & (np.arange(n)[:, None] != np.arange(n))).nonzero()
+    pairs = [(lo[i], hi[i]) for i in by_level(np.maximum(rank[lo], rank[hi]))]
+    return order, witnesses, pairs, triples
 
 
 def enumerate_sha(S, budget=DEFAULT_NODE_BUDGET):
     """All ordered heap-preserving self-maps, lexicographic by value vector.
 
-    Depth-first over assignments in element order; a triple is checked as
-    soon as its three arguments and its value are assigned, an order pair as
-    soon as both sides are.  The result is asserted to be a monoid.
+    Once eta(a), eta(b) and eta(c) are fixed, eta(<a,b,c>) is forced, so the
+    search branches only on the branching positions of _forcing_plan and
+    fills each derived position with one gather.  It runs depth first over
+    blocks of partial vectors (int32 rows indexed by element, at most
+    core.BLOCK_ENTRIES entries per gather); a level keeps the rows that pass
+    its order pairs and then its heap triples, the triples tested in slices
+    of 16, 32, 64, ... so that most wrong rows die on a short prefix.
+
+    The branching positions ascend and every element below one is placed
+    before it, so the blocks, each branched in value order, come out in
+    lexicographic order without a sort.  One node is counted for the root and
+    one for each partial vector that passes its level, as search.backtrack
+    counts; past `budget` nodes SearchBudgetExceeded is raised with the
+    vectors found so far.  The result is asserted to be a monoid.
     """
     n = S.size
-    mul, inv = S.mul, S.inv
-    leq = S.natural_order().leq
-    sched = _heap_check_schedule(S)
-    order_pairs = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a != b and leq(a, b):
-                order_pairs[max(a, b)].append((a, b))
+    mul = S.mul_array.astype(np.int32)
+    # flat gathers: mul[Q[x, y], z] is mul_flat[Qn[x * n + y] + z]
+    mul_flat = mul.ravel()
+    Qn = (mul[:, S.inv_array] * n).ravel()
+    leq = S.natural_order().array
+    order, witnesses, pairs, triples = _forcing_plan(S)
+    values = np.arange(n, dtype=np.int32)
+    found = []
+    nodes = 0
 
-    def ok_at(eta, k):
-        for a, b in order_pairs[k]:
-            if not leq(eta[a], eta[b]):
-                return False
-        for a, b, c, h in sched[k]:
-            if eta[h] != mul[mul[eta[a]][inv[eta[b]]]][eta[c]]:
-                return False
-        return True
+    def heap_of(R, a, b, c):
+        """<R[:, a], R[:, b], R[:, c]> for each row of R."""
+        return mul_flat[Qn[R[:, a] * n + R[:, b]] + R[:, c]]
 
-    vecs = backtrack([range(n)] * n, ok_at, budget)
+    def keep(R, width, ok):
+        """The rows of R on which ok holds, tested a row block at a time."""
+        mask = np.empty(len(R), bool)
+        for rows in row_blocks(len(R), width):
+            mask[rows] = ok(R[rows])
+        return R[mask]
+
+    def passing(R, k):
+        # a <= b iff a = <a, a, b>, so the order pairs are implied by the
+        # triples; they go first as the cheaper filter
+        A, B = pairs[k]
+        if len(A):
+            R = keep(R, len(A), lambda X: leq[X[:, A], X[:, B]].all(axis=1))
+        A, B, C, Hs = triples[k]
+        lo, step = 0, 16
+        while lo < len(A) and len(R):
+            cut = slice(lo, lo + step)
+            a, b, c, h = A[cut], B[cut], C[cut], Hs[cut]
+            R = keep(R, len(a), lambda X: (heap_of(X, a, b, c) == X[:, h]).all(axis=1))
+            lo, step = lo + step, 2 * step
+        return R
+
+    def visit(R):
+        nonlocal nodes
+        nodes += len(R)
+        if budget is not None and nodes > budget:
+            raise SearchBudgetExceeded(budget + 1, sum(map(len, found)), budget)
+
+    def branch(R, pos):
+        """Each row of R once with every value at pos, in value order."""
+        X = R.repeat(n, axis=0)
+        X.reshape(-1, n, n)[:, :, pos] = values
+        return X
+
+    def descend(k, R):
+        if not len(R):
+            return
+        if k == n:
+            found.append(R)
+            return
+        if witnesses[k] is None:
+            blocks = (branch(R[rows], order[k]) for rows in row_blocks(len(R), n * n))
+        else:
+            R[:, order[k]] = heap_of(R, *witnesses[k])
+            blocks = [R]
+        for X in blocks:
+            X = passing(X, k)
+            visit(X)
+            descend(k + 1, X)
+
+    root = np.zeros((1, n), np.int32)
+    visit(root)
+    descend(0, root)
+    vecs = [tuple(row) for row in np.concatenate(found).tolist()]
     assert_transformation_monoid(vecs, "heap maps")
     return [HeapMap(S, eta) for eta in vecs]
 

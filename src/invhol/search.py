@@ -1,8 +1,10 @@
-"""The one backtracking search behind every enumeration of value vectors.
+"""The backtracking search behind the enumerations of value vectors, and
+the row-key lookup for sets of them.
 
-Premorphisms, endomorphisms, ordered heap maps and the tau halves of
-holomorph pairs are all vectors chosen position by position from candidate
-lists, pruned by a check at the position just assigned.
+Premorphisms, endomorphisms and the tau halves of holomorph pairs are
+vectors chosen position by position from candidate lists, pruned by a check
+at the position just assigned.  The ordered heap maps are found by a forced
+numpy search in heap.py instead, which counts its nodes the same way.
 """
 
 import numpy as np

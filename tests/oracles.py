@@ -1,14 +1,20 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here enumerates the raw function space and filters by the defining
-property directly, bypassing the library's pruned searches.
+The searches here enumerate the raw function space and filter by the
+defining property directly, bypassing the library's pruned searches; the
+plain loops and the element-order heap search are the code that the
+library's numpy sweeps and forced heap search replaced, kept as references.
+A hypothesis strategy draws random inverse subsemigroups of I_n.
 """
 
+import random
 import re
 from itertools import permutations, product
 from string import ascii_lowercase
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from invhol.core import build_from_table
 from invhol.errors import NotAssociative, NotBelowDomain, NotIdempotent, NotInductive, NotInverse
@@ -20,6 +26,7 @@ from invhol.holomorph import (
 )
 from invhol.errors import NotSuffixPreserving, WindowExceeded
 from invhol.report import CheckReport
+from invhol.search import backtrack
 from invhol.polycyclic import AffineWordMap, _inv, _mul
 
 
@@ -104,6 +111,15 @@ def relabelled(S, p):
         for b in range(n):
             mul[p[a]][p[b]] = p[S.mul[a][b]]
     return build_from_table(names, mul)
+
+
+def seeded_relabellings(S, name, count):
+    """`count` relabelled copies of S, the i-th (from 1) by the permutation
+    that random.Random(f"{name}/{i}") shuffles."""
+    for seed in range(1, count + 1):
+        p = list(range(S.size))
+        random.Random(f"{name}/{seed}").shuffle(p)
+        yield relabelled(S, p)
 
 
 def hol_table_by_diamonds(S, hol):
@@ -203,6 +219,37 @@ def ordered_heap_maps_by_filter(S):
         if ok:
             out.append(t)
     return out
+
+
+def ordered_heap_maps_by_schedule(S):
+    """The ordered heap maps as value vectors in lexicographic order, by a
+    depth-first search over the elements in index order, trying every value
+    at every position: a triple (a, b, c) is checked, one at a time, as soon
+    as a, b, c and <a,b,c> are assigned, an order pair as soon as both
+    sides are."""
+    n = S.size
+    mul, inv = S.mul, S.inv
+    leq = S.natural_order().leq
+    triples = [[] for _ in range(n)]
+    order_pairs = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if a != b and leq(a, b):
+                order_pairs[max(a, b)].append((a, b))
+            for c in range(n):
+                h = mul[mul[a][inv[b]]][c]
+                triples[max(a, b, c, h)].append((a, b, c, h))
+
+    def ok_at(eta, k):
+        for a, b in order_pairs[k]:
+            if not leq(eta[a], eta[b]):
+                return False
+        for a, b, c, h in triples[k]:
+            if eta[h] != mul[mul[eta[a]][inv[eta[b]]]][eta[c]]:
+                return False
+        return True
+
+    return backtrack([range(n)] * n, ok_at)
 
 
 def constant_pair_zero_preservation(n, L, param_len):
@@ -688,3 +735,25 @@ def inverse_subsemigroup(n, gens, cap=20):
     index = {f: i for i, f in enumerate(elems)}
     names = ["".join("-" if x == 0 else str(x) for x in f) or "()" for f in elems]
     return build_from_table(names, [[index[compose(a, b)] for b in elems] for a in elems])
+
+
+@st.composite
+def partial_bijections(draw, n):
+    points = list(range(1, n + 1))
+    domain = draw(st.lists(st.sampled_from(points), unique=True, max_size=n))
+    image = draw(st.permutations(points))[: len(domain)]
+    t = [0] * n
+    for d, i in zip(domain, image):
+        t[d - 1] = i
+    return tuple(t)
+
+
+@st.composite
+def inverse_subsemigroups(draw, max_points=4, cap=20):
+    """A hypothesis strategy: inverse_subsemigroup of I_n, n <= max_points,
+    from one to three drawn partial bijections, of at most `cap` elements."""
+    n = draw(st.integers(1, max_points))
+    gens = draw(st.lists(partial_bijections(n), min_size=1, max_size=3))
+    S = inverse_subsemigroup(n, gens, cap)
+    assume(S is not None)
+    return S

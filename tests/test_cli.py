@@ -205,7 +205,7 @@ def test_budget_line_reports_partial_progress(files, capsys, jobs):
     ("diamond", "74", "visited 75 nodes, found 35 results, budget 74"),
 ], ids=["I2", "diamond"])
 def test_sha_budget_limits_premorphism_search(files, capsys, name, budget, line):
-    # the heap search fits the budget (112 nodes on I2, 64 on diamond) but the
+    # the heap search fits the budget (102 nodes on I2, 64 on diamond) but the
     # premorphism search behind the endomorphism pairs does not
     _, paths = files
     assert main(["sha", paths[name], "--budget", budget]) == 3

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -104,6 +105,31 @@ def test_left_zero_semigroup_rejected():
     # regular, but inverses are not unique (equivalently idempotents clash)
     with pytest.raises(NotInverse):
         build_from_table(["a", "b"], [[0, 0], [1, 1]])
+
+
+def test_unique_inverses_force_commuting_idempotents():
+    # why the constructor does not check that idempotents commute: on every
+    # associative table of up to 3 elements where each element has exactly
+    # one inverse they do, and the right-zero band {e, f} with an identity
+    # adjoined (ef = f, fe = e) is refused for e's two inverses
+    checked = 0
+    for n in (1, 2, 3):
+        for flat in product(range(n), repeat=n * n):
+            mul = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+            witness = oracles.first_nonassociative_by_loops(range(n), lambda a, b: mul[a][b])
+            if witness is not None:
+                continue
+            if any(
+                sum(mul[mul[a][b]][a] == a and mul[mul[b][a]][b] == b for b in range(n)) != 1
+                for a in range(n)
+            ):
+                continue
+            idempotents = [e for e in range(n) if mul[e][e] == e]
+            assert all(mul[e][f] == mul[f][e] for e in idempotents for f in idempotents), mul
+            checked += 1
+    assert checked == 29
+    with pytest.raises(NotInverse, match=r"^element 1 \(e\) has 2 inverses: \[1, 2\]$"):
+        build_from_table(["1", "e", "f"], [[0, 1, 2], [1, 1, 2], [2, 1, 2]])
 
 
 def test_natural_order_reflexive(zoo):

@@ -1,6 +1,11 @@
-import pytest
+import tracemalloc
+from pathlib import Path
 
-from invhol.errors import NotHeapPreserving
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from invhol import core, io
+from invhol.errors import NotHeapPreserving, SearchBudgetExceeded
 from invhol.heap import (
     bijective_heap_maps,
     enumerate_sha,
@@ -37,6 +42,61 @@ def test_sha_matches_brute_force(zoo):
         S = zoo[name]
         brute = sorted(oracles.ordered_heap_maps_by_filter(S))
         assert [m.eta for m in enumerate_sha(S)] == brute, name
+
+
+def test_sha_matches_schedule_reference(zoo):
+    # the forced search returns exactly the element-order search's list, in
+    # the same order, on the zoo and on relabelled I2 x chain2 and I3
+    I2xC2 = core.direct_product(
+        core.build_symmetric_inverse_monoid(2), core.chain_semilattice(2))
+    I3 = core.build_symmetric_inverse_monoid(3)
+    cases = list(zoo.items())
+    cases += [("I2xchain2", S) for S in oracles.seeded_relabellings(I2xC2, "I2xchain2", 4)]
+    cases += [("I3", S) for S in oracles.seeded_relabellings(I3, "I3", 1)]
+    for name, S in cases:
+        got = [m.eta for m in enumerate_sha(S)]
+        assert got == oracles.ordered_heap_maps_by_schedule(S), name
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(oracles.inverse_subsemigroups(max_points=3, cap=6))
+def test_sha_matches_brute_force_on_random_inverse_subsemigroups(S):
+    assert [m.eta for m in enumerate_sha(S)] == oracles.ordered_heap_maps_by_filter(S)
+
+
+def test_sha_matches_brute_force_on_brandt_semigroup():
+    B12 = oracles.inverse_subsemigroup(2, [(2, 0)])
+    assert B12.size == 5 and B12.zero is not None
+    assert [m.eta for m in enumerate_sha(B12)] == oracles.ordered_heap_maps_by_filter(B12)
+
+
+@pytest.mark.parametrize("name, total, count", [("I2", 102, 23), ("diamond", 64, 25)])
+def test_sha_node_totals(zoo, name, total, count):
+    # the root plus every partial vector that passes its level; I2 is read
+    # from data/i2.json, the table behind the CLI's budget cases
+    if name == "I2":
+        S = io.read_semigroup(Path(__file__).resolve().parents[1] / "data" / "i2.json")
+    else:
+        S = zoo[name]
+    assert len(enumerate_sha(S, budget=total)) == count
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        enumerate_sha(S, budget=total - 1)
+    assert (exc.value.nodes, exc.value.budget) == (total, total - 1)
+
+
+def test_sha_memory_on_i3():
+    """The plan holds O(n^3) int32 entries and every gather of the search
+    is a block of at most core.BLOCK_ENTRIES: on I3 (34 elements) the whole
+    search peaks below 4 MB."""
+    S = core.build_symmetric_inverse_monoid(3)
+    S.natural_order()
+    tracemalloc.start()
+    try:
+        assert len(enumerate_sha(S)) == 301
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 4, peak
 
 
 def test_identity_always_in_sha(zoo):

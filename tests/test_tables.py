@@ -12,8 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from invhol import core
 from invhol.core import NaturalOrder, build_from_table, verify_semigroup_properties
@@ -70,10 +69,8 @@ def structures(zoo):
     out = {}
     for name, S in base.items():
         out[name] = S
-        for seed in (1, 2):
-            p = list(range(S.size))
-            random.Random(f"{name}/{seed}").shuffle(p)
-            out[f"{name}/{seed}"] = oracles.relabelled(S, p)
+        for seed, T in enumerate(oracles.seeded_relabellings(S, name, 2), 1):
+            out[f"{name}/{seed}"] = T
     return out
 
 
@@ -234,28 +231,8 @@ def test_empty_table_is_rejected():
 # random inverse subsemigroups of I_n, n <= 4, from a few partial bijections
 
 
-@st.composite
-def partial_bijections(draw, n):
-    points = list(range(1, n + 1))
-    domain = draw(st.lists(st.sampled_from(points), unique=True, max_size=n))
-    image = draw(st.permutations(points))[: len(domain)]
-    t = [0] * n
-    for d, i in zip(domain, image):
-        t[d - 1] = i
-    return tuple(t)
-
-
-@st.composite
-def inverse_subsemigroups(draw):
-    n = draw(st.integers(1, 4))
-    gens = draw(st.lists(partial_bijections(n), min_size=1, max_size=3))
-    S = oracles.inverse_subsemigroup(n, gens)
-    assume(S is not None)
-    return S
-
-
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(inverse_subsemigroups())
+@given(oracles.inverse_subsemigroups())
 def test_layers_agree_on_random_inverse_subsemigroups(S):
     assert S.size <= 20
     assert_layers_agree(S)
