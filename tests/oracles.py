@@ -27,7 +27,16 @@ from invhol.holomorph import (
 from invhol.errors import NotSuffixPreserving, WindowExceeded
 from invhol.report import CheckReport
 from invhol.search import backtrack
-from invhol.polycyclic import AffineWordMap, _inv, _mul
+from invhol.polycyclic import (
+    AffineWordMap,
+    _heap,
+    _inv,
+    _mul,
+    efun_element_image,
+    pair_leq,
+    poly_window,
+    words_upto,
+)
 
 
 def all_self_maps(n):
@@ -221,12 +230,13 @@ def ordered_heap_maps_by_filter(S):
     return out
 
 
-def ordered_heap_maps_by_schedule(S):
+def ordered_heap_maps_by_schedule(S, check_order=True):
     """The ordered heap maps as value vectors in lexicographic order, by a
     depth-first search over the elements in index order, trying every value
     at every position: a triple (a, b, c) is checked, one at a time, as soon
     as a, b, c and <a,b,c> are assigned, an order pair as soon as both
-    sides are."""
+    sides are.  With check_order=False the order pairs are skipped and the
+    search returns every heap-preserving map."""
     n = S.size
     mul, inv = S.mul, S.inv
     leq = S.natural_order().leq
@@ -234,7 +244,7 @@ def ordered_heap_maps_by_schedule(S):
     order_pairs = [[] for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            if a != b and leq(a, b):
+            if check_order and a != b and leq(a, b):
                 order_pairs[max(a, b)].append((a, b))
             for c in range(n):
                 h = mul[mul[a][inv[b]]][c]
@@ -312,6 +322,66 @@ def constant_pair_witness(text):
     if found is None or found[2] != found[3]:
         return None
     return found[1], found[2], found[4], found[5]
+
+
+def window_table(fn, n, L):
+    """An ordered function on idempotents as a table on the words of length <= L."""
+    return {u: fn.word_image(u) for u in words_upto(n, L)}
+
+
+def apply_nat(f, x):
+    """The affine map x -> x k + p of an AffineNat, on one natural number."""
+    return x * f.k + f.p
+
+
+def hol_pair_tau(fn, m, e):
+    """The transformation part at idempotent e, rebuilt from the compressed
+    form: e tau = (e alpha) m."""
+    return _mul(efun_element_image(fn, e), m)
+
+
+def hol_pair_action_tau_form(fn, m):
+    """x -> (x alpha) ((x^-1 x) tau), the uncompressed action formula."""
+
+    def act(x):
+        e = None if x is None else _mul(_inv(x), x)
+        return _mul(efun_element_image(fn, x), hol_pair_tau(fn, m, e))
+
+    return act
+
+
+def heap_split_by_triples(act, elems):
+    """polycyclic.heap_split by one pass over every triple of the window,
+    each heap value and each action image computed afresh: (all
+    nonzero-valued instances preserved, all zero-valued preserved, first
+    witnesses)."""
+    ok_nz, ok_z = True, True
+    w_nz = w_z = None
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                val = _heap(a, b, c)
+                lhs = act(val)
+                rhs = _heap(act(a), act(b), act(c))
+                if val is None:
+                    if lhs != rhs and ok_z:
+                        ok_z, w_z = False, f"<{a},{b},{c}> = 0: {lhs} vs {rhs}"
+                else:
+                    if lhs != rhs and ok_nz:
+                        ok_nz, w_nz = False, f"<{a},{b},{c}> = {val}: {lhs} vs {rhs}"
+    return ok_nz, ok_z, w_nz, w_z
+
+
+def induced_premorphism_failures_by_pairs(fn, n, L):
+    """polycyclic.induced_premorphism_failures by one pass over every pair
+    of the element window, each product and image computed afresh."""
+    elems = poly_window(n, L)
+    for x in elems:
+        for y in elems:
+            lhs = efun_element_image(fn, _mul(x, y))
+            rhs = _mul(efun_element_image(fn, x), efun_element_image(fn, y))
+            if not pair_leq(lhs, rhs):
+                yield f"inequality fails at {x},{y}"
 
 
 def words_by_length(n, L):

@@ -137,7 +137,7 @@ def test_criterion_8a_classification_trichotomy():
     n, L = 2, 3
     ok = True
     for fn, kind, params in _classification_candidates(n, L):
-        table = P.window_table(fn, n, L)
+        table = oracles.window_table(fn, n, L)
         got = P.classify_ordered_functor(n, L, fn.zero_image, table)
         ok = ok and got.kind == kind
         if kind == "constant_pair":
@@ -146,12 +146,12 @@ def test_criterion_8a_classification_trichotomy():
             ok = ok and (got.sigma, got.w) == params
 
     # corrupted candidates must be rejected with a witness
-    base = P.window_table(P.AffineWordMap(n, ("aa", "ba"), "b"), n, L)
+    base = oracles.window_table(P.AffineWordMap(n, ("aa", "ba"), "b"), n, L)
     corrupt1 = dict(base)
     corrupt1["ba"] = "a"
     corrupt2 = dict(base)
     corrupt2["bbb"] = None
-    good_const = P.window_table(P.ConstPair(n, "ba", "a"), n, L)
+    good_const = oracles.window_table(P.ConstPair(n, "ba", "a"), n, L)
     corrupt3 = dict(good_const)
     corrupt3["ab"] = "b"
     for zero_img, table in [(None, corrupt1), (None, corrupt2), ("ba", corrupt3)]:

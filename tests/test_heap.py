@@ -64,6 +64,29 @@ def test_sha_matches_brute_force_on_random_inverse_subsemigroups(S):
     assert [m.eta for m in enumerate_sha(S)] == oracles.ordered_heap_maps_by_filter(S)
 
 
+def _heap_maps_are_ordered(S):
+    """a <= b iff a = <a, a, b>, so a map preserving the heap is ordered:
+    the search without order pairs finds exactly the ordered heap maps."""
+    leq = S.natural_order().leq
+    assert all(
+        leq(a, b) == (heap(S, a, a, b) == a) for a in range(S.size) for b in range(S.size)
+    )
+    heap_maps = oracles.ordered_heap_maps_by_schedule(S, check_order=False)
+    assert heap_maps == oracles.ordered_heap_maps_by_schedule(S)
+
+
+def test_heap_maps_are_ordered(zoo):
+    # why sha_embed and verify_sha_monoid_iso test no order pairs
+    for S in zoo.values():
+        _heap_maps_are_ordered(S)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(oracles.inverse_subsemigroups(max_points=3, cap=6))
+def test_heap_maps_are_ordered_on_random_inverse_subsemigroups(S):
+    _heap_maps_are_ordered(S)
+
+
 def test_sha_matches_brute_force_on_brandt_semigroup():
     B12 = oracles.inverse_subsemigroup(2, [(2, 0)])
     assert B12.size == 5 and B12.zero is not None

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -111,44 +112,44 @@ def test_affine_nat_composition():
     g = P.bicyclic_endo(3, 2)
     assert f.compose(g) == P.AffineNat(6, 5)
     for x in range(10):
-        assert f.compose(g).apply_nat(x) == g.apply_nat(f.apply_nat(x))
+        assert oracles.apply_nat(f.compose(g), x) == oracles.apply_nat(g, oracles.apply_nat(f, x))
 
 
 def test_classify_constant_zero():
-    table = P.window_table(P.ConstZero(2), 2, 3)
+    table = oracles.window_table(P.ConstZero(2), 2, 3)
     got = P.classify_ordered_functor(2, 3, None, table)
     assert got.kind == "constant_zero"
 
 
 def test_classify_constant_pair():
     fn = P.ConstPair(2, "ba", "a")
-    got = P.classify_ordered_functor(2, 3, "ba", P.window_table(fn, 2, 3))
+    got = P.classify_ordered_functor(2, 3, "ba", oracles.window_table(fn, 2, 3))
     assert got.kind == "constant_pair" and (got.w, got.t) == ("ba", "a")
 
 
 def test_classify_affine():
     fn = P.AffineWordMap(2, ("aa", "ba"), "b")
-    got = P.classify_ordered_functor(2, 3, None, P.window_table(fn, 2, 3))
+    got = P.classify_ordered_functor(2, 3, None, oracles.window_table(fn, 2, 3))
     assert got.kind == "affine"
     assert got.sigma == ("aa", "ba") and got.w == "b"
 
 
 def test_classify_identity_is_affine():
     fn = P.AffineWordMap(2, ("a", "b"), "")
-    got = P.classify_ordered_functor(2, 3, None, P.window_table(fn, 2, 3))
+    got = P.classify_ordered_functor(2, 3, None, oracles.window_table(fn, 2, 3))
     assert got.kind == "affine" and got.sigma == ("a", "b") and got.w == ""
 
 
 def test_classify_rejections():
     fn = P.AffineWordMap(2, ("aa", "ba"), "b")
-    table = P.window_table(fn, 2, 3)
+    table = oracles.window_table(fn, 2, 3)
     table["ba"] = "a"
     got = P.classify_ordered_functor(2, 3, None, table)
     assert got.kind == "not_ordered_functor" and got.witness
 
     # zero going to a word forces constancy on words
     fn2 = P.ConstPair(2, "a", "a")
-    table2 = P.window_table(fn2, 2, 3)
+    table2 = oracles.window_table(fn2, 2, 3)
     table2["bb"] = "ba"
     got2 = P.classify_ordered_functor(2, 3, "a", table2)
     assert got2.kind == "not_ordered_functor"
@@ -168,6 +169,58 @@ def test_constant_pair_requires_suffix():
 def test_ideal_check():
     rep = P.premorphism_ideal_check(2, 3)
     assert rep.ok, rep.render()
+
+
+def test_induced_premorphism_failures_match_pair_loop():
+    """Every failure, in order, for the 30 maps of the ideal check and for a
+    corrupted map that reverses words, so is not ordered."""
+
+    class Reversing:
+        zero_image = None
+
+        def word_image(self, u):
+            return u[::-1]
+
+    cs, affs = P.ideal_check_families(2, 2)
+    fns = [P.ConstZero(2)] + [P.ConstPair(2, w, t) for w, t in cs] + affs + [Reversing()]
+    assert len(fns) == 31
+    window = P.window_values(P.poly_window(2, 2), P._mul, 2)
+    for fn in fns:
+        got = list(P.induced_premorphism_failures(fn, window))
+        assert got == list(oracles.induced_premorphism_failures_by_pairs(fn, 2, 2)), fn
+    assert len(got) > 1
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, staticmethod(counted) if isinstance(owner, type) else counted)
+    return calls
+
+
+def test_heap_check_work(monkeypatch):
+    """The heap values are computed once per window and the image-side heap
+    once per image triple: 35,001 products (1,088,275 when each map
+    recomputed them).  The 16 affine representatives each still run
+    endo_classification_check, which the benchmark pins."""
+    muls = _counting(monkeypatch, P, "_mul")
+    endos = _counting(monkeypatch, P, "endo_classification_check")
+    P.heap_type_check_polycyclic(2, 1, 2)
+    assert len(muls) <= 50_000
+    assert len(endos) == 16
+
+
+def test_zappa_translation_work(monkeypatch):
+    """collapse_failures builds each right translation once per word."""
+    built = _counting(monkeypatch, P.SuffixMap, "right_translation")
+    assert P.verify_zappa(2, 3, samples=6, seed=3).ok
+    assert len(built) <= 100
 
 
 def test_suffix_codes():
@@ -212,6 +265,69 @@ def test_heap_type_check_lines():
     assert any("exactly when w = s (confirmed)" in note for note in rep.notes)
 
 
+def _heap_check_pairs(n, param_len):
+    """The (fn, m) pairs whose actions heap_type_check_polycyclic splits:
+    the zero pair, every constant pair, and every valid affine representative."""
+    yield P.ConstZero(n), None
+    ws = P.words_upto(n, param_len)
+    for w in ws:
+        for s in ws:
+            if w.endswith(s):
+                for t in ws:
+                    yield P.ConstPair(n, w, s), (s, t)
+    pad = tuple(P.letters(n))[2:]
+    for images in [tuple(P.letters(n)), ("aa", "ba") + pad, ("ab", "b") + pad,
+                   ("b", "a") + pad]:
+        for u in ["", "a"]:
+            for v in ["", "b"]:
+                fn = P.AffineWordMap(n, images, u)
+                m = (fn.word_image(""), v)
+                if P._valid_hol_pair(fn, m):
+                    yield fn, m
+
+
+def _corrupted_actions(n):
+    """The identity action with zero sent to the identity element, with 'a'
+    sent to 'b', and with both."""
+    ident = P._hol_pair_action(P.AffineWordMap(n, tuple(P.letters(n)), ""), ("", ""))
+    swaps = [{None: ("", "")}, {("", "a"): ("", "b")}, {None: ("", ""), ("", "a"): ("", "b")}]
+    return [lambda x, swap=swap: swap.get(x, ident(x)) for swap in swaps]
+
+
+@pytest.mark.parametrize("n, L, param_len, count", [(2, 1, 2, 136), (3, 1, 1, 45)])
+def test_heap_split_matches_triple_loop(n, L, param_len, count):
+    """heap_split on the precomputed window gives exactly the per-triple
+    loop's verdicts and witnesses for every map of the heap check (at three
+    letters, every map with parameters up to length 1) and for corrupted
+    actions, which make the zero-valued and the nonzero-valued branch fail."""
+    elems = P.poly_window(n, L)
+    window = P.heap_window(elems)
+    heap = functools.lru_cache(maxsize=None)(P._heap)
+    acts = [P._hol_pair_action(fn, m) for fn, m in _heap_check_pairs(n, param_len)]
+    assert len(acts) == count
+    splits = []
+    for act in acts + _corrupted_actions(n):
+        got = P.heap_split(act, window, heap)
+        assert got == oracles.heap_split_by_triples(act, elems)
+        splits.append(got)
+    zero_moved, a_moved, both_moved = splits[-3:]
+    assert zero_moved[:2] == (True, False)
+    assert a_moved[:2] == both_moved[:2] == (False, False)
+    assert any(ok_nz and not ok_z for ok_nz, ok_z, _, _ in splits[:count])
+
+
+def test_heap_split_matches_triple_loop_on_larger_window():
+    """At element window 2 (125,000 instances) for the zero pair, a constant
+    pair with w = s != t, a non-injective affine pair and a corrupted action."""
+    elems = P.poly_window(2, 2)
+    window = P.heap_window(elems)
+    pairs = [(P.ConstZero(2), None), (P.ConstPair(2, "a", "a"), ("a", "b")),
+             (P.AffineWordMap(2, ("ab", "b"), ""), ("", "b"))]
+    acts = [P._hol_pair_action(fn, m) for fn, m in pairs] + _corrupted_actions(2)[2:]
+    for act in acts:
+        assert P.heap_split(act, window) == oracles.heap_split_by_triples(act, elems)
+
+
 def test_heap_action_values():
     # nonzero elements all land on the transformation part's element
     fn = P.ConstPair(2, "ba", "a")
@@ -244,7 +360,7 @@ def test_compressed_and_full_action_agree():
         if m is not None and not P._valid_hol_pair(fn, m):
             continue
         short = P._hol_pair_action(fn, m)
-        full = P._hol_pair_action_tau_form(fn, m)
+        full = oracles.hol_pair_action_tau_form(fn, m)
         for x in elems:
             assert short(x) == full(x), (fn, m, x)
 
@@ -255,7 +371,7 @@ def test_transformation_part_invariants():
     for fn, m in _hol_pair_reps(2):
         if m is None or not P._valid_hol_pair(fn, m):
             continue
-        tau = {e: P._hol_pair_tau(fn, m, e) for e in idems}
+        tau = {e: oracles.hol_pair_tau(fn, m, e) for e in idems}
         for e in idems:
             lhs = P._mul(tau[e], P._inv(tau[e]))
             assert lhs == P.efun_element_image(fn, e), (fn, m, e)
