@@ -131,7 +131,8 @@ def cmd_hol(config, out):
     out.add_report(holomorph.verify_hol_monoid(S, table))
     out.add_report(holomorph.verify_interchange(S, table))
     if S.identity is not None:
-        out.add_report(holomorph.verify_mon_hol(S, hol))
+        mon = holomorph.mon_hol(S, morphisms.enumerate_premorphisms(S, budget=config.budget))
+        out.add_report(holomorph.verify_mon_hol(S, table, mon))
     if config.dump:
         io._dump(
             {

@@ -558,51 +558,3 @@ def check_flow_monoid_structure(G, cap=DEFAULT_FLOW_CAP):
         rep.add(label, w is None, w,
                 detail=None if w else f"|flows| = {len(fl)} = |L|^{m} * {m}^{m}")
     return rep
-
-
-# ---------------------------------------------------------------------------
-# small groupoid builders
-
-
-def connected_groupoid(num_objects, group_table, trivial_order=True):
-    """The connected groupoid on the given objects with the given local group:
-    arrows (x, k, y) composing by (x,k,y)(y,l,z) = (x, kl, z)."""
-    m = num_objects
-    k = len(group_table)
-    arrows = [(x, g, y) for x in range(m) for g in range(k) for y in range(m)]
-    index = {a: i for i, a in enumerate(arrows)}
-    eg = next(g for g in range(k) if all(group_table[g][h] == h for h in range(k)))
-    ginv = [next(h for h in range(k) if group_table[g][h] == eg) for g in range(k)]
-    dom = [index[(x, eg, x)] for (x, g, y) in arrows]
-    ran = [index[(y, eg, y)] for (x, g, y) in arrows]
-    inv = [index[(y, ginv[g], x)] for (x, g, y) in arrows]
-    compose = {}
-    for (x, g, y) in arrows:
-        for (y2, h, z) in arrows:
-            if y == y2:
-                compose[(index[(x, g, y)], index[(y2, h, z)])] = index[(x, group_table[g][h], z)]
-    n = len(arrows)
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    names = [f"({x},{g},{y})" for (x, g, y) in arrows]
-    G = OrderedGroupoid(dom, ran, inv, compose, leq, names=names)
-    assert verify_ordered_groupoid(G).ok
-    return G
-
-
-def disjoint_union(G1, G2):
-    off = G1.n
-    dom = G1.dom + [x + off for x in G2.dom]
-    ran = G1.ran + [x + off for x in G2.ran]
-    inv = G1.inv + [x + off for x in G2.inv]
-    compose = dict(G1.compose)
-    compose.update({(g + off, h + off): k + off for (g, h), k in G2.compose.items()})
-    n = G1.n + G2.n
-    leq = [[False] * n for _ in range(n)]
-    for a in range(G1.n):
-        for b in range(G1.n):
-            leq[a][b] = G1.leq[a][b]
-    for a in range(G2.n):
-        for b in range(G2.n):
-            leq[a + off][b + off] = G2.leq[a][b]
-    names = list(G1.names) + [f"{x}'" for x in G2.names]
-    return OrderedGroupoid(dom, ran, inv, compose, leq, names=names)

@@ -4,7 +4,7 @@ self-maps preserving it, with its embedding into the holomorph.
 
 import numpy as np
 
-from .core import row_blocks
+from .core import replay, row_blocks
 from .errors import NotHeapPreserving, SearchBudgetExceeded
 from .holomorph import (
     HolElement,
@@ -15,10 +15,12 @@ from .holomorph import (
     mon_diamond,
     mon_from_hol,
     mon_hol,
+    pair_diamonds,
+    tau_positions,
 )
 from .morphisms import DEFAULT_NODE_BUDGET, is_endomorphism, is_premorphism
 from .report import CheckReport
-from .search import assert_transformation_monoid
+from .search import assert_transformation_monoid, row_lookup
 
 
 def heap(S, a, b, c):
@@ -244,6 +246,33 @@ def bijective_heap_maps(sha):
     return [m for m in sha if len(set(m.eta)) == len(m.eta)]
 
 
+def multiplicative_failures(S, sha, by_eta, images, R, diamond, witness):
+    """The pairs (m1, m2) of ``sha``, in loop order, where by_eta of the
+    composite m1 then m2 is not diamond(S, by_eta of m1, by_eta of m2), as
+    ``witness`` texts; a composite outside ``sha`` raises KeyError.  A sweep
+    flags the m1 to replay the loop at: composite j of i is row j of
+    P[:, P[i]] looked up among the value vectors P, and its row of
+    ``images`` (alpha, then the rest) must be pair_diamonds with R."""
+    n, k = S.size, len(sha)
+    mul = S.mul_array.astype(np.int32)
+    P = np.array([m.eta for m in sha], np.int32).reshape(k, n)
+    lookup = row_lookup(P)
+    flagged = np.zeros(k, bool)
+    for rows in row_blocks(k, k * images.shape[1]):
+        C = lookup(P[:, P[rows]].reshape(-1, n)).reshape(k, -1)  # C[j, i]
+        diamonds = pair_diamonds(mul, R, images[:, :n], images[:, n:], rows)
+        flagged[rows] = ((C < 0) | (images[C] != diamonds).any(axis=2)).any(axis=0)
+
+    def failures(i):
+        m1 = sha[i]
+        for m2 in sha:
+            if by_eta[tuple(m2.eta[a] for a in m1.eta)] != diamond(
+                    S, by_eta[m1.eta], by_eta[m2.eta]):
+                yield witness.format(m1.eta, m2.eta)
+
+    return replay(flagged, failures)
+
+
 def verify_sha_embedding(S, sha=None):
     """The embedding into the holomorph is injective and multiplicative."""
     rep = CheckReport(f"heap monoid embedding on {S!r}")
@@ -262,13 +291,10 @@ def verify_sha_embedding(S, sha=None):
 
     rep.first_failure("embedding_injective", injectivity_failures())
 
-    rep.first_failure("embedding_multiplicative", (
-        f"embedding not multiplicative at ({m1.eta},{m2.eta})"
-        for m1 in sha
-        for m2 in sha
-        if by_eta[tuple(m2.eta[m1.eta[a]] for a in range(S.size))]
-        != hol_diamond(S, by_eta[m1.eta], by_eta[m2.eta])
-    ))
+    pairs = np.array([by_eta[m.eta].alpha + by_eta[m.eta].tau for m in sha], np.int32)
+    rep.first_failure("embedding_multiplicative", multiplicative_failures(
+        S, sha, by_eta, pairs.reshape(len(sha), S.size + len(S.idempotents)),
+        tau_positions(S), hol_diamond, "embedding not multiplicative at ({},{})"))
 
     mul, inv = S.mul, S.inv
 
@@ -333,11 +359,8 @@ def verify_sha_monoid_iso(M, sha=None, mon=None):
     rep.first_failure("submonoid_in_image", backward_failures())
 
     # the bijection is an isomorphism of monoids
-    rep.first_failure("monoid_isomorphism", (
-        f"not multiplicative at ({m1.eta},{m2.eta})"
-        for m1 in sha
-        for m2 in sha
-        if by_eta[tuple(m2.eta[m1.eta[x]] for x in range(M.size))]
-        != mon_diamond(M, by_eta[m1.eta], by_eta[m2.eta])
-    ))
+    pairs = np.array([by_eta[m.eta].alpha + (by_eta[m.eta].m,) for m in sha], np.int32)
+    rep.first_failure("monoid_isomorphism", multiplicative_failures(
+        M, sha, by_eta, pairs.reshape(len(sha), M.size + 1), np.zeros(M.size, np.intp),
+        mon_diamond, "not multiplicative at ({},{})"))
     return rep

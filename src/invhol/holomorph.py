@@ -13,10 +13,12 @@ the holomorph order of a group.
 """
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
-from .core import first_nonassociative, first_nonassociative_table
+from .core import first_nonassociative, first_nonassociative_table, hits, replay, row_blocks
 from .errors import NotMonoid, SizeCap
 from .morphisms import ElementMap, enumerate_premorphisms
 from .report import CheckReport
@@ -103,13 +105,6 @@ def hol_groupoid_compose(S, h1, h2):
     return out
 
 
-def hol_inverse_arrow(S, h):
-    """The groupoid inverse of h: the pointwise-inverted transformation,
-    based at the target functor of h."""
-    beta = target_premorphism(S, h)
-    return HolElement(beta, tuple(S.inv[t] for t in h.tau))
-
-
 def hol_action(S, s, h):
     """s <| (alpha, tau) = s alpha ((s^-1 s) tau)."""
     pos = S.idempotent_position
@@ -155,24 +150,45 @@ def enumerate_holomorph(S, prems=None, budget=None, tau_cap=DEFAULT_TAU_CAP):
     return out
 
 
+def pair_diamonds(mul, R, A, T, rows):
+    """The value vectors of pair i <> pair j, for each i in ``rows`` and
+    every j, as an array (len(A), len(rows), width) indexed [j, i].  Pair
+    i is alpha A[i] beside the row T[i]; the diamond's alpha is A[j][A[i]]
+    and the rest is mul[A[j, t], T[j, R[t]]] with t = T[i].  Over Hol, T
+    holds tau and R[t] is the position of t^-1 t; over the compressed pairs,
+    T is the column m and R is zero, which gives (m beta) n."""
+    t = T[rows]
+    return np.concatenate([A[:, A[rows]], mul[A[:, t], T[:, R[t]]]], axis=2)
+
+
+def diamond_table(mul, R, A, T):
+    """D[i, j] = the row of pair i <> pair j among the pairs (A, T), or -1
+    where that diamond is not one of them; a block of rows per gather."""
+    n, width = len(A), A.shape[1] + T.shape[1]
+    lookup = row_lookup(np.hstack([A, T]))
+    D = np.empty((n, n), np.int32)
+    for rows in row_blocks(n, n * width):
+        D[rows] = lookup(pair_diamonds(mul, R, A, T, rows).reshape(-1, width)).reshape(n, -1).T
+    return D
+
+
+def tau_positions(S):
+    """R[t] = the position of t^-1 t among the idempotents."""
+    return np.array([S.idempotent_position[S.mul[S.inv[t]][t]] for t in range(S.size)])
+
+
 def hol_table(S, hol=None):
     """The diamond multiplication table of Hol(S): diamond[i, j] is the row
-    of pairs[i] <> pairs[j], rows in the order of ``hol``.  Row i is one
-    gather, alpha A[:, A[i]] and tau mul[A[:, t], T[:, R[t]]] with t = T[i]
-    and R[t] the position of t^-1 t, looked up among the pairs."""
+    of pairs[i] <> pairs[j], rows in the order of ``hol``, filled by
+    diamond_table."""
     if hol is None:
         hol = enumerate_holomorph(S)
     n = len(hol)
-    mul = np.array(S.mul, np.int32)
     A = np.array([h.alpha for h in hol], np.int32).reshape(n, S.size)
     T = np.array([h.tau for h in hol], np.int32).reshape(n, len(S.idempotents))
-    R = np.array([S.idempotent_position[S.mul[S.inv[t]][t]] for t in range(S.size)])
-    lookup = row_lookup(np.hstack([A, T]))
-    D = np.empty((n, n), np.int32)
-    for i, t in enumerate(T):
-        D[i] = lookup(np.hstack([A[:, A[i]], mul[A[:, t], T[:, R[t]]]]))
-        if D[i].min() < 0:  # -1 marks the first diamond not among the pairs
-            raise AssertionError(f"diamond of pairs {i} and {D[i].argmin()} left the holomorph")
+    D = diamond_table(S.mul_array.astype(np.int32), tau_positions(S), A, T)
+    for i, j in hits(D < 0):  # -1 marks a diamond not among the pairs
+        raise AssertionError(f"diamond of pairs {i} and {j} left the holomorph")
     return HolTable(hol, {h: i for i, h in enumerate(hol)}, D)
 
 
@@ -305,10 +321,6 @@ def mon_diamond(M, a, b):
     return MonHolElement(alpha, M.mul[b.alpha[a.m]][b.m])
 
 
-def mon_action(M, t, a):
-    return M.mul[a.alpha[t]][a.m]
-
-
 def mon_from_hol(M, h):
     return MonHolElement(h.alpha, h.tau[M.idempotent_position[M.identity]])
 
@@ -318,14 +330,20 @@ def hol_from_mon(M, a):
     return HolElement(a.alpha, tau)
 
 
-def verify_mon_hol(M, hol=None, mon=None):
+def verify_mon_hol(M, table=None, mon=None):
     """The compressed pairs biject with the full pairs, the diamonds agree
-    under the bijection, and the compressed diamond is associative."""
+    under the bijection, and the compressed diamond is associative.
+
+    Array sweeps decide each line: the expansions of the compressed pairs,
+    looked up among the pairs of the Hol table, give one permutation pi
+    (-1 where not found), and diamond_table fills the compressed table Dm.
+    A flagged row replays the pair loop, so witnesses and errors are its."""
     rep = CheckReport(f"inverse-monoid holomorph form on {M!r}")
-    if hol is None:
-        hol = enumerate_holomorph(M)
+    if table is None:
+        table = hol_table(M)
     if mon is None:
         mon = mon_hol(M)
+    hol, D = table.pairs, table.diamond
     rep.add(
         "counts_match",
         len(hol) == len(mon),
@@ -333,52 +351,66 @@ def verify_mon_hol(M, hol=None, mon=None):
         detail=f"{len(mon)} compressed pairs",
     )
 
-    # each pair is expanded once and each compressed diamond computed once;
-    # a diamond that lands in mon is stored as that element, not a copy
-    expanded, diamonds = {}, {}
-    interned = {a: a for a in mon}
+    n, E = M.size, np.array(M.idempotents)
+    mul = M.mul_array.astype(np.int32)
+    MA = np.array([a.alpha for a in mon], np.int32).reshape(len(mon), n)
+    m = np.array([a.m for a in mon], np.int32)
+    X = np.hstack([MA, mul[MA[:, E], m[:, None]]])  # row i is hol_from_mon(mon[i])
+    H = np.array([h.alpha + h.tau for h in hol], np.int32).reshape(len(hol), X.shape[1])
+    pi = row_lookup(H)(X)
 
-    def expand(a):
-        if a not in expanded:
-            expanded[a] = hol_from_mon(M, a)
-        return expanded[a]
+    # an expansion is a valid pair of the table giving back its m at the
+    # identity; each pair is the expansion of its value at the identity
+    tau, Htau = X[:, n:], H[:, n:]
+    leq = M.natural_order().array
+    lo, hi = leq[np.ix_(E, E)].nonzero()
+    valid = (mul[tau, M.inv_array[tau]] == MA[:, E]).all(axis=1)
+    expansion_bad = (pi < 0) | ~valid | ~leq[tau[:, lo], tau[:, hi]].all(axis=1)
+    expansion_bad |= mul[MA[:, M.identity], m] != m
+    tau_bad = (mul[H[:, E], Htau[:, M.idempotent_position[M.identity], None]] != Htau).any(axis=1)
 
-    def diamond(a, b):
-        if (a, b) not in diamonds:
-            d = mon_diamond(M, a, b)
-            diamonds[a, b] = interned.setdefault(d, d)
-        return diamonds[a, b]
+    def expansion_failures(i):
+        a = mon[i]
+        h = hol_from_mon(M, a)
+        if h not in table.index or not is_valid_hol(M, h.alpha, h.tau):
+            yield f"expansion of {a} is not a holomorph pair"
+        elif mon_from_hol(M, h) != a:
+            yield f"round trip fails at {a}"
 
-    hol_set = set(hol)
+    def tau_failures(i):
+        h = hol[i]
+        if hol_from_mon(M, mon_from_hol(M, h)) != h:
+            yield f"tau of {h} is not determined by its identity value"
 
-    def bijection_failures():
-        for a in mon:
-            h = expand(a)
-            if h not in hol_set or not is_valid_hol(M, h.alpha, h.tau):
-                yield f"expansion of {a} is not a holomorph pair"
-            elif mon_from_hol(M, h) != a:
-                yield f"round trip fails at {a}"
-        for h in hol:
-            if expand(mon_from_hol(M, h)) != h:
-                yield f"tau of {h} is not determined by its identity value"
+    rep.first_failure("bijection", chain(
+        replay(expansion_bad, expansion_failures), replay(tau_bad, tau_failures)))
 
-    rep.first_failure("bijection", bijection_failures())
+    # pi[Dm] == D[pi][:, pi] where every index is found; a -1 flags its row
+    Dm = diamond_table(mul, np.zeros(n, np.intp), MA, m[:, None])
+    image = np.append(pi, -1)[Dm]
+    found = (image >= 0) & (pi >= 0)[:, None] & (pi >= 0)
 
-    rep.first_failure("diamonds_agree", (
-        f"diamonds disagree at ({a},{b})"
-        for a in mon
-        for b in mon
-        if expand(diamond(a, b)) != hol_diamond(M, expand(a), expand(b))
-    ))
+    def diamond_failures(i):
+        a = mon[i]
+        for b in mon:
+            if hol_from_mon(M, mon_diamond(M, a, b)) != hol_diamond(
+                    M, hol_from_mon(M, a), hol_from_mon(M, b)):
+                yield f"diamonds disagree at ({a},{b})"
 
-    bad = first_nonassociative(mon, diamond)
+    rep.first_failure("diamonds_agree", replay(
+        ~(found & (image == D[pi][:, pi])).all(axis=1), diamond_failures))
+
+    # with every product in mon and mon distinct, Dm holds the ids that
+    # first_nonassociative would intern; otherwise intern them as it does
+    if (Dm >= 0).all() and len(set(mon)) == len(mon):
+        bad = first_nonassociative_table(Dm)
+    else:
+        bad = first_nonassociative(mon, partial(mon_diamond, M))
     rep.add("compressed_diamond_associative", bad is None,
             bad and "associativity fails at ({},{},{})".format(*(mon[i] for i in bad)))
 
+    # t acts on (alpha, m) as (t alpha) m, and on its expansion as hol_action
+    disagree = mul[MA, m[:, None]] != mul[MA, tau[:, tau_positions(M)]]
     rep.first_failure("actions_agree", (
-        f"actions disagree at t={t}, {a}"
-        for t in range(M.size)
-        for a in mon
-        if mon_action(M, t, a) != hol_action(M, t, expand(a))
-    ))
+        f"actions disagree at t={t}, {mon[i]}" for t, i in hits(disagree.T)))
     return rep

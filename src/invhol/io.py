@@ -113,14 +113,3 @@ def detect_kind(path):
     if isinstance(obj, dict) and "arrows" in obj:
         return "groupoid"
     raise ParseError(f"{path}: neither a semigroup nor a groupoid file")
-
-
-def write_theta(path, theta):
-    _dump({"theta": list(theta)}, path)
-
-
-def read_theta(path):
-    obj = _load(path)
-    if not isinstance(obj, dict) or "theta" not in obj:
-        raise ParseError(f"{path}: expected an object with a \"theta\" vector")
-    return tuple(obj["theta"])

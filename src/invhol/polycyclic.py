@@ -857,7 +857,7 @@ def heap_split(act, window, heap=_heap):
     return w_nz is None, w_z is None, w_nz, w_z
 
 
-def heap_type_check_polycyclic(n=2, L=1, param_len=2, deep_reps=True):
+def heap_type_check_polycyclic(n=2, L=1, param_len=2):
     """Heap behaviour of the three holomorph element families on a window.
 
     For each representative pair the action map is built generically and

@@ -16,14 +16,33 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from invhol.core import build_from_table
-from invhol.errors import NotAssociative, NotBelowDomain, NotIdempotent, NotInductive, NotInverse
+from invhol.core import build_from_table, first_nonassociative
+from invhol.errors import (
+    NotAssociative,
+    NotBelowDomain,
+    NotIdempotent,
+    NotInductive,
+    NotInverse,
+    ParseError,
+)
+from invhol.groupoid import OrderedGroupoid, verify_ordered_groupoid
+from invhol.heap import enumerate_sha, is_heap_preserving, sha_embed
 from invhol.holomorph import (
+    HolElement,
+    enumerate_holomorph,
     hol_action,
     hol_diamond,
+    hol_from_mon,
     hol_groupoid_compose,
     hol_identity,
+    is_valid_hol,
+    mon_diamond,
+    mon_from_hol,
+    mon_hol,
+    target_premorphism,
 )
+from invhol.io import _dump, _load
+from invhol.morphisms import is_endomorphism
 from invhol.errors import NotSuffixPreserving, WindowExceeded
 from invhol.report import CheckReport
 from invhol.search import backtrack
@@ -51,17 +70,21 @@ def is_multiplicative_map(S, theta):
     )
 
 
+def self_maps_where(S, holds):
+    """Every self-map t of S, as tuples in lexicographic order, with
+    holds(t(ab), t(a) t(b)) true at every (a, b): the whole function space
+    as one array, filtered by one numpy comparison per (a, b)."""
+    n, mul = S.size, S.mul_array
+    T = np.indices((n,) * n, np.int8).reshape(n, -1).T
+    for a in range(n):
+        for b in range(n):
+            T = T[holds(T[:, mul[a, b]], mul[T[:, a], T[:, b]])]
+    return list(map(tuple, T.tolist()))
+
+
 def premorphisms_by_filter(S):
-    leq = S.natural_order().leq
-    out = []
-    for t in all_self_maps(S.size):
-        if all(
-            leq(t[S.mul[a][b]], S.mul[t[a]][t[b]])
-            for a in range(S.size)
-            for b in range(S.size)
-        ):
-            out.append(t)
-    return out
+    leq = S.natural_order().array
+    return self_maps_where(S, lambda ab, a_b: leq[ab, a_b])
 
 
 def automorphisms_by_filter(S):
@@ -74,7 +97,7 @@ def automorphisms_by_filter(S):
 
 
 def endomorphisms_by_filter(S):
-    return [t for t in all_self_maps(S.size) if is_multiplicative_map(S, t)]
+    return self_maps_where(S, lambda ab, a_b: ab == a_b)
 
 
 def first_nonassociative_by_loops(elems, product):
@@ -91,16 +114,16 @@ def first_nonassociative_by_loops(elems, product):
 def holomorph_pairs_by_filter(S):
     """Every holomorph pair (alpha, tau), sorted, with tau listed over
     S.idempotents: each map from premorphisms_by_filter times every map
-    E -> S, kept when (e tau)(e tau)^-1 = e alpha at each idempotent e and
-    e <= f implies e tau <= f tau."""
+    E -> S with (e tau)(e tau)^-1 = e alpha at each idempotent e (a
+    condition on each value alone, so the values are drawn from the
+    elements that meet it), kept when e <= f implies e tau <= f tau."""
     leq = S.natural_order().leq
     E = S.idempotents
     out = []
     for alpha in premorphisms_by_filter(S):
-        for tau in product(range(S.size), repeat=len(E)):
+        domain = [[t for t in range(S.size) if S.mul[t][S.inv[t]] == alpha[e]] for e in E]
+        for tau in product(*domain):
             if all(
-                S.mul[tau[i]][S.inv[tau[i]]] == alpha[e] for i, e in enumerate(E)
-            ) and all(
                 leq(tau[i], tau[j])
                 for i, e in enumerate(E)
                 for j, f in enumerate(E)
@@ -203,6 +226,174 @@ def interchange_sweep(S, table):
             if right is None or D[ij][kl] != right:
                 return f"quadruple ({i},{j},{k},{l})", checked
     return None, checked
+
+
+def hol_inverse_arrow(S, h):
+    """The groupoid inverse of h: the pointwise-inverted transformation,
+    based at the target functor of h."""
+    beta = target_premorphism(S, h)
+    return HolElement(beta, tuple(S.inv[t] for t in h.tau))
+
+
+def mon_hol_report_by_loops(M, hol=None, mon=None):
+    """holomorph.verify_mon_hol by pair loops over the list ``hol``: every
+    compressed pair is expanded once and every compressed diamond computed
+    once, and each Hol diamond is computed by hol_diamond."""
+    rep = CheckReport(f"inverse-monoid holomorph form on {M!r}")
+    if hol is None:
+        hol = enumerate_holomorph(M)
+    if mon is None:
+        mon = mon_hol(M)
+    rep.add(
+        "counts_match",
+        len(hol) == len(mon),
+        None if len(hol) == len(mon) else f"{len(hol)} != {len(mon)}",
+        detail=f"{len(mon)} compressed pairs",
+    )
+
+    # a diamond that lands in mon is stored as that element, not a copy
+    expanded, diamonds = {}, {}
+    interned = {a: a for a in mon}
+
+    def expand(a):
+        if a not in expanded:
+            expanded[a] = hol_from_mon(M, a)
+        return expanded[a]
+
+    def diamond(a, b):
+        if (a, b) not in diamonds:
+            d = mon_diamond(M, a, b)
+            diamonds[a, b] = interned.setdefault(d, d)
+        return diamonds[a, b]
+
+    hol_set = set(hol)
+
+    def bijection_failures():
+        for a in mon:
+            h = expand(a)
+            if h not in hol_set or not is_valid_hol(M, h.alpha, h.tau):
+                yield f"expansion of {a} is not a holomorph pair"
+            elif mon_from_hol(M, h) != a:
+                yield f"round trip fails at {a}"
+        for h in hol:
+            if expand(mon_from_hol(M, h)) != h:
+                yield f"tau of {h} is not determined by its identity value"
+
+    rep.first_failure("bijection", bijection_failures())
+
+    rep.first_failure("diamonds_agree", (
+        f"diamonds disagree at ({a},{b})"
+        for a in mon
+        for b in mon
+        if expand(diamond(a, b)) != hol_diamond(M, expand(a), expand(b))
+    ))
+
+    bad = first_nonassociative(mon, diamond)
+    rep.add("compressed_diamond_associative", bad is None,
+            bad and "associativity fails at ({},{},{})".format(*(mon[i] for i in bad)))
+
+    rep.first_failure("actions_agree", (
+        f"actions disagree at t={t}, {a}"
+        for t in range(M.size)
+        for a in mon
+        if M.mul[a.alpha[t]][a.m] != hol_action(M, t, expand(a))
+    ))
+    return rep
+
+
+def sha_embedding_report_by_loops(S, sha=None):
+    """heap.verify_sha_embedding with every pair of maps compared by one
+    hol_diamond call."""
+    rep = CheckReport(f"heap monoid embedding on {S!r}")
+    if sha is None:
+        sha = enumerate_sha(S)
+    rep.add("sha_count", True, detail=f"|heap monoid| = {len(sha)}")
+    by_eta = {m.eta: sha_embed(S, m) for m in sha}
+    images = {}
+
+    def injectivity_failures():
+        for m in sha:
+            h = by_eta[m.eta]
+            if h in images:
+                yield f"maps {images[h]} and {m.eta} share an image"
+            images[h] = m.eta
+
+    rep.first_failure("embedding_injective", injectivity_failures())
+
+    rep.first_failure("embedding_multiplicative", (
+        f"embedding not multiplicative at ({m1.eta},{m2.eta})"
+        for m1 in sha
+        for m2 in sha
+        if by_eta[tuple(m2.eta[m1.eta[a]] for a in range(S.size))]
+        != hol_diamond(S, by_eta[m1.eta], by_eta[m2.eta])
+    ))
+
+    mul, inv = S.mul, S.inv
+
+    def range_idempotent_failures():
+        for m in sha:
+            phi = m.phi
+            for a in range(S.size):
+                e = mul[inv[a]][a]
+                if phi[e] != mul[m.eta[e]][inv[m.eta[e]]]:
+                    yield f"range-idempotent identity fails for {m.eta} at {a}"
+
+    rep.first_failure("phi_on_range_idempotents", range_idempotent_failures())
+    return rep
+
+
+def sha_monoid_iso_report_by_loops(M, sha=None, mon=None):
+    """heap.verify_sha_monoid_iso with every pair of maps compared by one
+    mon_diamond call."""
+    rep = CheckReport(f"heap monoid vs endomorphism pairs on {M!r}")
+    if M.identity is None:
+        rep.add("is_monoid", False, "no identity element")
+        return rep
+    if sha is None:
+        sha = enumerate_sha(M)
+    if mon is None:
+        mon = mon_hol(M)
+    sub = [a for a in mon if is_endomorphism(M, a.alpha)]
+    rep.add(
+        "counts",
+        len(sub) == len(sha),
+        None if len(sub) == len(sha) else f"|End x M| = {len(sub)} vs |Sha| = {len(sha)}",
+        detail=f"{len(sha)} heap maps, {len(sub)} endomorphism pairs",
+    )
+    by_eta = {m.eta: mon_from_hol(M, sha_embed(M, m)) for m in sha}
+    sub_set = set(sub)
+    image = set()
+
+    def forward_failures():
+        for m in sha:
+            a = by_eta[m.eta]
+            if not is_endomorphism(M, a.alpha):
+                yield f"embedded pair of {m.eta} has non-endomorphism first component"
+            elif a not in sub_set:
+                yield f"embedded pair of {m.eta} missing from the submonoid"
+            image.add(a)
+
+    rep.first_failure("image_in_submonoid", forward_failures())
+
+    def backward_failures():
+        for a in sub:
+            h = hol_from_mon(M, a)
+            eta = tuple(hol_action(M, s, h) for s in range(M.size))
+            if not is_heap_preserving(M, eta):
+                yield f"pair {a} does not act as an ordered heap map"
+            elif a not in image:
+                yield f"pair {a} is not hit by the embedding"
+
+    rep.first_failure("submonoid_in_image", backward_failures())
+
+    rep.first_failure("monoid_isomorphism", (
+        f"not multiplicative at ({m1.eta},{m2.eta})"
+        for m1 in sha
+        for m2 in sha
+        if by_eta[tuple(m2.eta[m1.eta[x]] for x in range(M.size))]
+        != mon_diamond(M, by_eta[m1.eta], by_eta[m2.eta])
+    ))
+    return rep
 
 
 def ordered_heap_maps_by_filter(S):
@@ -629,6 +820,61 @@ def semigroup_properties_by_loops(S):
 
     rep.first_failure("idempotent_meets", meet_failures())
     return rep
+
+
+def connected_groupoid(num_objects, group_table, trivial_order=True):
+    """The connected groupoid on the given objects with the given local group:
+    arrows (x, k, y) composing by (x,k,y)(y,l,z) = (x, kl, z)."""
+    m = num_objects
+    k = len(group_table)
+    arrows = [(x, g, y) for x in range(m) for g in range(k) for y in range(m)]
+    index = {a: i for i, a in enumerate(arrows)}
+    eg = next(g for g in range(k) if all(group_table[g][h] == h for h in range(k)))
+    ginv = [next(h for h in range(k) if group_table[g][h] == eg) for g in range(k)]
+    dom = [index[(x, eg, x)] for (x, g, y) in arrows]
+    ran = [index[(y, eg, y)] for (x, g, y) in arrows]
+    inv = [index[(y, ginv[g], x)] for (x, g, y) in arrows]
+    compose = {}
+    for (x, g, y) in arrows:
+        for (y2, h, z) in arrows:
+            if y == y2:
+                compose[(index[(x, g, y)], index[(y2, h, z)])] = index[(x, group_table[g][h], z)]
+    n = len(arrows)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    names = [f"({x},{g},{y})" for (x, g, y) in arrows]
+    G = OrderedGroupoid(dom, ran, inv, compose, leq, names=names)
+    assert verify_ordered_groupoid(G).ok
+    return G
+
+
+def disjoint_union(G1, G2):
+    off = G1.n
+    dom = G1.dom + [x + off for x in G2.dom]
+    ran = G1.ran + [x + off for x in G2.ran]
+    inv = G1.inv + [x + off for x in G2.inv]
+    compose = dict(G1.compose)
+    compose.update({(g + off, h + off): k + off for (g, h), k in G2.compose.items()})
+    n = G1.n + G2.n
+    leq = [[False] * n for _ in range(n)]
+    for a in range(G1.n):
+        for b in range(G1.n):
+            leq[a][b] = G1.leq[a][b]
+    for a in range(G2.n):
+        for b in range(G2.n):
+            leq[a + off][b + off] = G2.leq[a][b]
+    names = list(G1.names) + [f"{x}'" for x in G2.names]
+    return OrderedGroupoid(dom, ran, inv, compose, leq, names=names)
+
+
+def write_theta(path, theta):
+    _dump({"theta": list(theta)}, path)
+
+
+def read_theta(path):
+    obj = _load(path)
+    if not isinstance(obj, dict) or "theta" not in obj:
+        raise ParseError(f"{path}: expected an object with a \"theta\" vector")
+    return tuple(obj["theta"])
 
 
 def restriction_by_scan(G, x, g):

@@ -11,8 +11,6 @@ from itertools import product
 from invhol import polycyclic as P
 from invhol.groupoid import (
     check_flow_monoid_structure,
-    connected_groupoid,
-    disjoint_union,
     enumerate_flows,
     esn_back,
     esn_forward,
@@ -97,13 +95,14 @@ def test_criterion_5_interchange(zoo):
 
 def test_criterion_6_flow_monoid():
     t0 = time.time()
-    G = connected_groupoid(2, Z2_TABLE)
+    G = oracles.connected_groupoid(2, Z2_TABLE)
     ok = len(enumerate_flows(G)) == 16
     rep = check_flow_monoid_structure(G)
     ok = ok and rep.ok
     by_name = {c.name: c.ok for c in rep.checks}
     ok = ok and by_name.get("component_0_wreath_iso", False)
-    G2 = disjoint_union(connected_groupoid(1, Z2_TABLE), connected_groupoid(2, [[0]]))
+    G2 = oracles.disjoint_union(
+        oracles.connected_groupoid(1, Z2_TABLE), oracles.connected_groupoid(2, [[0]]))
     rep2 = check_flow_monoid_structure(G2)
     ok = ok and rep2.ok and len(enumerate_flows(G2)) == 8
     _record(6, "flow monoid is the wreath product, componentwise", ok,

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from invhol import catalog, io
+from invhol import catalog, holomorph, io, morphisms
 from invhol.cli import main
 from invhol.errors import ParseError
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +217,25 @@ def test_sha_budget_limits_premorphism_search(files, capsys, name, budget, line)
     assert "heap monoid vs endomorphism pairs" not in captured.out
 
 
+@pytest.mark.parametrize("command, searches", [("hol", 2), ("sha", 1)])
+def test_every_premorphism_search_gets_the_budget(files, capsys, monkeypatch, command, searches):
+    # hol searches twice (its pairs, then the compressed pairs of
+    # verify_mon_hol), sha once; each search runs under --budget
+    _, paths = files
+    budgets = []
+    search = morphisms.enumerate_premorphisms
+
+    def recorded(S, *args, **kwargs):
+        budgets.append(kwargs.get("budget"))
+        return search(S, *args, **kwargs)
+
+    for module in (morphisms, holomorph):
+        monkeypatch.setattr(module, "enumerate_premorphisms", recorded)
+    assert main([command, paths["I2"], "--budget", "1000"]) == 0
+    capsys.readouterr()
+    assert budgets == [1000] * searches
+
+
 def test_jobs_must_be_positive(files, capsys):
     _, paths = files
     assert main(["hol", paths["Z3"], "--jobs", "0"]) == 2
@@ -273,5 +294,5 @@ def test_read_semigroup_validates_stated_identity(tmp_path):
 
 def test_theta_round_trip(tmp_path):
     p = tmp_path / "theta.json"
-    io.write_theta(p, (0, 2, 1))
-    assert io.read_theta(p) == (0, 2, 1)
+    oracles.write_theta(p, (0, 2, 1))
+    assert oracles.read_theta(p) == (0, 2, 1)

@@ -6,9 +6,7 @@ from invhol.errors import NotBelowDomain, NotInductive, SizeCap
 from invhol.groupoid import (
     OrderedGroupoid,
     check_flow_monoid_structure,
-    connected_groupoid,
     corestriction,
-    disjoint_union,
     enumerate_flows,
     esn_back,
     esn_forward,
@@ -21,6 +19,8 @@ from invhol.groupoid import (
     verify_ordered_groupoid,
     wreath_product,
 )
+
+import oracles
 
 Z2 = [[0, 1], [1, 0]]
 
@@ -145,13 +145,13 @@ def test_esn_round_trip(zoo):
 
 
 def test_esn_back_rejects_non_inductive():
-    G = disjoint_union(trivial_groupoid(), trivial_groupoid())
+    G = oracles.disjoint_union(trivial_groupoid(), trivial_groupoid())
     with pytest.raises(NotInductive):
         esn_back(G)
 
 
 def test_meet_identities_absent_is_none():
-    G = disjoint_union(trivial_groupoid(), trivial_groupoid())
+    G = oracles.disjoint_union(trivial_groupoid(), trivial_groupoid())
     assert meet_identities(G, 0, 1) is None
     assert pseudoproduct(G, 0, 1) is None
 
@@ -159,7 +159,7 @@ def test_meet_identities_absent_is_none():
 def test_flow_counts():
     # one identity: flows are the group elements and compose as the group
     z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-    G = connected_groupoid(1, z3)
+    G = oracles.connected_groupoid(1, z3)
     flows = enumerate_flows(G)
     assert len(flows) == 3
     arrow_group = {t[0]: t for t in flows}
@@ -168,18 +168,18 @@ def test_flow_counts():
             gh = G.compose[(g, h)]
             assert flow_compose(G, arrow_group[g], arrow_group[h]) == arrow_group[gh]
     # two objects, trivial group: 4 flows
-    assert len(enumerate_flows(connected_groupoid(2, [[0]]))) == 4
+    assert len(enumerate_flows(oracles.connected_groupoid(2, [[0]]))) == 4
     # two objects, Z2: 16 flows
-    assert len(enumerate_flows(connected_groupoid(2, Z2))) == 16
+    assert len(enumerate_flows(oracles.connected_groupoid(2, Z2))) == 16
 
 
 def test_flow_cap():
     with pytest.raises(SizeCap):
-        enumerate_flows(connected_groupoid(2, Z2), cap=10)
+        enumerate_flows(oracles.connected_groupoid(2, Z2), cap=10)
 
 
 def test_identity_flow_is_neutral():
-    G = connected_groupoid(2, Z2)
+    G = oracles.connected_groupoid(2, Z2)
     flows = enumerate_flows(G)
     e = identity_flow(G)
     for t in flows:
@@ -188,7 +188,7 @@ def test_identity_flow_is_neutral():
 
 
 def test_flow_monoid_associative():
-    G = connected_groupoid(2, Z2)
+    G = oracles.connected_groupoid(2, Z2)
     flows = enumerate_flows(G)
     idx = {t: i for i, t in enumerate(flows)}
     table = np.array(
@@ -200,7 +200,7 @@ def test_flow_monoid_associative():
 
 def test_ordered_flows(zoo):
     # trivial order: all flows are ordered
-    G = connected_groupoid(2, Z2)
+    G = oracles.connected_groupoid(2, Z2)
     assert len(ordered_flows(G)) == len(enumerate_flows(G))
     # semilattice: the only flow is the identity flow
     G = esn_forward(zoo["chain2"])
@@ -221,19 +221,20 @@ def test_wreath_product_size():
 
 
 def test_flow_monoid_structure_connected():
-    rep = check_flow_monoid_structure(connected_groupoid(2, Z2))
+    rep = check_flow_monoid_structure(oracles.connected_groupoid(2, Z2))
     assert rep.ok, rep.render()
 
 
 def test_flow_monoid_structure_disconnected():
-    G = disjoint_union(connected_groupoid(1, Z2), connected_groupoid(2, [[0]]))
+    G = oracles.disjoint_union(
+        oracles.connected_groupoid(1, Z2), oracles.connected_groupoid(2, [[0]]))
     rep = check_flow_monoid_structure(G)
     assert rep.ok, rep.render()
     assert len(enumerate_flows(G)) == 2 * 4
 
 
 def test_flow_monoid_single_object_group():
-    G = connected_groupoid(1, Z2)
+    G = oracles.connected_groupoid(1, Z2)
     rep = check_flow_monoid_structure(G)
     assert rep.ok
     assert len(enumerate_flows(G)) == 2
@@ -251,7 +252,7 @@ def test_flow_monoid_reports_wreath_map_failure(monkeypatch):
         return elems, [table[1], table[0]] + table[2:]
 
     monkeypatch.setattr(gp, "wreath_product", rows_swapped)
-    line = check_flow_monoid_structure(connected_groupoid(2, Z2)).checks[-1]
+    line = check_flow_monoid_structure(oracles.connected_groupoid(2, Z2)).checks[-1]
     assert line.name == "component_0_wreath_iso" and not line.ok
     assert line.witness.startswith("candidate map not multiplicative at")
     assert line.detail is None

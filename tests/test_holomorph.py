@@ -4,19 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
-from invhol import core
+from invhol import core, heap, holomorph
 from invhol.errors import NotMonoid
-from invhol.heap import enumerate_sha
+from invhol.heap import enumerate_sha, verify_sha_embedding, verify_sha_monoid_iso
 from invhol.holomorph import (
     HolElement,
+    HolTable,
     MonHolElement,
     enumerate_holomorph,
     hol_action,
     hol_diamond,
     hol_groupoid_compose,
     hol_identity,
-    hol_inverse_arrow,
     hol_table,
     holomorph_units,
     is_valid_hol,
@@ -76,7 +77,7 @@ def test_groupoid_compose_with_pointwise_inverse(zoo):
     for name in ["Z3", "clifford4", "I2"]:
         S = zoo[name]
         for h in enumerate_holomorph(S):
-            hbar = hol_inverse_arrow(S, h)
+            hbar = oracles.hol_inverse_arrow(S, h)
             got = hol_groupoid_compose(S, h, hbar)
             assert got is not None
             assert got == HolElement(h.alpha, tuple(h.alpha[e] for e in S.idempotents))
@@ -346,3 +347,136 @@ def test_hol_table_memory_stays_near_the_table():
         tracemalloc.stop()
     assert len(table.pairs) == 1392
     assert peak < 2 * table.diamond.nbytes, peak
+
+
+def outcome(check, *args):
+    """The report of check(*args) as a dict, or the type and text of the
+    error it raised (an IndexError comes from first_nonassociative over a
+    list with a repeated element)."""
+    try:
+        return check(*args).to_dict()
+    except (AssertionError, IndexError, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def failed(result):
+    return isinstance(result, tuple) or not result["ok"]
+
+
+def _with_pairs(S, pairs):
+    """A HolTable over any list of pairs: entries -1 where a diamond is not
+    in the list, the last of equal pairs indexed."""
+    return HolTable(pairs, {h: i for i, h in enumerate(pairs)},
+                    oracles.hol_table_by_diamonds(S, pairs))
+
+
+def test_mon_hol_sweeps_match_loop_oracle(zoo):
+    # verify_mon_hol against the pair loops of oracles.mon_hol_report_by_loops,
+    # report and raised error alike, on the true inputs and on seeded
+    # corruptions: a compressed pair with its m or one alpha value changed,
+    # a dropped or duplicated compressed pair, a dropped or duplicated Hol
+    # pair and a changed Hol diamond entry
+    failing = 0
+    for name, S in zoo.items():
+        table = hol_table(S)
+        hol, n = table.pairs, len(table.pairs)
+        if S.identity is None or n > 40:
+            continue
+        mon = mon_hol(S)
+        rng = random.Random(name)
+        cases = [(table, mon)]
+        for k in rng.sample(range(len(mon)), min(3, len(mon))):
+            a = mon[k]
+            others = [x for x in range(S.size) if x != a.m]
+            if others:
+                # at a non-idempotent the expansion keeps its tau
+                alpha = list(a.alpha)
+                movable = [x for x in range(S.size) if not S.is_idempotent[x]]
+                alpha[rng.choice(movable or range(S.size))] = rng.choice(others)
+                for changed in [MonHolElement(a.alpha, rng.choice(others)),
+                                MonHolElement(tuple(alpha), a.m)]:
+                    cases.append((table, mon[:k] + [changed] + mon[k + 1:]))
+            cases += [(table, mon[:k] + mon[k + 1:]), (table, mon + [a])]
+        # every Hol table holds the identity pair, so a table is never empty
+        for k in rng.sample(range(n), min(2, n - 1)):
+            D = table.diamond.copy()
+            i, j = rng.randrange(n), rng.randrange(n)
+            D[i, j] = (D[i, j] + rng.randrange(1, n)) % n
+            cases += [(_with_pairs(S, hol[:k] + hol[k + 1:]), mon),
+                      (_with_pairs(S, hol + [hol[k]]), mon),
+                      (dataclasses.replace(table, diamond=D), mon)]
+        for t, m in cases:
+            want = outcome(oracles.mon_hol_report_by_loops, S, t.pairs, m)
+            assert outcome(verify_mon_hol, S, t, m) == want, name
+            failing += failed(want)
+    assert failing >= 10, failing
+
+
+def test_sha_sweeps_match_loop_oracles(zoo):
+    # verify_sha_embedding and verify_sha_monoid_iso against the pair loops
+    # of oracles, on the true heap maps and with a map dropped, duplicated or
+    # changed at one element; a dropped map leaves composites outside the
+    # list, whose KeyError the replayed loop raises as the oracle does
+    failing = {"embedding": 0, "isomorphism": 0}
+    for name, S in zoo.items():
+        sha = enumerate_sha(S)
+        mon = mon_hol(S) if S.identity is not None else None
+        rng = random.Random(name)
+        cases = [sha]
+        for k in rng.sample(range(len(sha)), min(3, len(sha))):
+            eta = list(sha[k].eta)
+            eta[rng.randrange(S.size)] = rng.randrange(S.size)
+            cases += [sha[:k] + sha[k + 1:], sha + [sha[k]],
+                      sha[:k] + [heap.HeapMap(S, eta)] + sha[k + 1:]]
+        for maps in cases:
+            want = outcome(oracles.sha_embedding_report_by_loops, S, maps)
+            assert outcome(verify_sha_embedding, S, maps) == want, name
+            failing["embedding"] += failed(want)
+            if mon is not None:
+                want = outcome(oracles.sha_monoid_iso_report_by_loops, S, maps, mon)
+                assert outcome(verify_sha_monoid_iso, S, maps, mon) == want, name
+                failing["isomorphism"] += failed(want)
+    assert min(failing.values()) >= 10, failing
+
+
+def test_law_checks_compute_no_pair_diamond_when_they_pass(zoo, monkeypatch):
+    # on passing inputs the three checks decide every pair from the tables
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return wrapper
+
+    for module in (holomorph, heap):
+        for f in ("hol_diamond", "mon_diamond"):
+            monkeypatch.setattr(module, f, counted(getattr(module, f)))
+    for name, S in zoo.items():
+        sha = enumerate_sha(S)
+        reports = [verify_sha_embedding(S, sha)]
+        if S.identity is not None:
+            mon = mon_hol(S)
+            reports += [verify_mon_hol(S, hol_table(S), mon), verify_sha_monoid_iso(S, sha, mon)]
+        assert all(r.ok for r in reports), name
+    assert calls == []
+
+
+B12 = oracles.inverse_subsemigroup(2, [(2, 0)])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(oracles.inverse_subsemigroups(cap=7))
+@example(B12)
+def test_searches_match_filters_on_random_inverse_subsemigroups(S):
+    # Prem, End and Hol against the raw-space filters; on a monoid, one
+    # compressed pair per Hol pair and verify_mon_hol as its pair loops
+    assert [m.theta for m in enumerate_premorphisms(S)] == oracles.premorphisms_by_filter(S)
+    assert [m.theta for m in enumerate_endomorphisms(S)] == oracles.endomorphisms_by_filter(S)
+    hol = enumerate_holomorph(S)
+    assert [(h.alpha, h.tau) for h in hol] == oracles.holomorph_pairs_by_filter(S)
+    if S.identity is not None:
+        mon = mon_hol(S)
+        assert len(mon) == len(hol)
+        assert verify_mon_hol(S, hol_table(S, hol), mon).to_dict() == (
+            oracles.mon_hol_report_by_loops(S, hol, mon).to_dict())
