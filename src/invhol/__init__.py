@@ -10,7 +10,6 @@ from .core import (
     build_semilattice_of_groups,
     build_symmetric_inverse_monoid,
     meet_idempotents,
-    natural_leq,
 )
 from .errors import InvholError
 from .groupoid import (
@@ -36,7 +35,6 @@ from .holomorph import (
     verify_interchange,
 )
 from .morphisms import (
-    ElementMap,
     enumerate_premorphisms,
     is_endomorphism,
     is_premorphism,
@@ -52,7 +50,6 @@ from .polycyclic import (
     parse_poly_expression,
     poly,
     poly_mul,
-    suffix_leq,
 )
 
 __version__ = "0.1.0"

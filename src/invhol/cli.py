@@ -31,6 +31,8 @@ class RunConfig:
     def __post_init__(self):
         if self.cap_size <= 0 or self.budget <= 0 or self.maxlen <= 0 or self.jobs <= 0:
             raise ValueError("caps, budget, window and jobs must be positive")
+        if not 1 <= self.alphabet <= 26:
+            raise ValueError("alphabet size must be between 1 and 26")
 
 
 class Output:
@@ -155,7 +157,7 @@ def cmd_sha(config, out):
         mon = holomorph.mon_hol(S, morphisms.enumerate_premorphisms(S, budget=config.budget))
         out.add_report(heap.verify_sha_monoid_iso(S, sha, mon))
     if config.dump:
-        io._dump({"elements": [{"eta": list(m.eta)} for m in sha]}, config.dump)
+        io._dump({"elements": [{"eta": list(eta)} for eta in sha]}, config.dump)
         out.line(f"dumped {len(sha)} maps to {config.dump}")
 
 

@@ -28,13 +28,15 @@ DIAGNOSTIC_SIZE = 300
 
 def first_nonassociative(elems, product):
     """The lexicographically first index triple (i, j, k) with
-    (x_i x_j) x_k != x_i (x_j x_k) over the distinct ``elems``, or None.
+    (x_i x_j) x_k != x_i (x_j x_k) over ``elems``, or None.
 
-    Products are interned to integer ids, so a product that leaves ``elems``
-    (as on a window of an infinite monoid) still compares by value; the
-    sweep then runs one vectorised row at a time.
+    Products are interned to integer ids, each distinct value once in
+    first-seen order, so a repeated element or a product that leaves
+    ``elems`` (as on a window of an infinite monoid) still compares by
+    value; the sweep then runs one vectorised row at a time.
     """
-    ids = {e: i for i, e in enumerate(elems)}
+    ids = {e: i for i, e in enumerate(dict.fromkeys(elems))}
+    distinct = len(ids)
 
     def table(xs, ys):
         flat = (
@@ -46,8 +48,8 @@ def first_nonassociative(elems, product):
         return np.fromiter(flat, np.int64, count=size).reshape(len(xs), len(ys))
 
     m1 = table(elems, elems)
-    mid = list(ids)                 # elems, then the products that leave them
-    if len(mid) == len(m1):
+    mid = list(ids)         # the distinct elems, then the products that leave them
+    if distinct == len(mid) == len(m1):
         return first_nonassociative_table(m1)
     # rows of `left` and columns of `right` run over every id
     return first_nonassociative_table(m1, table(mid, elems), table(elems, mid))
@@ -172,29 +174,10 @@ class InverseSemigroup:
 
         self._order = None
 
-    def __len__(self):
-        return self.size
-
-    def elements(self):
-        return range(self.size)
-
-    def product(self, *xs):
-        it = iter(xs)
-        acc = next(it)
-        for x in it:
-            acc = self.mul[acc][x]
-        return acc
-
     def natural_order(self):
         if self._order is None:
             self._order = NaturalOrder(self, diagnostics=self.size <= DIAGNOSTIC_SIZE)
         return self._order
-
-    def leq(self, a, b):
-        return self.natural_order().leq(a, b)
-
-    def name(self, a):
-        return self.names[a]
 
     def __repr__(self):
         kind = "monoid" if self.identity is not None else "semigroup"
@@ -238,13 +221,6 @@ class NaturalOrder:
 def build_from_table(names, mul_table, cap=DEFAULT_SIZE_CAP):
     """Validate a multiplication table and return an InverseSemigroup."""
     return InverseSemigroup(names, mul_table, cap=cap)
-
-
-def natural_leq(S, a, b, diagnostics=False):
-    """True iff a = a a^-1 b; with diagnostics, asserts all characterisations."""
-    if diagnostics:
-        NaturalOrder(S, diagnostics=True)
-    return S.leq(a, b)
 
 
 def verify_semigroup_properties(S):

@@ -40,35 +40,6 @@ def is_heap_preserving(S, eta):
     return True
 
 
-class HeapMap:
-    """An ordered heap-preserving self-map with its holomorph components."""
-
-    def __init__(self, S, eta):
-        self.S = S
-        self.eta = tuple(eta)
-
-    @property
-    def phi(self):
-        mul, inv = self.S.mul, self.S.inv
-        return tuple(
-            mul[self.eta[a]][inv[self.eta[mul[inv[a]][a]]]]
-            for a in range(self.S.size)
-        )
-
-    @property
-    def tau(self):
-        return tuple(self.eta[e] for e in self.S.idempotents)
-
-    def __eq__(self, other):
-        return isinstance(other, HeapMap) and self.eta == other.eta
-
-    def __hash__(self):
-        return hash(self.eta)
-
-    def __repr__(self):
-        return f"HeapMap{self.eta}"
-
-
 def _forcing_plan(S):
     """The order in which enumerate_sha places the elements, and what each
     level checks.
@@ -127,7 +98,8 @@ def _forcing_plan(S):
 
 
 def enumerate_sha(S, budget=DEFAULT_NODE_BUDGET):
-    """All ordered heap-preserving self-maps, lexicographic by value vector.
+    """All ordered heap-preserving self-maps as value vectors, in
+    lexicographic order.
 
     Once eta(a), eta(b) and eta(c) are fixed, eta(<a,b,c>) is forced, so the
     search branches only on the branching positions of _forcing_plan and
@@ -214,7 +186,7 @@ def enumerate_sha(S, budget=DEFAULT_NODE_BUDGET):
     descend(0, root)
     vecs = [tuple(row) for row in np.concatenate(found).tolist()]
     assert_transformation_monoid(vecs, "heap maps")
-    return [HeapMap(S, eta) for eta in vecs]
+    return vecs
 
 
 def sha_embed(S, eta):
@@ -225,37 +197,41 @@ def sha_embed(S, eta):
     invariants of the image and that the holomorph action of the image
     reproduces eta pointwise.
     """
-    if isinstance(eta, HeapMap):
-        hm = eta
-    else:
-        eta = tuple(eta)
-        if not is_heap_preserving(S, eta):
-            raise NotHeapPreserving(f"map {eta} is not an ordered heap map")
-        hm = HeapMap(S, eta)
-    h = HolElement(hm.phi, hm.tau)
+    eta = tuple(eta)
+    if not is_heap_preserving(S, eta):
+        raise NotHeapPreserving(f"map {eta} is not an ordered heap map")
+    return _embed(S, eta)
+
+
+def _embed(S, eta):
+    """sha_embed of a map already known to preserve the heap, such as one of
+    enumerate_sha: phi_eta is a -> eta(a) eta(a^-1 a)^-1."""
+    mul, inv = S.mul, S.inv
+    phi = tuple(mul[eta[a]][inv[eta[mul[inv[a]][a]]]] for a in range(S.size))
+    h = HolElement(phi, tuple(eta[e] for e in S.idempotents))
     assert is_premorphism(S, S, h.alpha), "phi of a heap map must be premorphic"
     assert is_valid_hol(S, h.alpha, h.tau)
     for s in range(S.size):
-        assert hol_action(S, s, h) == hm.eta[s], (
+        assert hol_action(S, s, h) == eta[s], (
             f"action of the embedded pair disagrees with the map at {s}"
         )
     return h
 
 
 def bijective_heap_maps(sha):
-    return [m for m in sha if len(set(m.eta)) == len(m.eta)]
+    return [eta for eta in sha if len(set(eta)) == len(eta)]
 
 
 def multiplicative_failures(S, sha, by_eta, images, R, diamond, witness):
-    """The pairs (m1, m2) of ``sha``, in loop order, where by_eta of the
-    composite m1 then m2 is not diamond(S, by_eta of m1, by_eta of m2), as
+    """The pairs (e1, e2) of ``sha``, in loop order, where by_eta of the
+    composite e1 then e2 is not diamond(S, by_eta of e1, by_eta of e2), as
     ``witness`` texts; a composite outside ``sha`` raises KeyError.  A sweep
-    flags the m1 to replay the loop at: composite j of i is row j of
+    flags the e1 to replay the loop at: composite j of i is row j of
     P[:, P[i]] looked up among the value vectors P, and its row of
     ``images`` (alpha, then the rest) must be pair_diamonds with R."""
     n, k = S.size, len(sha)
     mul = S.mul_array.astype(np.int32)
-    P = np.array([m.eta for m in sha], np.int32).reshape(k, n)
+    P = np.array(sha, np.int32).reshape(k, n)
     lookup = row_lookup(P)
     flagged = np.zeros(k, bool)
     for rows in row_blocks(k, k * images.shape[1]):
@@ -264,11 +240,10 @@ def multiplicative_failures(S, sha, by_eta, images, R, diamond, witness):
         flagged[rows] = ((C < 0) | (images[C] != diamonds).any(axis=2)).any(axis=0)
 
     def failures(i):
-        m1 = sha[i]
-        for m2 in sha:
-            if by_eta[tuple(m2.eta[a] for a in m1.eta)] != diamond(
-                    S, by_eta[m1.eta], by_eta[m2.eta]):
-                yield witness.format(m1.eta, m2.eta)
+        e1 = sha[i]
+        for e2 in sha:
+            if by_eta[tuple(e2[a] for a in e1)] != diamond(S, by_eta[e1], by_eta[e2]):
+                yield witness.format(e1, e2)
 
     return replay(flagged, failures)
 
@@ -279,19 +254,19 @@ def verify_sha_embedding(S, sha=None):
     if sha is None:
         sha = enumerate_sha(S)
     rep.add("sha_count", True, detail=f"|heap monoid| = {len(sha)}")
-    by_eta = {m.eta: sha_embed(S, m) for m in sha}
+    by_eta = {eta: _embed(S, eta) for eta in sha}
     images = {}
 
     def injectivity_failures():
-        for m in sha:
-            h = by_eta[m.eta]
+        for eta in sha:
+            h = by_eta[eta]
             if h in images:
-                yield f"maps {images[h]} and {m.eta} share an image"
-            images[h] = m.eta
+                yield f"maps {images[h]} and {eta} share an image"
+            images[h] = eta
 
     rep.first_failure("embedding_injective", injectivity_failures())
 
-    pairs = np.array([by_eta[m.eta].alpha + by_eta[m.eta].tau for m in sha], np.int32)
+    pairs = np.array([by_eta[eta].alpha + by_eta[eta].tau for eta in sha], np.int32)
     rep.first_failure("embedding_multiplicative", multiplicative_failures(
         S, sha, by_eta, pairs.reshape(len(sha), S.size + len(S.idempotents)),
         tau_positions(S), hol_diamond, "embedding not multiplicative at ({},{})"))
@@ -299,12 +274,12 @@ def verify_sha_embedding(S, sha=None):
     mul, inv = S.mul, S.inv
 
     def range_idempotent_failures():
-        for m in sha:
-            phi = m.phi
+        for eta in sha:
+            phi = by_eta[eta].alpha
             for a in range(S.size):
                 e = mul[inv[a]][a]
-                if phi[e] != mul[m.eta[e]][inv[m.eta[e]]]:
-                    yield f"range-idempotent identity fails for {m.eta} at {a}"
+                if phi[e] != mul[eta[e]][inv[eta[e]]]:
+                    yield f"range-idempotent identity fails for {eta} at {a}"
 
     rep.first_failure("phi_on_range_idempotents", range_idempotent_failures())
     return rep
@@ -330,17 +305,17 @@ def verify_sha_monoid_iso(M, sha=None, mon=None):
     )
 
     # forward: every heap map embeds onto an endomorphism pair
-    by_eta = {m.eta: mon_from_hol(M, sha_embed(M, m)) for m in sha}
+    by_eta = {eta: mon_from_hol(M, _embed(M, eta)) for eta in sha}
     sub_set = set(sub)
     image = set()
 
     def forward_failures():
-        for m in sha:
-            a = by_eta[m.eta]
+        for eta in sha:
+            a = by_eta[eta]
             if not is_endomorphism(M, a.alpha):
-                yield f"embedded pair of {m.eta} has non-endomorphism first component"
+                yield f"embedded pair of {eta} has non-endomorphism first component"
             elif a not in sub_set:
-                yield f"embedded pair of {m.eta} missing from the submonoid"
+                yield f"embedded pair of {eta} missing from the submonoid"
             image.add(a)
 
     rep.first_failure("image_in_submonoid", forward_failures())
@@ -359,7 +334,7 @@ def verify_sha_monoid_iso(M, sha=None, mon=None):
     rep.first_failure("submonoid_in_image", backward_failures())
 
     # the bijection is an isomorphism of monoids
-    pairs = np.array([by_eta[m.eta].alpha + (by_eta[m.eta].m,) for m in sha], np.int32)
+    pairs = np.array([by_eta[eta].alpha + (by_eta[eta].m,) for eta in sha], np.int32)
     rep.first_failure("monoid_isomorphism", multiplicative_failures(
         M, sha, by_eta, pairs.reshape(len(sha), M.size + 1), np.zeros(M.size, np.intp),
         mon_diamond, "not multiplicative at ({},{})"))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import first_nonassociative, first_nonassociative_table, hits, replay, row_blocks
 from .errors import NotMonoid, SizeCap
-from .morphisms import ElementMap, enumerate_premorphisms
+from .morphisms import DEFAULT_NODE_BUDGET, enumerate_premorphisms
 from .report import CheckReport
 from .search import backtrack, row_lookup
 
@@ -111,16 +111,17 @@ def hol_action(S, s, h):
     return S.mul[h.alpha[s]][h.tau[pos[S.mul[S.inv[s]][s]]]]
 
 
-def enumerate_holomorph(S, prems=None, budget=None, tau_cap=DEFAULT_TAU_CAP):
+def enumerate_holomorph(S, prems=None, budget=DEFAULT_NODE_BUDGET, tau_cap=DEFAULT_TAU_CAP):
     """All pairs (alpha, tau) satisfying the holomorph conditions.
 
-    For each premorphism the tau candidates at idempotent e are the elements
-    t with t t^-1 = e alpha; the sweep assigns idempotents in order and
-    prunes on the order condition.  Raises SizeCap once the pairs found
+    For each premorphism alpha of ``prems`` (value vectors; by default
+    enumerate_premorphisms(S, budget)) the tau candidates at idempotent e
+    are the elements t with t t^-1 = e alpha; the sweep assigns idempotents
+    in order and prunes on the order condition.  Raises SizeCap once the pairs found
     exceed tau_cap.  Output is sorted by (alpha, tau).
     """
     if prems is None:
-        prems = enumerate_premorphisms(S) if budget is None else enumerate_premorphisms(S, budget=budget)
+        prems = enumerate_premorphisms(S, budget=budget)
     mul, inv = S.mul, S.inv
     E = S.idempotents
     leq = S.natural_order().leq
@@ -140,8 +141,7 @@ def enumerate_holomorph(S, prems=None, budget=None, tau_cap=DEFAULT_TAU_CAP):
         return True
 
     out = []
-    for m in prems:
-        alpha = m.theta if isinstance(m, ElementMap) else tuple(m)
+    for alpha in prems:
         taus = backtrack([rclass[alpha[e]] for e in E], ok_at)
         out.extend(HolElement(alpha, tau) for tau in taus)
         if len(out) > tau_cap:
@@ -305,8 +305,7 @@ def mon_hol(M, prems=None):
         prems = enumerate_premorphisms(M)
     mul, inv = M.mul, M.inv
     out = []
-    for p in prems:
-        alpha = p.theta
+    for alpha in prems:
         top = alpha[M.identity]
         for m in range(M.size):
             if mul[m][inv[m]] == top:

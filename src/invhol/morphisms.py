@@ -1,9 +1,10 @@
-"""Ordered maps, premorphisms and endomorphisms of finite inverse semigroups.
+"""Premorphisms and endomorphisms of finite inverse semigroups.
 
 A premorphism is a map with (ab)t <= at bt for all a,b in the natural
-partial order.  Premorphisms are not determined by generator images, so
-enumeration is a depth-first sweep over full value vectors with early
-pruning; output order is lexicographic on the value vector.
+partial order.  A self-map is its value vector, the tuple (0t, 1t, ...).
+Premorphisms are not determined by generator images, so enumeration is a
+depth-first sweep over full value vectors with early pruning; output order
+is lexicographic on the value vector.
 """
 
 import operator
@@ -16,83 +17,6 @@ from .search import assert_transformation_monoid, backtrack
 DEFAULT_NODE_BUDGET = 10**8
 
 
-class ElementMap:
-    """A total self-map of a semigroup's element set with cached predicates."""
-
-    def __init__(self, source, target, theta):
-        theta = tuple(theta)
-        if len(theta) != source.size or any(not 0 <= v < target.size for v in theta):
-            raise ValueError("map is not a total map into the target")
-        self.source = source
-        self.target = target
-        self.theta = theta
-        self._flags = {}
-
-    def __call__(self, a):
-        return self.theta[a]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ElementMap)
-            and self.theta == other.theta
-            and self.source is other.source
-            and self.target is other.target
-        )
-
-    def __hash__(self):
-        return hash(self.theta)
-
-    def _cached(self, key, fn):
-        if key not in self._flags:
-            self._flags[key] = fn(self.source, self.target, self.theta)
-        return self._flags[key]
-
-    @property
-    def is_ordered(self):
-        return self._cached("ordered", _is_ordered)
-
-    @property
-    def is_premorphism(self):
-        return self._cached("premorphism", _is_premorphism)
-
-    @property
-    def is_endomorphism(self):
-        return self._cached("endomorphism", _is_multiplicative)
-
-    def __repr__(self):
-        return f"ElementMap{self.theta}"
-
-
-def _is_ordered(S, T, theta):
-    leq_s = S.natural_order().leq
-    leq_t = T.natural_order().leq
-    return all(
-        leq_t(theta[a], theta[b])
-        for a in range(S.size)
-        for b in range(S.size)
-        if leq_s(a, b)
-    )
-
-
-def _is_premorphism(S, T, theta):
-    leq = T.natural_order().leq
-    mul_s, mul_t = S.mul, T.mul
-    return all(
-        leq(theta[mul_s[a][b]], mul_t[theta[a]][theta[b]])
-        for a in range(S.size)
-        for b in range(S.size)
-    )
-
-
-def _is_multiplicative(S, T, theta):
-    mul_s, mul_t = S.mul, T.mul
-    return all(
-        theta[mul_s[a][b]] == mul_t[theta[a]][theta[b]]
-        for a in range(S.size)
-        for b in range(S.size)
-    )
-
-
 def is_premorphism(S, T, theta, diagnostics=False):
     """True iff (ab)theta <= a.theta b.theta for all pairs.
 
@@ -100,24 +24,33 @@ def is_premorphism(S, T, theta, diagnostics=False):
     multiplicative on pairs with a^-1 a = b b^-1".
     """
     theta = tuple(theta)
-    result = _is_premorphism(S, T, theta)
+    leq = T.natural_order().leq
+    mul_s, mul_t = S.mul, T.mul
+    elems = range(S.size)
+    result = all(
+        leq(theta[mul_s[a][b]], mul_t[theta[a]][theta[b]]) for a in elems for b in elems
+    )
     if diagnostics:
-        alt = _is_ordered(S, T, theta) and all(
-            theta[S.mul[a][b]] == T.mul[theta[a]][theta[b]]
-            for a in range(S.size)
-            for b in range(S.size)
-            if S.mul[S.inv[a]][a] == S.mul[b][S.inv[b]]
+        leq_s = S.natural_order().leq
+        alt = all(
+            leq(theta[a], theta[b]) for a in elems for b in elems if leq_s(a, b)
+        ) and all(
+            theta[mul_s[a][b]] == mul_t[theta[a]][theta[b]]
+            for a in elems
+            for b in elems
+            if mul_s[S.inv[a]][a] == mul_s[b][S.inv[b]]
         )
         assert alt == result, f"premorphism characterisations disagree on {theta}"
     return result
 
 
 def is_endomorphism(S, theta):
-    return _is_multiplicative(S, S, tuple(theta))
-
-
-def is_ordered_map(S, theta):
-    return _is_ordered(S, S, tuple(theta))
+    mul = S.mul
+    return all(
+        theta[mul[a][b]] == mul[theta[a]][theta[b]]
+        for a in range(S.size)
+        for b in range(S.size)
+    )
 
 
 def _maps_by_products(S, rel, budget):
@@ -142,22 +75,23 @@ def _maps_by_products(S, rel, budget):
 
 
 def enumerate_premorphisms(S, budget=DEFAULT_NODE_BUDGET):
-    """All premorphic self-maps of S, lexicographic by value vector.
+    """All premorphic self-maps of S as value vectors, in lexicographic order.
 
     Closure under composition and presence of the identity are asserted
     (Prem(S) is a monoid).  Raises SearchBudgetExceeded past the node budget.
     """
     vecs = _maps_by_products(S, S.natural_order().leq, budget)
     assert_transformation_monoid(vecs, "premorphisms")
-    return [ElementMap(S, S, t) for t in vecs]
+    return vecs
 
 
 def enumerate_endomorphisms(S, budget=DEFAULT_NODE_BUDGET):
-    """All endomorphisms of S, lexicographic by value vector: the same search
-    as for premorphisms with equality in place of the natural order."""
+    """All endomorphisms of S as value vectors, in lexicographic order: the
+    same search as for premorphisms with equality in place of the natural
+    order."""
     vecs = _maps_by_products(S, operator.eq, budget)
     assert_transformation_monoid(vecs, "endomorphisms")
-    return [ElementMap(S, S, t) for t in vecs]
+    return vecs
 
 
 def verify_premorphism_laws(S, prems=None, budget=DEFAULT_NODE_BUDGET):
@@ -176,22 +110,21 @@ def verify_premorphism_laws(S, prems=None, budget=DEFAULT_NODE_BUDGET):
     mul, inv = S.mul, S.inv
     leq = S.natural_order().leq
 
-    thetas = [m.theta for m in prems]
     rep.first_failure("idempotents_map_to_idempotents", (
         f"theta={t}, e={e}"
-        for t in thetas
+        for t in prems
         for e in S.idempotents
         if not S.is_idempotent[t[e]]
     ))
     rep.first_failure("inverses_preserved", (
         f"theta={t}, a={a}"
-        for t in thetas
+        for t in prems
         for a in range(S.size)
         if t[inv[a]] != inv[t[a]]
     ))
     rep.first_failure("range_idempotent_formula", (
         f"theta={t}, s={a}"
-        for t in thetas
+        for t in prems
         for a in range(S.size)
         if t[mul[a][inv[a]]] != mul[t[a]][inv[t[a]]]
     ))
@@ -205,12 +138,12 @@ def verify_premorphism_laws(S, prems=None, budget=DEFAULT_NODE_BUDGET):
     ]
     rep.first_failure("products_split_when_comparable", (
         f"theta={t}, a={a}, b={b}"
-        for t in thetas
+        for t in prems
         for a, b in comparable
         if t[mul[a][b]] != mul[t[a]][t[b]]
     ))
     rep.first_failure("ordered_multiplicative_equivalence", (
-        f"theta={t}" for t in thetas if not is_premorphism(S, S, t, diagnostics=True)
+        f"theta={t}" for t in prems if not is_premorphism(S, S, t, diagnostics=True)
     ))
     return rep
 
@@ -242,7 +175,7 @@ def sog_premorphism_data(sog, theta):
             "argument must come from build_semilattice_of_groups"
         )
     S = sog.semigroup
-    theta = tuple(theta.theta if isinstance(theta, ElementMap) else theta)
+    theta = tuple(theta)
     if not is_premorphism(S, S, theta):
         raise ValueError("map is not a premorphism")
     spec = sog.spec

@@ -103,15 +103,6 @@ def pair_leq(x, y):
     return u1[: len(u1) - len(u2)] == v1[: len(v1) - len(v2)]
 
 
-def suffix_leq(x, y):
-    """The suffix order, on words (zero as None), raw pairs, or PolyElements."""
-    if isinstance(x, PolyElement) or isinstance(y, PolyElement):
-        return poly_leq(x, y)
-    if isinstance(x, str) or isinstance(y, str):
-        return word_leq(x, y)
-    return pair_leq(x, y)
-
-
 def rewrite_mul(x, y):
     """Multiply two normal forms by free rewriting over the presentation.
 

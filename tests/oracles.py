@@ -26,7 +26,7 @@ from invhol.errors import (
     ParseError,
 )
 from invhol.groupoid import OrderedGroupoid, verify_ordered_groupoid
-from invhol.heap import enumerate_sha, is_heap_preserving, sha_embed
+from invhol.heap import _embed, enumerate_sha, is_heap_preserving
 from invhol.holomorph import (
     HolElement,
     enumerate_holomorph,
@@ -70,15 +70,30 @@ def is_multiplicative_map(S, theta):
     )
 
 
+def _function_space(n):
+    """Every self-map of range(n) as a row, rows in lexicographic order."""
+    return np.indices((n,) * n, np.int8).reshape(n, -1).T
+
+
 def self_maps_where(S, holds):
     """Every self-map t of S, as tuples in lexicographic order, with
     holds(t(ab), t(a) t(b)) true at every (a, b): the whole function space
     as one array, filtered by one numpy comparison per (a, b)."""
     n, mul = S.size, S.mul_array
-    T = np.indices((n,) * n, np.int8).reshape(n, -1).T
+    T = _function_space(n)
     for a in range(n):
         for b in range(n):
             T = T[holds(T[:, mul[a, b]], mul[T[:, a], T[:, b]])]
+    return list(map(tuple, T.tolist()))
+
+
+def ordered_maps_by_filter(S):
+    """Every self-map t of S with a <= b implying t(a) <= t(b), as tuples in
+    lexicographic order, filtered as self_maps_where does."""
+    leq = S.natural_order().array
+    T = _function_space(S.size)
+    for a, b in zip(*leq.nonzero()):
+        T = T[leq[T[:, a], T[:, b]]]
     return list(map(tuple, T.tolist()))
 
 
@@ -308,35 +323,35 @@ def sha_embedding_report_by_loops(S, sha=None):
     if sha is None:
         sha = enumerate_sha(S)
     rep.add("sha_count", True, detail=f"|heap monoid| = {len(sha)}")
-    by_eta = {m.eta: sha_embed(S, m) for m in sha}
+    by_eta = {eta: _embed(S, eta) for eta in sha}
     images = {}
 
     def injectivity_failures():
-        for m in sha:
-            h = by_eta[m.eta]
+        for eta in sha:
+            h = by_eta[eta]
             if h in images:
-                yield f"maps {images[h]} and {m.eta} share an image"
-            images[h] = m.eta
+                yield f"maps {images[h]} and {eta} share an image"
+            images[h] = eta
 
     rep.first_failure("embedding_injective", injectivity_failures())
 
     rep.first_failure("embedding_multiplicative", (
-        f"embedding not multiplicative at ({m1.eta},{m2.eta})"
-        for m1 in sha
-        for m2 in sha
-        if by_eta[tuple(m2.eta[m1.eta[a]] for a in range(S.size))]
-        != hol_diamond(S, by_eta[m1.eta], by_eta[m2.eta])
+        f"embedding not multiplicative at ({e1},{e2})"
+        for e1 in sha
+        for e2 in sha
+        if by_eta[tuple(e2[e1[a]] for a in range(S.size))]
+        != hol_diamond(S, by_eta[e1], by_eta[e2])
     ))
 
     mul, inv = S.mul, S.inv
 
     def range_idempotent_failures():
-        for m in sha:
-            phi = m.phi
+        for eta in sha:
+            phi = by_eta[eta].alpha
             for a in range(S.size):
                 e = mul[inv[a]][a]
-                if phi[e] != mul[m.eta[e]][inv[m.eta[e]]]:
-                    yield f"range-idempotent identity fails for {m.eta} at {a}"
+                if phi[e] != mul[eta[e]][inv[eta[e]]]:
+                    yield f"range-idempotent identity fails for {eta} at {a}"
 
     rep.first_failure("phi_on_range_idempotents", range_idempotent_failures())
     return rep
@@ -360,17 +375,17 @@ def sha_monoid_iso_report_by_loops(M, sha=None, mon=None):
         None if len(sub) == len(sha) else f"|End x M| = {len(sub)} vs |Sha| = {len(sha)}",
         detail=f"{len(sha)} heap maps, {len(sub)} endomorphism pairs",
     )
-    by_eta = {m.eta: mon_from_hol(M, sha_embed(M, m)) for m in sha}
+    by_eta = {eta: mon_from_hol(M, _embed(M, eta)) for eta in sha}
     sub_set = set(sub)
     image = set()
 
     def forward_failures():
-        for m in sha:
-            a = by_eta[m.eta]
+        for eta in sha:
+            a = by_eta[eta]
             if not is_endomorphism(M, a.alpha):
-                yield f"embedded pair of {m.eta} has non-endomorphism first component"
+                yield f"embedded pair of {eta} has non-endomorphism first component"
             elif a not in sub_set:
-                yield f"embedded pair of {m.eta} missing from the submonoid"
+                yield f"embedded pair of {eta} missing from the submonoid"
             image.add(a)
 
     rep.first_failure("image_in_submonoid", forward_failures())
@@ -387,11 +402,11 @@ def sha_monoid_iso_report_by_loops(M, sha=None, mon=None):
     rep.first_failure("submonoid_in_image", backward_failures())
 
     rep.first_failure("monoid_isomorphism", (
-        f"not multiplicative at ({m1.eta},{m2.eta})"
-        for m1 in sha
-        for m2 in sha
-        if by_eta[tuple(m2.eta[m1.eta[x]] for x in range(M.size))]
-        != mon_diamond(M, by_eta[m1.eta], by_eta[m2.eta])
+        f"not multiplicative at ({e1},{e2})"
+        for e1 in sha
+        for e2 in sha
+        if by_eta[tuple(e2[e1[x]] for x in range(M.size))]
+        != mon_diamond(M, by_eta[e1], by_eta[e2])
     ))
     return rep
 

@@ -241,6 +241,15 @@ def test_jobs_must_be_positive(files, capsys):
     assert main(["hol", paths["Z3"], "--jobs", "0"]) == 2
 
 
+@pytest.mark.parametrize("alphabet", ["0", "27", "-1"])
+def test_alphabet_out_of_range_is_a_usage_error(capsys, alphabet):
+    # the letters are a..z: outside 1..26 the run stops before any check
+    assert main(["poly", "--alphabet", alphabet]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: alphabet size must be between 1 and 26\n")
+
+
 def test_poly_heap_check_reports_failure(capsys):
     # the stated constant-pair boundary w=s=t is false, and its failing line
     # is the report's refutation of it (the true boundary is w = s); exit 1

@@ -6,13 +6,13 @@ import pytest
 from invhol import core
 from invhol.catalog import two_chain_clifford, z2_with_zero_clifford
 from invhol.core import (
+    NaturalOrder,
     SemilatticeOfGroupsSpec,
     build_from_table,
     build_semilattice_of_groups,
     build_symmetric_inverse_monoid,
     first_nonassociative,
     meet_idempotents,
-    natural_leq,
     verify_semigroup_properties,
 )
 from invhol.errors import (
@@ -66,9 +66,11 @@ def test_first_nonassociative_matches_oracle_on_corrupted_tables(zoo):
         build_from_table(zoo["S3"].names, mul)
     assert exc.value.triple == (1, 1, 2)
 
-    failing = 0
+    # each corrupted table also on a shuffled element list with repeats, which
+    # may miss elements that products reach
+    failing = repeats_failing = 0
     for name, S in zoo.items():
-        rng = random.Random(name)
+        rng, pick = random.Random(name), random.Random(f"{name} repeats")
         for _ in range(5):
             mul = [row[:] for row in S.mul]
             mul[rng.randrange(S.size)][rng.randrange(S.size)] = rng.randrange(S.size)
@@ -76,7 +78,12 @@ def test_first_nonassociative_matches_oracle_on_corrupted_tables(zoo):
             got = first_nonassociative(range(S.size), product)
             assert got == oracles.first_nonassociative_by_loops(range(S.size), product), name
             failing += got is not None
+            elems = pick.choices(range(S.size), k=S.size + 2)
+            got = first_nonassociative(elems, product)
+            assert got == oracles.first_nonassociative_by_loops(elems, product), (name, elems)
+            repeats_failing += got is not None
     assert failing > 40
+    assert repeats_failing > 20, repeats_failing
 
 
 def test_first_nonassociative_interns_products_outside_the_window():
@@ -135,14 +142,14 @@ def test_unique_inverses_force_commuting_idempotents():
 def test_natural_order_reflexive(zoo):
     for S in zoo.values():
         for a in range(S.size):
-            assert natural_leq(S, a, a)
+            assert S.natural_order().leq(a, a)
 
 
 def test_natural_order_two_chain(zoo):
     S = zoo["chain2"]
     one, e = 0, 1
-    assert natural_leq(S, e, one)
-    assert not natural_leq(S, one, e)
+    assert S.natural_order().leq(e, one)
+    assert not S.natural_order().leq(one, e)
 
 
 def test_natural_order_i2_partial_identity(zoo):
@@ -153,7 +160,7 @@ def test_natural_order_i2_partial_identity(zoo):
     for e in partials:
         # evaluate e = e e^-1 1 directly
         assert S.mul[S.mul[e][S.inv[e]]][full] == e
-        assert natural_leq(S, e, full, diagnostics=True)
+        assert NaturalOrder(S, diagnostics=True).leq(e, full)
 
 
 def test_meet_idempotents(zoo):

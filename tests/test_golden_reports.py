@@ -4,7 +4,9 @@ Each case's golden file holds the exit code on its first line and the exact
 stdout after it.  The corrupted groupoid is I2's ordered groupoid with one
 mirrored order pair removed, the composite of arrows 4 and 6 set to 4, and
 arrow 6 put below identity 4; it fails seven axiom lines, so their witness
-text is pinned too.  After an intended report change, rewrite the files with
+text is pinned too.  The ``--dump`` files of ``hol`` and ``sha`` are pinned
+byte for byte as ``dump_<cmd>_<table>.json``.  After an intended report
+change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -83,6 +85,11 @@ def _cases():
 
 
 CASES = _cases()
+DUMPS = {
+    f"{cmd}_{t}": [cmd, path]
+    for cmd in ["hol", "sha"]
+    for t, path in [("i2", "data/i2.json"), ("s3", "tests/golden/s3.json")]
+}
 
 
 def _golden_text(code, out):
@@ -98,6 +105,15 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     assert _golden_text(code, out) == want
 
 
+@pytest.mark.parametrize("name", sorted(DUMPS))
+def test_dump_matches_golden(name, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(ROOT)
+    dump = tmp_path / "dump.json"
+    assert main([*DUMPS[name], "--dump", str(dump)]) == 0
+    capsys.readouterr()
+    assert dump.read_bytes() == (GOLDEN / f"dump_{name}.json").read_bytes()
+
+
 def _rewrite():
     import contextlib
     import io
@@ -109,6 +125,10 @@ def _rewrite():
             code = main(argv)
         (GOLDEN / f"{name}.out").write_text(_golden_text(code, buf.getvalue()))
         print(f"wrote {name}.out (exit {code})", file=sys.stderr)
+    for name, argv in sorted(DUMPS.items()):
+        with contextlib.redirect_stdout(io.StringIO()):
+            main([*argv, "--dump", str(GOLDEN / f"dump_{name}.json")])
+        print(f"wrote dump_{name}.json", file=sys.stderr)
 
 
 if __name__ == "__main__":

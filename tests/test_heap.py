@@ -41,7 +41,7 @@ def test_sha_matches_brute_force(zoo):
     for name in ["trivial", "Z2", "Z3", "chain2", "chain3", "clifford4"]:
         S = zoo[name]
         brute = sorted(oracles.ordered_heap_maps_by_filter(S))
-        assert [m.eta for m in enumerate_sha(S)] == brute, name
+        assert enumerate_sha(S) == brute, name
 
 
 def test_sha_matches_schedule_reference(zoo):
@@ -54,14 +54,14 @@ def test_sha_matches_schedule_reference(zoo):
     cases += [("I2xchain2", S) for S in oracles.seeded_relabellings(I2xC2, "I2xchain2", 4)]
     cases += [("I3", S) for S in oracles.seeded_relabellings(I3, "I3", 1)]
     for name, S in cases:
-        got = [m.eta for m in enumerate_sha(S)]
+        got = enumerate_sha(S)
         assert got == oracles.ordered_heap_maps_by_schedule(S), name
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(oracles.inverse_subsemigroups(max_points=3, cap=6))
 def test_sha_matches_brute_force_on_random_inverse_subsemigroups(S):
-    assert [m.eta for m in enumerate_sha(S)] == oracles.ordered_heap_maps_by_filter(S)
+    assert enumerate_sha(S) == oracles.ordered_heap_maps_by_filter(S)
 
 
 def _heap_maps_are_ordered(S):
@@ -90,7 +90,7 @@ def test_heap_maps_are_ordered_on_random_inverse_subsemigroups(S):
 def test_sha_matches_brute_force_on_brandt_semigroup():
     B12 = oracles.inverse_subsemigroup(2, [(2, 0)])
     assert B12.size == 5 and B12.zero is not None
-    assert [m.eta for m in enumerate_sha(B12)] == oracles.ordered_heap_maps_by_filter(B12)
+    assert enumerate_sha(B12) == oracles.ordered_heap_maps_by_filter(B12)
 
 
 @pytest.mark.parametrize("name, total, count", [("I2", 102, 23), ("diamond", 64, 25)])
@@ -125,7 +125,7 @@ def test_sha_memory_on_i3():
 def test_identity_always_in_sha(zoo):
     for S in zoo.values():
         if S.size <= 7:
-            assert tuple(range(S.size)) in {m.eta for m in enumerate_sha(S)}
+            assert tuple(range(S.size)) in set(enumerate_sha(S))
 
 
 def test_sha_embed_identity(zoo):
@@ -190,10 +190,9 @@ def test_constant_maps_preserve_heap(zoo):
 
 def test_phi_formula(zoo):
     S = zoo["I2"]
-    for m in enumerate_sha(S):
+    for eta in enumerate_sha(S):
+        phi = sha_embed(S, eta).alpha
         for a in range(S.size):
             e = S.mul[S.inv[a]][a]
-            lhs = m.phi[e]
-            rhs = S.mul[m.eta[e]][S.inv[m.eta[e]]]
-            assert lhs == rhs
+            assert phi[e] == S.mul[eta[e]][S.inv[eta[e]]]
 

@@ -2,12 +2,10 @@ from itertools import product
 
 import pytest
 
-from invhol import morphisms as mo
 from invhol.catalog import two_chain_clifford, z2_with_zero_clifford
 from invhol.errors import NotSemilatticeOfGroups, SearchBudgetExceeded
 from invhol.heap import enumerate_sha
 from invhol.morphisms import (
-    ElementMap,
     enumerate_endomorphisms,
     enumerate_premorphisms,
     is_endomorphism,
@@ -69,18 +67,18 @@ def test_enumeration_counts(zoo):
 def test_enumeration_matches_naive_filter(zoo):
     for name in ["trivial", "Z2", "Z3", "chain2", "chain3", "clifford4", "diamond"]:
         S = zoo[name]
-        dfs = [m.theta for m in enumerate_premorphisms(S)]
+        dfs = enumerate_premorphisms(S)
         assert dfs == sorted(oracles.premorphisms_by_filter(S)), name
 
 
 def test_enumeration_order_is_lexicographic(zoo):
     for name in ["chain3", "clifford4"]:
-        thetas = [m.theta for m in enumerate_premorphisms(zoo[name])]
+        thetas = enumerate_premorphisms(zoo[name])
         assert thetas == sorted(thetas)
 
 
 def test_two_chain_premorphisms_explicit(zoo):
-    thetas = {m.theta for m in enumerate_premorphisms(zoo["chain2"])}
+    thetas = set(enumerate_premorphisms(zoo["chain2"]))
     assert thetas == {(0, 1), (0, 0), (1, 1)}
 
 
@@ -88,8 +86,8 @@ def test_group_premorphisms_are_endomorphisms(zoo):
     for name in ["Z2", "Z3", "Z4", "V4", "S3"]:
         S = zoo[name]
         prems = enumerate_premorphisms(S)
-        assert all(m.is_endomorphism for m in prems), name
-        assert [m.theta for m in prems] == sorted(oracles.endomorphisms_by_filter(S))
+        assert all(is_endomorphism(S, t) for t in prems), name
+        assert prems == sorted(oracles.endomorphisms_by_filter(S))
 
 
 def test_premorphism_laws(zoo):
@@ -108,26 +106,22 @@ def test_is_endomorphism_basic(zoo):
 def test_endomorphisms_subset_of_premorphisms(zoo):
     for name in ["chain3", "diamond", "I2", "clifford4"]:
         S = zoo[name]
-        prems = {m.theta for m in enumerate_premorphisms(S)}
-        endos = {m.theta for m in enumerate_endomorphisms(S)}
-        ordereds = {
-            t for t in product(range(S.size), repeat=S.size) if mo.is_ordered_map(S, t)
-        }
-        assert endos <= prems <= ordereds, name
+        prems = set(enumerate_premorphisms(S))
+        endos = set(enumerate_endomorphisms(S))
+        assert endos <= prems <= set(oracles.ordered_maps_by_filter(S)), name
 
 
-def test_element_map_flags(zoo):
+def test_chain2_map_predicates(zoo):
     S = zoo["chain2"]
-    m = ElementMap(S, S, (0, 0))
-    assert m.is_ordered and m.is_premorphism and m.is_endomorphism
-    m2 = ElementMap(S, S, (1, 0))
-    assert not m2.is_ordered and not m2.is_premorphism
+    ordered = oracles.ordered_maps_by_filter(S)
+    assert (0, 0) in ordered and is_premorphism(S, S, (0, 0)) and is_endomorphism(S, (0, 0))
+    assert (1, 0) not in ordered and not is_premorphism(S, S, (1, 0))
 
 
 def test_endomorphisms_match_filter_oracle(zoo):
     for name, S in zoo.items():
         if S.size <= 6:
-            endos = [m.theta for m in enumerate_endomorphisms(S)]
+            endos = enumerate_endomorphisms(S)
             assert endos == oracles.endomorphisms_by_filter(S), name
 
 

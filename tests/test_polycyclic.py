@@ -63,13 +63,13 @@ def test_window_report_small():
 
 
 def test_suffix_order_examples():
-    assert P.suffix_leq("a", "a")
-    assert P.suffix_leq("ba", "a")
-    assert not P.suffix_leq("a", "ba")
-    assert P.suffix_leq(None, "a") and not P.suffix_leq("a", None)
-    assert P.suffix_leq(("ba", "bb"), ("a", "b"))
-    assert not P.suffix_leq(("ba", "ab"), ("a", "b"))
-    assert P.suffix_leq(P.poly(2, "ba", "bb"), P.poly(2, "a", "b"))
+    assert P.word_leq("a", "a")
+    assert P.word_leq("ba", "a")
+    assert not P.word_leq("a", "ba")
+    assert P.word_leq(None, "a") and not P.word_leq("a", None)
+    assert P.pair_leq(("ba", "bb"), ("a", "b"))
+    assert not P.pair_leq(("ba", "ab"), ("a", "b"))
+    assert P.poly_leq(P.poly(2, "ba", "bb"), P.poly(2, "a", "b"))
 
 
 def test_restriction_formula_on_pairs():

@@ -42,9 +42,9 @@ def test_transformation_monoid_assertion():
 
 def _transformation_monoids(zoo):
     for name, S in zoo.items():
-        yield f"Prem({name})", "premorphisms", [m.theta for m in enumerate_premorphisms(S)]
-        yield f"End({name})", "endomorphisms", [m.theta for m in enumerate_endomorphisms(S)]
-        yield f"Sha({name})", "heap maps", [m.eta for m in enumerate_sha(S)]
+        yield f"Prem({name})", "premorphisms", enumerate_premorphisms(S)
+        yield f"End({name})", "endomorphisms", enumerate_endomorphisms(S)
+        yield f"Sha({name})", "heap maps", enumerate_sha(S)
 
 
 def test_transformation_monoid_assertion_matches_loop_oracle(zoo):
