@@ -2,82 +2,54 @@
 
 Subcommands: verify, hol, sha, flows, esn, poly.  Reports are deterministic
 given identical inputs, caps and seed; exit codes are 0 for all-pass, 1 for
-check failures, 2 for usage or parse errors, 3 for an exhausted budget or cap.
+check failures, 2 for usage or parse errors and for an input that is not a
+valid structure (`verify` reports that as a check failure), 3 for an
+exhausted budget or cap.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from itertools import product
 
 from . import core, groupoid, heap, holomorph, io, morphisms, polycyclic
-from .errors import InvholError, ParseError, SearchBudgetExceeded, SizeCap
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list
-    cap_size: int
-    budget: int
-    maxlen: int
-    alphabet: int
-    jobs: int
-    fmt: str
-    seed: int
-    dump: str | None
-
-    def __post_init__(self):
-        if self.cap_size <= 0 or self.budget <= 0 or self.maxlen <= 0 or self.jobs <= 0:
-            raise ValueError("caps, budget, window and jobs must be positive")
-        if not 1 <= self.alphabet <= 26:
-            raise ValueError("alphabet size must be between 1 and 26")
+from .errors import NotAssociative, NotInverse, ParseError, SearchBudgetExceeded, SizeCap
+from .report import CheckReport
 
 
 class Output:
-    def __init__(self, config):
-        self.config = config
+    def __init__(self, args):
+        self.args = args
         self.sections = []
         self.counts = {}
-        self.lines_extra = []
-
-    def add_report(self, rep):
-        self.sections.append(rep)
-
-    def count(self, key, value):
-        self.counts[key] = value
-
-    def line(self, text):
-        self.lines_extra.append(text)
+        self.lines = []
 
     @property
     def ok(self):
         return all(r.ok for r in self.sections)
 
     def render(self):
-        c = self.config
+        a = self.args
         head = [
             "invhol report",
-            f"command: {c.command}" + (f" {' '.join(c.inputs)}" if c.inputs else ""),
-            f"caps: size={c.cap_size} budget={c.budget} maxlen={c.maxlen} "
-            f"alphabet={c.alphabet} jobs={c.jobs}",
-            f"seed: {c.seed}",
+            f"command: {a.command}" + (f" {' '.join(a.inputs)}" if a.inputs else ""),
+            f"caps: size={a.cap_size} budget={a.budget} maxlen={a.maxlen} "
+            f"alphabet={a.alphabet} jobs={a.jobs}",
+            f"seed: {a.seed}",
         ]
-        if c.fmt == "json":
+        if a.format == "json":
             obj = {
-                "command": c.command,
-                "inputs": c.inputs,
+                "command": a.command,
+                "inputs": a.inputs,
                 "caps": {
-                    "size": c.cap_size,
-                    "budget": c.budget,
-                    "maxlen": c.maxlen,
-                    "alphabet": c.alphabet,
-                    "jobs": c.jobs,
+                    "size": a.cap_size,
+                    "budget": a.budget,
+                    "maxlen": a.maxlen,
+                    "alphabet": a.alphabet,
+                    "jobs": a.jobs,
                 },
-                "seed": c.seed,
+                "seed": a.seed,
                 "counts": self.counts,
-                "output": self.lines_extra,
+                "output": self.lines,
                 "sections": [r.to_dict() for r in self.sections],
                 "ok": self.ok,
             }
@@ -85,163 +57,148 @@ class Output:
         out = list(head)
         for k, v in self.counts.items():
             out.append(f"{k}: {v}")
-        out.extend(self.lines_extra)
+        out.extend(self.lines)
         for r in self.sections:
             out.extend(r.lines())
         out.append(f"overall: {'pass' if self.ok else 'FAIL'}")
         return "\n".join(out)
 
 
-def _load_semigroup(path, config):
-    return io.read_semigroup(path, cap=config.cap_size)
+def _load_semigroup(args):
+    """The input table; one that the constructor rejects is a usage error
+    here, and a failing report only under `verify`."""
+    try:
+        return io.read_semigroup(args.path, cap=args.cap_size)
+    except (NotAssociative, NotInverse) as exc:
+        raise ParseError(f"{args.path}: {exc}") from exc
 
 
-def cmd_verify(config, out):
-    path = config.inputs[0]
-    kind = io.detect_kind(path)
-    if kind == "semigroup":
-        from .report import CheckReport
-
-        rep = CheckReport(f"semigroup table {path}")
-        try:
-            S = _load_semigroup(path, config)
-        except ParseError:
-            raise
-        except InvholError as exc:
-            rep.add("table_is_inverse_semigroup", False, str(exc))
-            out.add_report(rep)
-            return
-        rep.add("table_is_inverse_semigroup", True,
-                detail=f"{S.size} elements, {len(S.idempotents)} idempotents")
-        out.add_report(rep)
-        out.add_report(core.verify_semigroup_properties(S))
-    else:
-        G = io.read_groupoid(path)
-        out.add_report(groupoid.verify_ordered_groupoid(G))
+def cmd_verify(args, out):
+    path = args.path
+    if io.detect_kind(path) != "semigroup":
+        out.sections.append(groupoid.verify_ordered_groupoid(io.read_groupoid(path)))
+        return
+    rep = CheckReport(f"semigroup table {path}")
+    out.sections.append(rep)
+    try:
+        S = io.read_semigroup(path, cap=args.cap_size)
+    except (NotAssociative, NotInverse, SizeCap) as exc:
+        rep.add("table_is_inverse_semigroup", False, str(exc))
+        return
+    rep.add("table_is_inverse_semigroup", True,
+            detail=f"{S.size} elements, {len(S.idempotents)} idempotents")
+    out.sections.append(core.verify_semigroup_properties(S))
 
 
-def cmd_hol(config, out):
-    S = _load_semigroup(config.inputs[0], config)
-    prems = morphisms.enumerate_premorphisms(S, budget=config.budget)
+def cmd_hol(args, out):
+    S = _load_semigroup(args)
+    prems = morphisms.enumerate_premorphisms(S, budget=args.budget)
     hol = holomorph.enumerate_holomorph(S, prems=prems)
     table = holomorph.hol_table(S, hol)
     units = holomorph.holomorph_units(S, table)
-    out.count("premorphisms", len(prems))
-    out.count("holomorph_pairs", len(hol))
-    out.count("holomorph_units", len(units))
-    out.add_report(morphisms.verify_premorphism_laws(S, prems))
-    out.add_report(holomorph.verify_hol_monoid(S, table))
-    out.add_report(holomorph.verify_interchange(S, table))
+    out.counts["premorphisms"] = len(prems)
+    out.counts["holomorph_pairs"] = len(hol)
+    out.counts["holomorph_units"] = len(units)
+    out.sections.append(morphisms.verify_premorphism_laws(S, prems))
+    out.sections.append(holomorph.verify_hol_monoid(S, table))
+    out.sections.append(holomorph.verify_interchange(S, table))
     if S.identity is not None:
-        mon = holomorph.mon_hol(S, morphisms.enumerate_premorphisms(S, budget=config.budget))
-        out.add_report(holomorph.verify_mon_hol(S, table, mon))
-    if config.dump:
+        mon = holomorph.mon_hol(S, morphisms.enumerate_premorphisms(S, budget=args.budget))
+        out.sections.append(holomorph.verify_mon_hol(S, table, mon))
+    if args.dump:
         io._dump(
             {
                 "elements": [
                     {"alpha": list(h.alpha), "tau": list(h.tau)} for h in hol
                 ]
             },
-            config.dump,
+            args.dump,
         )
-        out.line(f"dumped {len(hol)} elements to {config.dump}")
+        out.lines.append(f"dumped {len(hol)} elements to {args.dump}")
 
 
-def cmd_sha(config, out):
-    S = _load_semigroup(config.inputs[0], config)
-    sha = heap.enumerate_sha(S, budget=config.budget)
-    out.count("heap_monoid_size", len(sha))
-    out.count("bijective_heap_maps", len(heap.bijective_heap_maps(sha)))
-    out.add_report(heap.verify_sha_embedding(S, sha))
+def cmd_sha(args, out):
+    S = _load_semigroup(args)
+    sha = heap.enumerate_sha(S, budget=args.budget)
+    out.counts["heap_monoid_size"] = len(sha)
+    out.counts["bijective_heap_maps"] = len(heap.bijective_heap_maps(sha))
+    out.sections.append(heap.verify_sha_embedding(S, sha))
     if S.identity is not None:
-        mon = holomorph.mon_hol(S, morphisms.enumerate_premorphisms(S, budget=config.budget))
-        out.add_report(heap.verify_sha_monoid_iso(S, sha, mon))
-    if config.dump:
-        io._dump({"elements": [{"eta": list(eta)} for eta in sha]}, config.dump)
-        out.line(f"dumped {len(sha)} maps to {config.dump}")
+        mon = holomorph.mon_hol(S, morphisms.enumerate_premorphisms(S, budget=args.budget))
+        out.sections.append(heap.verify_sha_monoid_iso(S, sha, mon))
+    if args.dump:
+        io._dump({"elements": [{"eta": list(eta)} for eta in sha]}, args.dump)
+        out.lines.append(f"dumped {len(sha)} maps to {args.dump}")
 
 
-def cmd_flows(config, out):
-    path = config.inputs[0]
-    if io.detect_kind(path) == "semigroup":
-        S = _load_semigroup(path, config)
-        G = groupoid.esn_forward(S)
-        out.line("input is a semigroup table; using its ordered groupoid")
+def cmd_flows(args, out):
+    if io.detect_kind(args.path) == "semigroup":
+        G = groupoid.esn_forward(_load_semigroup(args))
+        out.lines.append("input is a semigroup table; using its ordered groupoid")
     else:
-        G = io.read_groupoid(path)
-    flows = groupoid.enumerate_flows(G, cap=config.cap_size)
-    out.count("flows", len(flows))
-    out.count("ordered_flows", len(groupoid.ordered_flows(G, flows)))
-    out.add_report(groupoid.check_flow_monoid_structure(G, cap=config.cap_size))
+        G = io.read_groupoid(args.path)
+        bad = groupoid.verify_ordered_groupoid(G).failures()
+        if bad:
+            raise ParseError(f"{args.path}: not an ordered groupoid, "
+                             f"{bad[0].name} fails: {bad[0].witness}")
+    flows = groupoid.enumerate_flows(G, cap=args.cap_size)
+    out.counts["flows"] = len(flows)
+    out.counts["ordered_flows"] = len(groupoid.ordered_flows(G, flows))
+    out.sections.append(groupoid.check_flow_monoid_structure(G, cap=args.cap_size))
 
 
-def cmd_esn(config, out):
-    from .report import CheckReport
-
-    S = _load_semigroup(config.inputs[0], config)
+def cmd_esn(args, out):
+    S = _load_semigroup(args)
     G = groupoid.esn_forward(S)
-    out.count("arrows", G.n)
-    out.count("identities", len(G.identities))
-    out.add_report(groupoid.verify_ordered_groupoid(G))
+    out.counts["arrows"] = G.n
+    out.counts["identities"] = len(G.identities)
+    out.sections.append(groupoid.verify_ordered_groupoid(G))
     rep = CheckReport("round trip through the ordered groupoid")
-    T = groupoid.esn_back(G, cap=config.cap_size)
+    T = groupoid.esn_back(G, cap=args.cap_size)
     same = T.mul == S.mul and T.names == S.names
     rep.add("pseudoproduct_recovers_table", same,
             None if same else "recovered table differs")
-    out.add_report(rep)
-    if config.dump:
-        io.write_groupoid(config.dump, G)
-        out.line(f"wrote groupoid to {config.dump}")
+    out.sections.append(rep)
+    if args.dump:
+        io.write_groupoid(args.dump, G)
+        out.lines.append(f"wrote groupoid to {args.dump}")
 
 
-# the window checks of `invhol poly`, in the order `--check all` runs them
-POLY_CHECKS = ("arith", "bicyclic", "functors", "zappa", "endo", "heap")
+# the window checks of `invhol poly`, each to the reports it adds, in the
+# order `--check all` runs them
+POLY_CHECK_REPORTS = {
+    "arith": lambda a: [polycyclic.verify_poly_window(a.alphabet, a.maxlen)] + (
+        [polycyclic.verify_poly_window(1, max(a.maxlen, 6))] if a.alphabet != 1 else []
+    ),
+    "bicyclic": lambda a: [polycyclic.verify_bicyclic(6, 4), polycyclic.bicyclic_hol_check(4, 6)],
+    "functors": lambda a: [polycyclic.premorphism_ideal_check(a.alphabet, a.maxlen)],
+    "zappa": lambda a: [
+        polycyclic.verify_zappa(a.alphabet, a.maxlen, samples=a.samples, seed=a.seed)
+    ],
+    "endo": lambda a: [polycyclic.endo_sweep(a.alphabet, a.maxlen)],
+    "heap": lambda a: [polycyclic.heap_type_check_polycyclic(a.alphabet, 1, 2)],
+}
+POLY_CHECKS = tuple(POLY_CHECK_REPORTS)
 
 
-def cmd_poly(config, out, args):
-    n, L = config.alphabet, config.maxlen
+def cmd_poly(args, out):
     if args.expr:
-        val = polycyclic.parse_poly_expression(args.expr, n)
-        out.line(f"value: {polycyclic.format_poly(val)}")
-        out.count("expression", args.expr)
+        val = polycyclic.parse_poly_expression(args.expr, args.alphabet)
+        out.lines.append(f"value: {polycyclic.format_poly(val)}")
+        out.counts["expression"] = args.expr
     checks = args.check or ([] if args.expr else ["all"])
-    if "all" in checks:
-        checks = POLY_CHECKS
-    for c in checks:
-        if c == "arith":
-            out.add_report(polycyclic.verify_poly_window(n, L))
-            if n != 1:
-                out.add_report(polycyclic.verify_poly_window(1, max(L, 6)))
-        elif c == "bicyclic":
-            out.add_report(polycyclic.verify_bicyclic(6, 4))
-            out.add_report(polycyclic.bicyclic_hol_check(4, 6))
-        elif c == "functors":
-            out.add_report(polycyclic.premorphism_ideal_check(n, L))
-        elif c == "zappa":
-            out.add_report(
-                polycyclic.verify_zappa(n, L, samples=args.samples, seed=config.seed)
-            )
-        elif c == "endo":
-            from .report import CheckReport
+    for c in POLY_CHECKS if "all" in checks else checks:
+        out.sections.extend(POLY_CHECK_REPORTS[c](args))
 
-            rep = CheckReport(
-                f"endomorphism characterisation sweep, n={n}, window L={L}, "
-                f"letter images up to length 2"
-            )
-            ws = polycyclic.words_upto(n, 2)
-            bad = None
-            count = 0
-            for images in product(ws, repeat=n):
-                sub = polycyclic.endo_classification_check(n, images, "", L)
-                count += 1
-                if not sub.ok and bad is None:
-                    bad = f"letters->{images}: {sub.failures()[0].witness}"
-            rep.add("sweep", bad is None, bad, detail=f"{count} letter maps")
-            out.add_report(rep)
-        elif c == "heap":
-            out.add_report(polycyclic.heap_type_check_polycyclic(n, 1, 2))
-        else:
-            raise ParseError(f"unknown check {c!r}")
+
+COMMANDS = {
+    "verify": cmd_verify,
+    "hol": cmd_hol,
+    "sha": cmd_sha,
+    "flows": cmd_flows,
+    "esn": cmd_esn,
+    "poly": cmd_poly,
+}
 
 
 def build_parser():
@@ -263,12 +220,11 @@ def build_parser():
     shared.add_argument("--dump", default=None, help="write elements/structures here")
 
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", parents=[shared]).add_argument("path")
-    sub.add_parser("hol", parents=[shared]).add_argument("path")
-    sub.add_parser("sha", parents=[shared]).add_argument("path")
-    sub.add_parser("flows", parents=[shared]).add_argument("path")
-    sub.add_parser("esn", parents=[shared]).add_argument("path")
-    pp = sub.add_parser("poly", parents=[shared])
+    for name in COMMANDS:
+        cp = sub.add_parser(name, parents=[shared])
+        if name != "poly":
+            cp.add_argument("path")
+    pp = sub.choices["poly"]
     pp.add_argument("expr", nargs="?", default=None, help="expression to evaluate")
     pp.add_argument(
         "--check",
@@ -281,41 +237,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    inputs = [args.path] if hasattr(args, "path") else []
-    if args.command == "poly" and args.expr:
-        inputs = [args.expr]
+    args = build_parser().parse_args(argv)
+    args.inputs = [args.path] if "path" in args else [args.expr] if args.expr else []
+    out = Output(args)
     try:
-        config = RunConfig(
-            command=args.command,
-            inputs=inputs,
-            cap_size=args.cap_size,
-            budget=args.budget,
-            maxlen=args.maxlen,
-            alphabet=args.alphabet,
-            jobs=args.jobs,
-            fmt=args.format,
-            seed=args.seed,
-            dump=args.dump,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = Output(config)
-    try:
-        if args.command == "verify":
-            cmd_verify(config, out)
-        elif args.command == "hol":
-            cmd_hol(config, out)
-        elif args.command == "sha":
-            cmd_sha(config, out)
-        elif args.command == "flows":
-            cmd_flows(config, out)
-        elif args.command == "esn":
-            cmd_esn(config, out)
-        elif args.command == "poly":
-            cmd_poly(config, out, args)
+        if min(args.cap_size, args.budget, args.maxlen, args.jobs) <= 0:
+            raise ParseError("caps, budget, window and jobs must be positive")
+        if not 1 <= args.alphabet <= 26:
+            raise ParseError("alphabet size must be between 1 and 26")
+        if getattr(args, "samples", 0) < 0:
+            raise ParseError("samples must not be negative")
+        COMMANDS[args.command](args, out)
     except SearchBudgetExceeded as exc:
         print(out.render())
         print(

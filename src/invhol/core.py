@@ -19,6 +19,7 @@ from .errors import (
     NotInverse,
     SizeCap,
 )
+from .report import CheckReport
 
 DEFAULT_SIZE_CAP = 5000
 # below this size the natural order is cross-checked through all four
@@ -226,8 +227,6 @@ def build_from_table(names, mul_table, cap=DEFAULT_SIZE_CAP):
 def verify_semigroup_properties(S):
     """Invariant report for a constructed semigroup: order characterisations,
     order compatibility, the squares law, and idempotent meets."""
-    from .report import CheckReport
-
     rep = CheckReport(f"inverse semigroup properties on {S!r}")
     mul = S.mul
     M, I, ar = S.mul_array, S.inv_array, np.arange(S.size)

@@ -169,7 +169,9 @@ def verify_ordered_groupoid(G):
             yield f"endpoints of composite ({g},{h}) are wrong"
         for k in range(n):
             if (h, k) in G.compose:
-                if G.compose[(gh, k)] != G.compose[(g, G.compose[(h, k)])]:
+                # a missing composite on either side fails, as in the sweep
+                lhs = G.compose.get((gh, k))
+                if lhs is None or lhs != G.compose.get((g, G.compose[(h, k)])):
                     yield f"associativity fails at ({g},{h},{k})"
 
     rep.first_failure("associativity", replay(flags, associativity_failures))

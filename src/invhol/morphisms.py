@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotSemilatticeOfGroups
 from .core import SemilatticeOfGroups, build_semilattice_of_groups, SemilatticeOfGroupsSpec
+from .report import CheckReport
 from .search import assert_transformation_monoid, backtrack
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -102,8 +103,6 @@ def verify_premorphism_laws(S, prems=None, budget=DEFAULT_NODE_BUDGET):
     b b^-1 are comparable; (v) the ordered+multiplicative characterisation
     agrees with the defining inequality on all self-maps enumerated.
     """
-    from .report import CheckReport
-
     if prems is None:
         prems = enumerate_premorphisms(S, budget=budget)
     rep = CheckReport(f"premorphism laws on {S!r} ({len(prems)} premorphisms)")

@@ -8,6 +8,7 @@ of w and puts w below u in the order.  All claims about the infinite monoid
 are checked on explicit length windows; every report states its window.
 """
 
+import re
 import string
 from dataclasses import dataclass
 from functools import lru_cache
@@ -225,10 +226,10 @@ def window_values(elems, op, arity):
     return tuple(points), tuple(rows)
 
 
-def verify_poly_window(n, L, report_title=None):
+def verify_poly_window(n, L):
     """Normal-form multiplication against the rewriting rules on a window,
     plus associativity, inverses, idempotents and the order comparison."""
-    rep = CheckReport(report_title or f"polycyclic arithmetic, n={n}, window L={L}")
+    rep = CheckReport(f"polycyclic arithmetic, n={n}, window L={L}")
     elems = poly_window(n, L)
     rep.add("window", True, detail=f"{len(elems)} elements, components up to length {L}")
 
@@ -670,11 +671,12 @@ def ideal_check_families(n, param_len):
     return cs, affs
 
 
-def premorphism_ideal_check(n=2, L=3, param_len=2, elem_len=2):
+def premorphism_ideal_check(n=2, L=3):
     """Composition laws of the constant families and their interaction with
     the affine maps, checked extensionally on the window, plus the induced
     premorphism inequality for representatives of every type; the element
     window's products are computed once for all representatives."""
+    param_len, elem_len = 2, 2
     rep = CheckReport(
         f"ordered-function composition laws, n={n}, window L={L}, "
         f"parameters up to length {param_len}"
@@ -794,6 +796,23 @@ def endo_classification_check(n, sigma_images, w, L):
     )
     if witness and not agree:
         rep.note(witness)
+    return rep
+
+
+def endo_sweep(n, L):
+    """endo_classification_check on every letter map with images up to
+    length 2 and no translation; the sweep line names the first map whose
+    check fails."""
+    ws = words_upto(n, 2)
+    rep = CheckReport(
+        f"endomorphism characterisation sweep, n={n}, window L={L}, "
+        f"letter images up to length 2"
+    )
+    rep.first_failure("sweep", (
+        f"letters->{images}: {sub.failures()[0].witness}"
+        for images in product(ws, repeat=n)
+        if not (sub := endo_classification_check(n, images, "", L)).ok
+    ), detail=f"{len(ws) ** n} letter maps")
     return rep
 
 
@@ -1114,7 +1133,7 @@ def zappa_compose(pair1, pair2):
     return (phi.compose(psi.transfer(u)), psi.apply(u) + v)
 
 
-def verify_zappa(n=2, L=3, samples=6, seed=0, store=None):
+def verify_zappa(n=2, L=3, samples=6, seed=0):
     """The transfer identities, the product splitting law, associativity of
     the twisted product, and the collapse homomorphism onto suffix maps,
     on randomly sampled suffix maps plus translations and constants.  Work
@@ -1124,8 +1143,7 @@ def verify_zappa(n=2, L=3, samples=6, seed=0, store=None):
     import random as _random
 
     rng = _random.Random(seed)
-    if store is None:
-        store = L + 6
+    store = L + 6
     rep = CheckReport(
         f"twisted product of suffix maps, n={n}, window L={L}, "
         f"store {store}, samples {samples}, seed {seed}"
@@ -1241,86 +1259,53 @@ def parse_poly_expression(text, n):
     Juxtaposed atoms multiply, as does "*"; parentheses group.  Returns a
     PolyElement.
     """
-    tokens = _tokenize(text, n)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
+    # whitespace separates; group 1 is a token, group 2 a character that
+    # starts none
+    tokens = []
+    for m in re.finditer(rf"\s+|(\^-1|[()*01]|[{letters(n)}]+)|(.)", text, re.S):
+        if m[2]:
+            raise ParseError(f"bad character {m[2]!r} at position {m.start()}")
+        if m[1]:
+            tokens.append(m[1])
+    tokens.append(None)
+    pos = 0
 
     def take():
-        t = tokens[pos[0]]
-        pos[0] += 1
-        return t
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
 
-    def parse_expr():
-        acc = parse_term()
-        while peek() == "*":
-            take()
-            acc = poly_mul(acc, parse_term())
-        return acc
-
-    def parse_term():
+    def parse_product():
+        # "*" and juxtaposition are the same associative product
         acc = parse_atom()
-        while peek() is not None and peek() not in ("*", ")"):
+        while tokens[pos] not in (None, ")"):
+            if tokens[pos] == "*":
+                take()
             acc = poly_mul(acc, parse_atom())
         return acc
 
     def parse_atom():
-        t = peek()
+        t = take()
         if t is None:
             raise ParseError("unexpected end of expression")
+        if t in (")", "*", "^-1"):
+            raise ParseError(f"unexpected token {t!r}")
         if t == "(":
-            take()
-            inner = parse_expr()
-            if peek() != ")":
+            val = parse_product()
+            if take() != ")":
                 raise ParseError("missing closing parenthesis")
-            take()
-            val = inner
         elif t == "0":
-            take()
             val = poly_zero(n)
         elif t == "1":
-            take()
             val = poly_one(n)
-        elif t == ")" or t == "*" or t == "^-1":
-            raise ParseError(f"unexpected token {t!r}")
         else:
-            take()
             val = poly(n, "", t)
-        if peek() == "^-1":
+        if tokens[pos] == "^-1":
             take()
             val = val.inv()
         return val
 
-    result = parse_expr()
-    if pos[0] != len(tokens):
-        raise ParseError(f"trailing input at token {pos[0]}: {tokens[pos[0]]!r}")
+    result = parse_product()
+    if tokens[pos] is not None:
+        raise ParseError(f"trailing input at token {pos}: {tokens[pos]!r}")
     return result
-
-
-def _tokenize(text, n):
-    tokens = []
-    i = 0
-    word_letters = letters(n)
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()*":
-            tokens.append(ch)
-            i += 1
-        elif text.startswith("^-1", i):
-            tokens.append("^-1")
-            i += 3
-        elif ch in "01":
-            tokens.append(ch)
-            i += 1
-        elif ch in word_letters:
-            j = i
-            while j < len(text) and text[j] in word_letters:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"bad character {ch!r} at position {i}")
-    return tokens

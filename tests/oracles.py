@@ -939,7 +939,10 @@ def ordered_groupoid_axioms_by_loops(G):
                 yield f"endpoints of composite ({g},{h}) are wrong"
             for k in range(n):
                 if (h, k) in G.compose:
-                    if G.compose[(gh, k)] != G.compose[(g, G.compose[(h, k)])]:
+                    # both sides must exist and agree
+                    lhs = G.compose.get((gh, k))
+                    rhs = G.compose.get((g, G.compose[(h, k)]))
+                    if lhs is None or rhs is None or lhs != rhs:
                         yield f"associativity fails at ({g},{h},{k})"
 
     rep.first_failure("associativity", associativity_failures())

@@ -86,6 +86,21 @@ def test_verify_corrupted_groupoid_exits_1(files, capsys, tmp_path):
     assert "[FAIL] OG1_inversion_ordered" in out
 
 
+def test_flows_on_invalid_groupoid_is_a_usage_error(tmp_path, capsys):
+    # two arrows on one identity, the composite of arrow 1 with itself missing:
+    # the flow search would read it, so the groupoid is rejected first
+    bad = tmp_path / "missing.json"
+    bad.write_text('{"arrows": [[0, 0, 0], [0, 0, 1]], '
+                   '"compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1]], "leq": [[0, 0], [1, 1]]}\n')
+    assert main(["flows", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {bad}: not an ordered groupoid, composition_domain fails: "
+        "composability of (1,1) disagrees with range/domain\n"
+    )
+
+
 def test_budget_exhaustion_exits_3(files, capsys):
     _, paths = files
     assert main(["hol", paths["I2"], "--budget", "5"]) == 3
@@ -248,6 +263,15 @@ def test_alphabet_out_of_range_is_a_usage_error(capsys, alphabet):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", "error: alphabet size must be between 1 and 26\n")
+
+
+def test_negative_samples_is_a_usage_error(capsys):
+    assert main(["poly", "--check", "zappa", "--samples", "-1", "--maxlen", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: samples must not be negative\n")
+    # no sampled map: the check still runs its fixed maps
+    assert main(["poly", "--check", "zappa", "--samples", "0", "--maxlen", "1"]) == 0
+    assert "samples 0, seed 0" in capsys.readouterr().out
 
 
 def test_poly_heap_check_reports_failure(capsys):

@@ -1,10 +1,13 @@
-"""Pinned CLI reports: stdout and exit code, byte for byte, in both formats.
+"""Pinned CLI reports: stdout, stderr and exit code, byte for byte, in both
+formats.
 
 Each case's golden file holds the exit code on its first line and the exact
-stdout after it.  The corrupted groupoid is I2's ordered groupoid with one
+stdout after it; where the run writes to stderr, a ``--- stderr ---`` line
+follows with the exact stderr after it.  The corrupted groupoid is I2's ordered groupoid with one
 mirrored order pair removed, the composite of arrows 4 and 6 set to 4, and
 arrow 6 put below identity 4; it fails seven axiom lines, so their witness
-text is pinned too.  The ``--dump`` files of ``hol`` and ``sha`` are pinned
+text is pinned too.  Tables the constructor rejects and a groupoid missing a
+composite pin the exit and error line of a structurally invalid input.  The ``--dump`` files of ``hol`` and ``sha`` are pinned
 byte for byte as ``dump_<cmd>_<table>.json``.  After an intended report
 change, rewrite the files with
 
@@ -27,6 +30,25 @@ TABLES = ["chain2", "clifford4", "i2", "z2", "z3"]
 LARGE = ["s3", "v4"]
 POLY_CHECKS = ["arith", "bicyclic", "functors", "endo", "heap"]
 BROKEN = ["nonassociative", "two_inverses", "noncommuting_idempotents"]
+POLY_EXPRESSIONS = [
+    ("zero_product", "(ab)^-1 a * b^-1 1", "2"),
+    ("juxtaposed", "a b", "2"),
+    ("idempotent", "a^-1 a", "2"),
+    ("mixed_products", "(ab)^-1 b * (b)^-1 ab a", "2"),
+    ("nested_inverse", "((b a)^-1)^-1 * a^-1 b", "2"),
+    ("identity", "1", "2"),
+    ("three_letters", "c^-1 cab*(b)^-1 (ca)^-1 c", "3"),
+    ("one_letter", "aa^-1 a * (a a)^-1 aaa", "1"),
+    ("err_unclosed", "(ab", "2"),
+    ("err_dangling_star", "a *", "2"),
+    ("err_blank", "   ", "2"),
+    ("err_close_first", "a) b", "2"),
+    ("err_leading_star", "* a", "2"),
+    ("err_double_inverse", "a ^-1 ^-1", "2"),
+    ("err_empty_parens", "a ()", "2"),
+    ("err_letter_outside_alphabet", "ab c", "2"),
+    ("err_bad_exponent", "a^-2", "2"),
+]
 
 
 def _cases():
@@ -72,6 +94,17 @@ def _cases():
         cases[f"verify_corrupt_groupoid_{fmt}"] = [
             "verify", "tests/golden/corrupt_i2_groupoid.json", "--format", fmt
         ]
+        # a table the constructor rejects is a usage error outside verify
+        for cmd in ["hol", "sha", "esn", "flows"]:
+            for broken in ["nonassociative", "two_inverses"]:
+                cases[f"{cmd}_broken_{broken}_{fmt}"] = [
+                    cmd, f"tests/golden/broken_{broken}.json", "--format", fmt
+                ]
+        # two arrows on one identity with the composite of arrow 1 with itself
+        # missing: the associativity line names the triple the sweep flags
+        cases[f"verify_missing_composite_groupoid_{fmt}"] = [
+            "verify", "tests/golden/missing_composite_groupoid.json", "--format", fmt
+        ]
         cases[f"hol_i2_jobs2_{fmt}"] = ["hol", "data/i2.json", "--jobs", "2", "--format", fmt]
         for cmd in ["hol", "sha"]:
             cases[f"{cmd}_i2_budget150_{fmt}"] = [
@@ -81,6 +114,12 @@ def _cases():
         cases[f"flows_i2_cap7_{fmt}"] = [
             "flows", "data/i2.json", "--cap-size", "7", "--format", fmt
         ]
+        # expressions: valid ones print their value, malformed ones exit 2
+        # with one error line, one case per parser message at least
+        for label, expr, alphabet in POLY_EXPRESSIONS:
+            cases[f"poly_expr_{label}_{fmt}"] = [
+                "poly", expr, "--alphabet", alphabet, "--format", fmt
+            ]
     return cases
 
 
@@ -92,17 +131,17 @@ DUMPS = {
 }
 
 
-def _golden_text(code, out):
-    return f"exit {code}\n{out}"
+def _golden_text(code, out, err):
+    return f"exit {code}\n{out}" + (f"--- stderr ---\n{err}" if err else "")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     code = main(CASES[name])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     want = (GOLDEN / f"{name}.out").read_text()
-    assert _golden_text(code, out) == want
+    assert _golden_text(code, captured.out, captured.err) == want
 
 
 @pytest.mark.parametrize("name", sorted(DUMPS))
@@ -120,10 +159,10 @@ def _rewrite():
 
     os.chdir(ROOT)
     for name, argv in sorted(CASES.items()):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        (GOLDEN / f"{name}.out").write_text(_golden_text(code, buf.getvalue()))
+        (GOLDEN / f"{name}.out").write_text(_golden_text(code, out.getvalue(), err.getvalue()))
         print(f"wrote {name}.out (exit {code})", file=sys.stderr)
     for name, argv in sorted(DUMPS.items()):
         with contextlib.redirect_stdout(io.StringIO()):

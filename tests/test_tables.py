@@ -178,7 +178,7 @@ def test_groupoid_layer_agrees_on_corruptions(all_structures):
                 failing.add("esn_back " + outcome(esn_back, H)[0])
     assert failing >= {
         "endpoints_and_inverses", "composition_domain", "identity_and_inverse_laws",
-        "associativity", "KeyError",
+        "associativity",
         "partial_order", "OG1_inversion_ordered", "OG2_composition_ordered",
         "OG3_unique_restriction", "identities_downward_closed",
         "esn_back returned", "esn_back NotBelowDomain", "esn_back NotInductive",
