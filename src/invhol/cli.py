@@ -2,9 +2,9 @@
 
 Subcommands: verify, hol, sha, flows, esn, poly.  Reports are deterministic
 given identical inputs, caps and seed; exit codes are 0 for all-pass, 1 for
-check failures, 2 for usage or parse errors and for an input that is not a
-valid structure (`verify` reports that as a check failure), 3 for an
-exhausted budget or cap.
+check failures, 2 for usage or parse errors, a `--dump` path that cannot be
+written and an input that is not a valid structure (`verify` reports that
+as a check failure), 3 for an exhausted budget or cap.
 """
 
 import argparse
@@ -93,7 +93,7 @@ def cmd_verify(args, out):
 def cmd_hol(args, out):
     S = _load_semigroup(args)
     prems = morphisms.enumerate_premorphisms(S, budget=args.budget)
-    hol = holomorph.enumerate_holomorph(S, prems=prems)
+    hol = holomorph.enumerate_holomorph(S, prems=prems, tau_cap=args.cap_size)
     table = holomorph.hol_table(S, hol)
     units = holomorph.holomorph_units(S, table)
     out.counts["premorphisms"] = len(prems)

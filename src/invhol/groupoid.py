@@ -366,16 +366,9 @@ def ordered_flows(G, flows=None, cap=DEFAULT_FLOW_CAP):
     """Flows that are order preserving on identities; closed under composition."""
     if flows is None:
         flows = enumerate_flows(G, cap=cap)
-    idx = list(G.identities)
-    out = []
-    for t in flows:
-        if all(
-            G.leq[t[i]][t[j]]
-            for i in range(len(idx))
-            for j in range(len(idx))
-            if G.leq[idx[i]][idx[j]]
-        ):
-            out.append(t)
+    ids = G.identities
+    below = [(i, j) for i, x in enumerate(ids) for j, y in enumerate(ids) if G.leq[x][y]]
+    out = [t for t in flows if all(G.leq[t[i]][t[j]] for i, j in below)]
     chosen = set(out)
     assert identity_flow(G) in chosen
     for t in out:
@@ -410,9 +403,9 @@ def connected_components(G):
     return sorted(sorted(c) for c in comps.values())
 
 
-def component_subgroupoid(G, comp):
-    """The full subgroupoid on a set of identities, reindexed densely."""
-    keep = [g for g in range(G.n) if G.dom[g] in comp]
+def component_subgroupoid(G, keep):
+    """The full subgroupoid on the arrows ``keep``, those starting at one set
+    of identities, reindexed densely in that order."""
     new = {g: i for i, g in enumerate(keep)}
     dom = [new[G.dom[g]] for g in keep]
     ran = [new[G.ran[g]] for g in keep]
@@ -460,7 +453,8 @@ def check_flow_monoid_structure(G, cap=DEFAULT_FLOW_CAP):
     rep.add("flow_count", True, detail=f"|flows| = {len(flows)}")
 
     comps = connected_components(G)
-    subs = [component_subgroupoid(G, c) for c in comps]
+    keeps = [[g for g in range(G.n) if G.dom[g] in c] for c in comps]
+    subs = [component_subgroupoid(G, keep) for keep in keeps]
     sub_flows = [enumerate_flows(Gi, cap=cap) for Gi in subs]
     expected = 1
     for fl in sub_flows:
@@ -474,37 +468,29 @@ def check_flow_monoid_structure(G, cap=DEFAULT_FLOW_CAP):
 
     # the splitting map must be a bijective homomorphism onto the product
     pos = {x: i for i, x in enumerate(G.identities)}
-    arrow_maps = []
-    for c, Gi in zip(comps, subs):
-        keep = [g for g in range(G.n) if G.dom[g] in c]
-        arrow_maps.append({g: i for i, g in enumerate(keep)})
-
-    def split(t):
-        parts = []
-        for c, amap in zip(comps, arrow_maps):
-            parts.append(tuple(amap[t[pos[x]]] for x in c))
-        return tuple(parts)
+    arrow_maps = [{g: i for i, g in enumerate(keep)} for keep in keeps]
 
     def splitting_failures():
         seen = set()
         for t in flows:
-            s = split(t)
+            s = tuple(tuple(amap[t[pos[x]]] for x in c) for c, amap in zip(comps, arrow_maps))
             if s in seen:
                 yield f"splitting map not injective at flow {t}"
             seen.add(s)
-        for t in flows:
-            for s in flows:
-                lhs = split(flow_compose(G, t, s))
-                rhs = tuple(
-                    flow_compose(Gi, a, b)
-                    for Gi, a, b in zip(subs, split(t), split(s))
-                )
-                if lhs != rhs:
-                    yield f"splitting map not multiplicative at ({t},{s})"
+        # coordinate x of the composite of flows t, s is t[x] composed with s
+        # at ran t[x], both in x's component, and each composable pair there
+        # occurs so because each star holds its identity: the split is
+        # multiplicative iff each component composes its arrows as G does.  A
+        # pair G does not compose raises KeyError, as composing the flows would.
+        for amap, Gi in zip(arrow_maps, subs):
+            for g in amap:
+                for h in G.star(G.ran[g]):
+                    if Gi.compose.get((amap[g], amap[h])) != amap[G.compose[(g, h)]]:
+                        yield f"splitting map not multiplicative at arrows ({g},{h})"
 
     rep.first_failure("component_product_iso", splitting_failures())
 
-    for ci, (c, Gi, fl) in enumerate(zip(comps, subs, sub_flows)):
+    for ci, (Gi, fl) in enumerate(zip(subs, sub_flows)):
         label = f"component_{ci}_wreath_iso"
         m = len(Gi.identities)
         base = Gi.identities[0]

@@ -18,13 +18,13 @@ from itertools import chain
 
 import numpy as np
 
-from .core import first_nonassociative, first_nonassociative_table, hits, replay, row_blocks
+from .core import (
+    DEFAULT_SIZE_CAP, first_nonassociative, first_nonassociative_table, hits, replay, row_blocks,
+)
 from .errors import NotMonoid, SizeCap
 from .morphisms import DEFAULT_NODE_BUDGET, enumerate_premorphisms
 from .report import CheckReport
 from .search import backtrack, row_lookup
-
-DEFAULT_TAU_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def hol_action(S, s, h):
     return S.mul[h.alpha[s]][h.tau[pos[S.mul[S.inv[s]][s]]]]
 
 
-def enumerate_holomorph(S, prems=None, budget=DEFAULT_NODE_BUDGET, tau_cap=DEFAULT_TAU_CAP):
+def enumerate_holomorph(S, prems=None, budget=DEFAULT_NODE_BUDGET, tau_cap=DEFAULT_SIZE_CAP):
     """All pairs (alpha, tau) satisfying the holomorph conditions.
 
     For each premorphism alpha of ``prems`` (value vectors; by default

@@ -15,8 +15,11 @@ from .groupoid import OrderedGroupoid
 
 def _dump(obj, path):
     text = json.dumps(obj, indent=1, separators=(",", ": ")) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _load(path):

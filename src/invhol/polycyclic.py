@@ -1268,44 +1268,37 @@ def parse_poly_expression(text, n):
         if m[1]:
             tokens.append(m[1])
     tokens.append(None)
-    pos = 0
-
-    def take():
-        nonlocal pos
-        pos += 1
-        return tokens[pos - 1]
-
-    def parse_product():
-        # "*" and juxtaposition are the same associative product
-        acc = parse_atom()
-        while tokens[pos] not in (None, ")"):
-            if tokens[pos] == "*":
-                take()
-            acc = poly_mul(acc, parse_atom())
-        return acc
-
-    def parse_atom():
-        t = take()
+    # the product so far of each open group, innermost last; None before the
+    # group's first factor
+    groups, acc, i = [], None, 0
+    while True:
+        t = tokens[i]
+        i += 1
         if t is None:
             raise ParseError("unexpected end of expression")
         if t in (")", "*", "^-1"):
             raise ParseError(f"unexpected token {t!r}")
         if t == "(":
-            val = parse_product()
-            if take() != ")":
+            groups.append(acc)
+            acc = None
+            continue
+        val = poly_zero(n) if t == "0" else poly_one(n) if t == "1" else poly(n, "", t)
+        # multiply the factor in, and close each group that ends after it
+        while True:
+            if tokens[i] == "^-1":
+                i += 1
+                val = val.inv()
+            # "*" and juxtaposition are the same associative product
+            acc = val if acc is None else poly_mul(acc, val)
+            if tokens[i] not in (None, ")"):
+                if tokens[i] == "*":
+                    i += 1
+                break
+            if not groups:
+                if tokens[i] is not None:
+                    raise ParseError(f"trailing input at token {i}: {tokens[i]!r}")
+                return acc
+            if tokens[i] is None:
                 raise ParseError("missing closing parenthesis")
-        elif t == "0":
-            val = poly_zero(n)
-        elif t == "1":
-            val = poly_one(n)
-        else:
-            val = poly(n, "", t)
-        if tokens[pos] == "^-1":
-            take()
-            val = val.inv()
-        return val
-
-    result = parse_product()
-    if tokens[pos] is not None:
-        raise ParseError(f"trailing input at token {pos}: {tokens[pos]!r}")
-    return result
+            i += 1
+            val, acc = acc, groups.pop()

@@ -2,8 +2,9 @@
 
 The searches here enumerate the raw function space and filter by the
 defining property directly, bypassing the library's pruned searches; the
-plain loops and the element-order heap search are the code that the
-library's numpy sweeps and forced heap search replaced, kept as references.
+plain loops, the element-order heap search and the flow pair loop are the
+code that the library's numpy sweeps, forced heap search and
+composable-arrow splitting check replaced, kept as references.
 A hypothesis strategy draws random inverse subsemigroups of I_n.
 """
 
@@ -25,7 +26,16 @@ from invhol.errors import (
     NotInverse,
     ParseError,
 )
-from invhol.groupoid import OrderedGroupoid, verify_ordered_groupoid
+from invhol.groupoid import (
+    DEFAULT_FLOW_CAP,
+    OrderedGroupoid,
+    component_subgroupoid,
+    connected_components,
+    enumerate_flows,
+    flow_compose,
+    verify_ordered_groupoid,
+    wreath_product,
+)
 from invhol.heap import _embed, enumerate_sha, is_heap_preserving
 from invhol.holomorph import (
     HolElement,
@@ -1035,6 +1045,102 @@ def esn_back_by_loops(G, cap=None):
                 raise NotInductive(x, y)
     mul = [[pseudoproduct_by_scans(G, a, b) for b in range(G.n)] for a in range(G.n)]
     return build_from_table(G.names, mul, cap=cap)
+
+
+def flow_monoid_structure_by_pairs(G, cap=DEFAULT_FLOW_CAP):
+    """check_flow_monoid_structure deciding component_product_iso by
+    composing every pair of whole-groupoid flows and comparing the split
+    composite with the componentwise composites."""
+    rep = CheckReport(f"flow monoid structure on {G!r}")
+    flows = enumerate_flows(G, cap=cap)
+    rep.add("flow_count", True, detail=f"|flows| = {len(flows)}")
+
+    comps = connected_components(G)
+    keeps = [[g for g in range(G.n) if G.dom[g] in c] for c in comps]
+    subs = [component_subgroupoid(G, keep) for keep in keeps]
+    sub_flows = [enumerate_flows(Gi, cap=cap) for Gi in subs]
+    expected = 1
+    for fl in sub_flows:
+        expected *= len(fl)
+    rep.add(
+        "component_product_count",
+        len(flows) == expected,
+        None if len(flows) == expected else f"{len(flows)} != {expected}",
+        detail=f"{len(flows)} flows over {len(comps)} component(s)",
+    )
+
+    pos = {x: i for i, x in enumerate(G.identities)}
+    arrow_maps = [{g: i for i, g in enumerate(keep)} for keep in keeps]
+
+    def split(t):
+        return tuple(tuple(amap[t[pos[x]]] for x in c) for c, amap in zip(comps, arrow_maps))
+
+    def splitting_failures():
+        seen = set()
+        for t in flows:
+            s = split(t)
+            if s in seen:
+                yield f"splitting map not injective at flow {t}"
+            seen.add(s)
+        for t in flows:
+            for s in flows:
+                lhs = split(flow_compose(G, t, s))
+                rhs = tuple(
+                    flow_compose(Gi, a, b)
+                    for Gi, a, b in zip(subs, split(t), split(s))
+                )
+                if lhs != rhs:
+                    yield f"splitting map not multiplicative at ({t},{s})"
+
+    rep.first_failure("component_product_iso", splitting_failures())
+
+    for ci, (Gi, fl) in enumerate(zip(subs, sub_flows)):
+        label = f"component_{ci}_wreath_iso"
+        m = len(Gi.identities)
+        base = Gi.identities[0]
+        local = [g for g in range(Gi.n) if Gi.dom[g] == base and Gi.ran[g] == base]
+        lidx = {g: i for i, g in enumerate(local)}
+        ltable = [[lidx[Gi.compose[(a, b)]] for b in local] for a in local]
+        connect = {}
+        for y in Gi.identities:
+            cands = [g for g in range(Gi.n) if Gi.dom[g] == base and Gi.ran[g] == y]
+            if not cands:
+                rep.add(label, False, f"object {y} not reachable from base {base}")
+                break
+            connect[y] = min(cands)
+        else:
+            welems, wtable = wreath_product(ltable, m)
+            windex = {e: i for i, e in enumerate(welems)}
+            gpos = {x: i for i, x in enumerate(Gi.identities)}
+
+            def to_wreath(t):
+                theta = tuple(gpos[Gi.ran[g]] for g in t)
+                lam = tuple(
+                    lidx[Gi.compose[(Gi.compose[(connect[Gi.identities[x]], t[x])],
+                                     Gi.inv[connect[Gi.ran[t[x]]]])]]
+                    for x in range(m)
+                )
+                return (lam, theta)
+
+            def wreath_failures():
+                if len(fl) != len(welems):
+                    yield f"sizes differ: {len(fl)} flows vs {len(welems)} wreath elements"
+                    return
+                images = {}
+                for t in fl:
+                    e = to_wreath(t)
+                    if e in images:
+                        yield f"candidate map not injective at flow {t}"
+                    images[t] = windex[e]
+                for t in fl:
+                    for s in fl:
+                        if images[flow_compose(Gi, t, s)] != wtable[images[t]][images[s]]:
+                            yield f"candidate map not multiplicative at ({t},{s})"
+
+            w = next(wreath_failures(), None)
+            rep.add(label, w is None, w,
+                    detail=None if w else f"|flows| = {len(fl)} = |L|^{m} * {m}^{m}")
+    return rep
 
 
 def inverse_subsemigroup(n, gens, cap=20):

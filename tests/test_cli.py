@@ -101,6 +101,25 @@ def test_flows_on_invalid_groupoid_is_a_usage_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["hol", "sha", "esn"])
+def test_dump_to_unwritable_path_is_a_usage_error(files, tmp_path, capsys, command):
+    target = tmp_path / "missing" / "x.json"
+    assert main([command, files[1]["Z3"], "--dump", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_deeply_nested_expression(capsys):
+    deep = 10000
+    assert main(["poly", "(" * deep + "a" + ")" * deep + "^-1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["output"] == ["value: (a)^-1"]
+    assert main(["poly", "(" * deep + "a"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: missing closing parenthesis\n")
+
+
 def test_budget_exhaustion_exits_3(files, capsys):
     _, paths = files
     assert main(["hol", paths["I2"], "--budget", "5"]) == 3

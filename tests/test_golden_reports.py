@@ -114,6 +114,15 @@ def _cases():
         cases[f"flows_i2_cap7_{fmt}"] = [
             "flows", "data/i2.json", "--cap-size", "7", "--format", fmt
         ]
+        # the cap also bounds the holomorph pairs: I2's 7 elements and 40
+        # premorphisms load, its 39 pairs do not
+        cases[f"hol_i2_cap20_{fmt}"] = [
+            "hol", "data/i2.json", "--cap-size", "20", "--format", fmt
+        ]
+        # I3's 34,992 flows over four components, decided component by component
+        cases[f"flows_i3_cap100000_{fmt}"] = [
+            "flows", "tests/golden/i3.json", "--cap-size", "100000", "--format", fmt
+        ]
         # expressions: valid ones print their value, malformed ones exit 2
         # with one error line, one case per parser message at least
         for label, expr, alphabet in POLY_EXPRESSIONS:

@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from invhol import core
 from invhol.catalog import two_chain_clifford
 from invhol.errors import NotBelowDomain, NotInductive, SizeCap
 from invhol.groupoid import (
@@ -256,3 +259,69 @@ def test_flow_monoid_reports_wreath_map_failure(monkeypatch):
     assert line.name == "component_0_wreath_iso" and not line.ok
     assert line.witness.startswith("candidate map not multiplicative at")
     assert line.detail is None
+
+
+def i2_times_chain2():
+    return esn_forward(core.direct_product(
+        core.build_symmetric_inverse_monoid(2), core.chain_semilattice(2)))
+
+
+def flow_outcome(check, G):
+    """Every line's verdict, or the type of what the check raised."""
+    try:
+        rep = check(G)
+    except Exception as exc:  # the exception type is part of the compared outcome
+        return type(exc).__name__
+    return [(c.name, c.ok) for c in rep.checks]
+
+
+def test_flow_splitting_check_matches_pair_loop(zoo):
+    # the composable-arrow check decides what composing every pair of flows
+    # decided, on valid groupoids and on groupoids with one composite changed
+    # or dropped, which a library caller can pass in (`invhol flows` rejects them)
+    cases = [esn_forward(S) for S in zoo.values()] + [
+        i2_times_chain2(),
+        oracles.disjoint_union(
+            oracles.connected_groupoid(1, Z2), oracles.connected_groupoid(2, [[0]])),
+        oracles.disjoint_union(esn_forward(zoo["I2"]), oracles.connected_groupoid(2, Z2)),
+    ]
+    for G in cases:
+        assert flow_outcome(check_flow_monoid_structure, G) == flow_outcome(
+            oracles.flow_monoid_structure_by_pairs, G)
+        assert check_flow_monoid_structure(G).ok
+    kinds = set()
+    for name, S in zoo.items():
+        G = esn_forward(S)
+        rng = random.Random(f"flows {name}")
+        for _ in range(20):
+            changed, dropped = dict(G.compose), dict(G.compose)
+            changed[rng.choice(sorted(changed))] = rng.randrange(G.n)
+            del dropped[rng.choice(sorted(dropped))]
+            for compose in (changed, dropped):
+                H = OrderedGroupoid(G.dom, G.ran, G.inv, compose, G.leq, names=G.names)
+                got = flow_outcome(check_flow_monoid_structure, H)
+                assert got == flow_outcome(oracles.flow_monoid_structure_by_pairs, H), name
+                if isinstance(got, str):
+                    kinds.add(got)
+                else:
+                    kinds.add("pass" if all(ok for _, ok in got) else "fail")
+                    assert ("component_product_iso", True) in got
+    assert kinds == {"pass", "fail", "KeyError"}
+
+
+def test_flow_splitting_check_composes_no_whole_groupoid_flows(monkeypatch):
+    # the pair loop composed all 64^2 pairs of I2 x chain2's flows; the check
+    # composes flows only inside components, for the wreath lines
+    from invhol import groupoid as gp
+
+    G = i2_times_chain2()
+    real, calls = gp.flow_compose, []
+
+    def counted(H, t, s):
+        calls.append(H is G)
+        return real(H, t, s)
+
+    monkeypatch.setattr(gp, "flow_compose", counted)
+    assert check_flow_monoid_structure(G).ok
+    assert len(enumerate_flows(G)) == 64
+    assert calls and not any(calls)
