@@ -61,6 +61,7 @@ class OrderedGroupoid:
         # position of each identity in self.identities, -1 for other arrows
         self.identity_pos = np.zeros(n, np.intp) - 1
         self.identity_pos[self.identity_array] = np.arange(len(self.identities))
+        self.identity_index = {x: i for i, x in enumerate(self.identities)}  # the same, as a dict
 
     @cached_property
     def restrictions(self):
@@ -345,10 +346,8 @@ def identity_flow(G):
 
 def flow_compose(G, t, s):
     """Pointwise x -> (x t) ((x t) ran) s."""
-    pos = {x: i for i, x in enumerate(G.identities)}
-    return tuple(
-        G.compose[(g, s[pos[G.ran[g]]])] for g in t
-    )
+    pos, ran, compose = G.identity_index, G.ran, G.compose
+    return tuple(compose[(g, s[pos[ran[g]]])] for g in t)
 
 
 def enumerate_flows(G, cap=DEFAULT_FLOW_CAP):
@@ -467,7 +466,7 @@ def check_flow_monoid_structure(G, cap=DEFAULT_FLOW_CAP):
     )
 
     # the splitting map must be a bijective homomorphism onto the product
-    pos = {x: i for i, x in enumerate(G.identities)}
+    pos = G.identity_index
     arrow_maps = [{g: i for i, g in enumerate(keep)} for keep in keeps]
 
     def splitting_failures():

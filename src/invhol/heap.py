@@ -8,6 +8,7 @@ from .core import replay, row_blocks
 from .errors import NotHeapPreserving, SearchBudgetExceeded
 from .holomorph import (
     HolElement,
+    alpha_ids,
     hol_action,
     hol_diamond,
     hol_from_mon,
@@ -20,7 +21,7 @@ from .holomorph import (
 )
 from .morphisms import DEFAULT_NODE_BUDGET, is_endomorphism, is_premorphism
 from .report import CheckReport
-from .search import assert_transformation_monoid, row_lookup
+from .search import assert_transformation_monoid, composite_rows
 
 
 def heap(S, a, b, c):
@@ -226,18 +227,18 @@ def multiplicative_failures(S, sha, by_eta, images, R, diamond, witness):
     """The pairs (e1, e2) of ``sha``, in loop order, where by_eta of the
     composite e1 then e2 is not diamond(S, by_eta of e1, by_eta of e2), as
     ``witness`` texts; a composite outside ``sha`` raises KeyError.  A sweep
-    flags the e1 to replay the loop at: composite j of i is row j of
-    P[:, P[i]] looked up among the value vectors P, and its row of
-    ``images`` (alpha, then the rest) must be pair_diamonds with R."""
+    flags the e1 to replay the loop at: composite j of i is C[i, j] of
+    composite_rows, and its row of ``images`` (alpha, then the rest), keyed
+    by alpha_ids, must be that of pair_diamonds with R."""
     n, k = S.size, len(sha)
     mul = S.mul_array.astype(np.int32)
-    P = np.array(sha, np.int32).reshape(k, n)
-    lookup = row_lookup(P)
+    A, T = images[:, :n], images[:, n:]
+    ids, alpha = alpha_ids(A)
+    keyed = np.column_stack([ids, T])
     flagged = np.zeros(k, bool)
-    for rows in row_blocks(k, k * images.shape[1]):
-        C = lookup(P[:, P[rows]].reshape(-1, n)).reshape(k, -1)  # C[j, i]
-        diamonds = pair_diamonds(mul, R, images[:, :n], images[:, n:], rows)
-        flagged[rows] = ((C < 0) | (images[C] != diamonds).any(axis=2)).any(axis=0)
+    for rows, C in composite_rows(np.array(sha, np.int32).reshape(k, n)):
+        diamonds = pair_diamonds(mul, R, A, T, ids, alpha, rows).transpose(1, 0, 2)
+        flagged[rows] = ((C < 0) | (keyed[C] != diamonds).any(axis=2)).any(axis=1)
 
     def failures(i):
         e1 = sha[i]

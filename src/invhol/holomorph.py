@@ -24,7 +24,7 @@ from .core import (
 from .errors import NotMonoid, SizeCap
 from .morphisms import DEFAULT_NODE_BUDGET, enumerate_premorphisms
 from .report import CheckReport
-from .search import backtrack, row_lookup
+from .search import backtrack, composite_rows, row_lookup
 
 
 @dataclass(frozen=True)
@@ -150,25 +150,44 @@ def enumerate_holomorph(S, prems=None, budget=DEFAULT_NODE_BUDGET, tau_cap=DEFAU
     return out
 
 
-def pair_diamonds(mul, R, A, T, rows):
-    """The value vectors of pair i <> pair j, for each i in ``rows`` and
-    every j, as an array (len(A), len(rows), width) indexed [j, i].  Pair
-    i is alpha A[i] beside the row T[i]; the diamond's alpha is A[j][A[i]]
-    and the rest is mul[A[j, t], T[j, R[t]]] with t = T[i].  Over Hol, T
-    holds tau and R[t] is the position of t^-1 t; over the compressed pairs,
-    T is the column m and R is zero, which gives (m beta) n."""
+def alpha_ids(A):
+    """ids[i] = the position of the row A[i] among the distinct rows of A,
+    and the composition table of those distinct rows: C[u, v] is the id of
+    alpha u then alpha v, -1 where that composite is not among them."""
+    first = row_lookup(A)(A)
+    is_first = first == np.arange(len(A))
+    distinct = A[is_first]
+    C = np.empty((len(distinct), len(distinct)), np.int32)
+    for rows, block in composite_rows(distinct):
+        C[rows] = block
+    return (np.cumsum(is_first) - 1)[first], C
+
+
+def pair_diamonds(mul, R, A, T, ids, C, rows):
+    """Pair i <> pair j for each i in ``rows`` and every j, keyed as (alpha
+    id, rest), in an array (len(A), len(rows), 1 + width) indexed [j, i].
+    Pair i is alpha A[i], with id ids[i] in the composition table C of
+    alpha_ids, beside the row T[i]; the diamond's alpha id is C[ids[i],
+    ids[j]] and the rest is mul[A[j, t], T[j, R[t]]] with t = T[i].  Over
+    Hol, T holds tau and R[t] is the position of t^-1 t; over the
+    compressed pairs, T is the column m and R is zero, which gives
+    (m beta) n."""
     t = T[rows]
-    return np.concatenate([A[:, A[rows]], mul[A[:, t], T[:, R[t]]]], axis=2)
+    alpha = C[ids[rows][None, :], ids[:, None]]
+    return np.concatenate([alpha[:, :, None], mul[A[:, t], T[:, R[t]]]], axis=2)
 
 
 def diamond_table(mul, R, A, T):
     """D[i, j] = the row of pair i <> pair j among the pairs (A, T), or -1
-    where that diamond is not one of them; a block of rows per gather."""
-    n, width = len(A), A.shape[1] + T.shape[1]
-    lookup = row_lookup(np.hstack([A, T]))
+    where that diamond is not one of them: the (alpha id, T) rows of
+    pair_diamonds looked up a block of rows at a time."""
+    n, width = len(A), 1 + T.shape[1]
+    ids, C = alpha_ids(A)
+    lookup = row_lookup(np.column_stack([ids, T]))
     D = np.empty((n, n), np.int32)
     for rows in row_blocks(n, n * width):
-        D[rows] = lookup(pair_diamonds(mul, R, A, T, rows).reshape(-1, width)).reshape(n, -1).T
+        keys = pair_diamonds(mul, R, A, T, ids, C, rows).reshape(-1, width)
+        D[rows] = lookup(keys).reshape(n, -1).T
     return D
 
 

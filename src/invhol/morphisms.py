@@ -3,8 +3,9 @@
 A premorphism is a map with (ab)t <= at bt for all a,b in the natural
 partial order.  A self-map is its value vector, the tuple (0t, 1t, ...).
 Premorphisms are not determined by generator images, so enumeration is a
-depth-first sweep over full value vectors with early pruning; output order
-is lexicographic on the value vector.
+depth-first sweep over full value vectors with early pruning, in the order
+of the inductive groupoid: idempotents, then each element with its inverse.
+Output order is lexicographic on the value vector.
 """
 
 import operator
@@ -56,15 +57,44 @@ def is_endomorphism(S, theta):
 
 def _maps_by_products(S, rel, budget):
     """Value vectors theta with rel((ab)theta, a.theta b.theta) for all a, b,
-    lexicographic.  A pair is checked at the level where the last of a, b
-    and ab is assigned; assignment runs in element-index order."""
+    lexicographic.
+
+    Such a theta, for the natural order as for equality, is an ordered
+    functor of the inductive groupoid: it maps E into E, a^-1 to
+    (a theta)^-1 and a a^-1 to (a theta)(a theta)^-1 (Lawson, Inverse
+    Semigroups, ch. 4; McAlister and Reilly 1977).  So the idempotents are
+    assigned first, from E, and then each pair {a, a^-1}: a takes the
+    elements x with x x^-1 = (a a^-1)theta and x^-1 x = (a^-1 a)theta, and
+    a^-1 is forced to the inverse of a's value.  A triple (a, b, ab) is
+    checked where the last of a, b and ab is assigned; the vectors are
+    sorted once at the end.
+    """
     n = S.size
-    mul = S.mul
+    mul, inv = S.mul, S.inv
+    order = list(S.idempotents)
+    for a in range(n):
+        if not S.is_idempotent[a] and a <= inv[a]:
+            order += [a] if a == inv[a] else [a, inv[a]]
+    pos = [0] * n
+    for k, a in enumerate(order):
+        pos[a] = k
+    by_ends = {}
+    for x in range(n):
+        by_ends.setdefault((mul[x][inv[x]], mul[inv[x]][x]), []).append(x)
+
+    def candidates(a):
+        if S.is_idempotent[a]:
+            return S.idempotents
+        if a > inv[a]:
+            return lambda theta, k=pos[inv[a]]: (inv[theta[k]],)
+        d, r = pos[mul[a][inv[a]]], pos[mul[inv[a]][a]]
+        return lambda theta: by_ends.get((theta[d], theta[r]), ())
+
     sched = [[] for _ in range(n)]
     for a in range(n):
         for b in range(n):
             ab = mul[a][b]
-            sched[max(a, b, ab)].append((a, b, ab))
+            sched[max(pos[a], pos[b], pos[ab])].append((pos[a], pos[b], pos[ab]))
 
     def ok_at(theta, k):
         for a, b, ab in sched[k]:
@@ -72,7 +102,8 @@ def _maps_by_products(S, rel, budget):
                 return False
         return True
 
-    return backtrack([range(n)] * n, ok_at, budget)
+    found = backtrack([candidates(a) for a in order], ok_at, budget)
+    return sorted(tuple(v[k] for k in pos) for v in found)
 
 
 def enumerate_premorphisms(S, budget=DEFAULT_NODE_BUDGET):

@@ -2,12 +2,14 @@
 
 The searches here enumerate the raw function space and filter by the
 defining property directly, bypassing the library's pruned searches; the
-plain loops, the element-order heap search and the flow pair loop are the
-code that the library's numpy sweeps, forced heap search and
-composable-arrow splitting check replaced, kept as references.
+plain loops, the element-order premorphism and heap searches and the flow
+pair loop are the code that the library's numpy sweeps, inductive-groupoid
+order, forced heap search and composable-arrow splitting check replaced,
+kept as references.
 A hypothesis strategy draws random inverse subsemigroups of I_n.
 """
 
+import operator
 import random
 import re
 from itertools import permutations, product
@@ -170,13 +172,18 @@ def relabelled(S, p):
     return build_from_table(names, mul)
 
 
+def seeded_permutation(n, name, seed):
+    """The permutation of range(n) that random.Random(f"{name}/{seed}") shuffles."""
+    p = list(range(n))
+    random.Random(f"{name}/{seed}").shuffle(p)
+    return p
+
+
 def seeded_relabellings(S, name, count):
-    """`count` relabelled copies of S, the i-th (from 1) by the permutation
-    that random.Random(f"{name}/{i}") shuffles."""
+    """`count` relabelled copies of S, the i-th (from 1) by
+    seeded_permutation(S.size, name, i)."""
     for seed in range(1, count + 1):
-        p = list(range(S.size))
-        random.Random(f"{name}/{seed}").shuffle(p)
-        yield relabelled(S, p)
+        yield relabelled(S, seeded_permutation(S.size, name, seed))
 
 
 def hol_table_by_diamonds(S, hol):
@@ -419,6 +426,38 @@ def sha_monoid_iso_report_by_loops(M, sha=None, mon=None):
         != mon_diamond(M, by_eta[e1], by_eta[e2])
     ))
     return rep
+
+
+def maps_by_products_in_element_order(S, rel, budget=None):
+    """Value vectors theta with rel((ab)theta, a.theta b.theta) for all a, b,
+    lexicographic, by a depth-first search over the elements in index order
+    that tries every value at every position: a pair is checked at the level
+    where the last of a, b and ab is assigned.  The library searched so
+    for premorphisms and endomorphisms before it followed the inductive
+    groupoid."""
+    n = S.size
+    mul = S.mul
+    sched = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            ab = mul[a][b]
+            sched[max(a, b, ab)].append((a, b, ab))
+
+    def ok_at(theta, k):
+        for a, b, ab in sched[k]:
+            if not rel(theta[ab], mul[theta[a]][theta[b]]):
+                return False
+        return True
+
+    return backtrack([range(n)] * n, ok_at, budget)
+
+
+def premorphisms_by_element_order(S, budget=None):
+    return maps_by_products_in_element_order(S, S.natural_order().leq, budget)
+
+
+def endomorphisms_by_element_order(S, budget=None):
+    return maps_by_products_in_element_order(S, operator.eq, budget)
 
 
 def ordered_heap_maps_by_filter(S):

@@ -230,14 +230,14 @@ def test_jobs_share_one_budget(files, capsys, name, budget):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_budget_line_reports_partial_progress(files, capsys, jobs):
     _, paths = files
-    assert main(["hol", paths["I2"], "--budget", "150", "--jobs", jobs]) == 3
+    assert main(["hol", paths["I2"], "--budget", "120", "--jobs", jobs]) == 3
     assert capsys.readouterr().err == (
-        "search budget exceeded: visited 151 nodes, found 16 results, budget 150\n"
+        "search budget exceeded: visited 121 nodes, found 18 results, budget 120\n"
     )
 
 
 @pytest.mark.parametrize("name, budget, line", [
-    ("I2", "150", "visited 151 nodes, found 16 results, budget 150"),
+    ("I2", "120", "visited 121 nodes, found 18 results, budget 120"),
     ("diamond", "74", "visited 75 nodes, found 35 results, budget 74"),
 ], ids=["I2", "diamond"])
 def test_sha_budget_limits_premorphism_search(files, capsys, name, budget, line):

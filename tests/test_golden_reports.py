@@ -106,10 +106,13 @@ def _cases():
             "verify", "tests/golden/missing_composite_groupoid.json", "--format", fmt
         ]
         cases[f"hol_i2_jobs2_{fmt}"] = ["hol", "data/i2.json", "--jobs", "2", "--format", fmt]
+        # I2's premorphism search takes 133 nodes and its heap search 102:
+        # both fit 150, and at 120 the premorphism search stops
         for cmd in ["hol", "sha"]:
-            cases[f"{cmd}_i2_budget150_{fmt}"] = [
-                cmd, "data/i2.json", "--budget", "150", "--format", fmt
-            ]
+            for budget in ["120", "150"]:
+                cases[f"{cmd}_i2_budget{budget}_{fmt}"] = [
+                    cmd, "data/i2.json", "--budget", budget, "--format", fmt
+                ]
         # I2 has 7 elements and 8 flows: the table loads, the flow search stops
         cases[f"flows_i2_cap7_{fmt}"] = [
             "flows", "data/i2.json", "--cap-size", "7", "--format", fmt
@@ -119,6 +122,8 @@ def _cases():
         cases[f"hol_i2_cap20_{fmt}"] = [
             "hol", "data/i2.json", "--cap-size", "20", "--format", fmt
         ]
+        # I3's 301 heap maps against its 191 premorphisms' compressed pairs
+        cases[f"sha_i3_{fmt}"] = ["sha", "tests/golden/i3.json", "--format", fmt]
         # I3's 34,992 flows over four components, decided component by component
         cases[f"flows_i3_cap100000_{fmt}"] = [
             "flows", "tests/golden/i3.json", "--cap-size", "100000", "--format", fmt

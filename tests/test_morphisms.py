@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from invhol import core
 from invhol.catalog import two_chain_clifford, z2_with_zero_clifford
 from invhol.errors import NotSemilatticeOfGroups, SearchBudgetExceeded
 from invhol.heap import enumerate_sha
@@ -136,6 +137,58 @@ def test_search_budget(zoo, search):
         with pytest.raises(SearchBudgetExceeded) as exc:
             search(zoo["I2"], budget=budget)
         assert (exc.value.nodes, exc.value.budget) == (budget + 1, budget)
+
+
+def _i2_times_chain2():
+    return core.direct_product(core.build_symmetric_inverse_monoid(2), core.chain_semilattice(2))
+
+
+def test_searches_match_element_order_search(zoo):
+    # idempotents first, then each element with its inverse, finds exactly
+    # the maps of the element-order reference, in the same order
+    cases = dict(zoo, I2xchain2=_i2_times_chain2())
+    for name, S in cases.items():
+        assert enumerate_premorphisms(S) == oracles.premorphisms_by_element_order(S), name
+        assert enumerate_endomorphisms(S) == oracles.endomorphisms_by_element_order(S), name
+    assert len(enumerate_premorphisms(cases["I2xchain2"])) == 1130
+
+
+def _moved(vecs, p):
+    """The value vectors vecs carried across the relabelling p, sorted."""
+    back = sorted(range(len(p)), key=p.__getitem__)
+    return sorted(tuple(p[theta[a]] for a in back) for theta in vecs)
+
+
+# the element-order search is heavy-tailed in the labelling: on the other
+# relabellings of these six it takes from seconds to minutes
+@pytest.mark.parametrize("name, build, degree, compared, counts", [
+    ("I3", core.build_symmetric_inverse_monoid, 3, (6,), (191, 54)),
+    ("S4", core.symmetric_group, 4, (1, 2, 4), (58, 58)),
+], ids=["I3", "S4"])
+def test_relabelled_searches_match_element_order_search(name, build, degree, compared, counts):
+    # on six seeded relabellings the search finds the catalogue labelling's
+    # maps carried across, and where the element-order search finishes, its
+    # maps: this pins the catalogue labelling's maps to the reference too
+    S = build(degree)
+    prems, endos = enumerate_premorphisms(S), enumerate_endomorphisms(S)
+    assert (len(prems), len(endos)) == counts
+    for seed in range(1, 7):
+        p = oracles.seeded_permutation(S.size, name, seed)
+        T = oracles.relabelled(S, p)
+        assert enumerate_premorphisms(T) == _moved(prems, p), seed
+        assert enumerate_endomorphisms(T) == _moved(endos, p), seed
+        if seed in compared:
+            assert oracles.premorphisms_by_element_order(T) == _moved(prems, p), seed
+            assert oracles.endomorphisms_by_element_order(T) == _moved(endos, p), seed
+
+
+def test_i3_search_fits_a_budget_the_element_order_exhausts():
+    # 46,916 nodes; the element-order search has found 20 of the 191 by then
+    S = core.build_symmetric_inverse_monoid(3)
+    assert len(enumerate_premorphisms(S, budget=50_000)) == 191
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        oracles.premorphisms_by_element_order(S, budget=50_000)
+    assert exc.value.found < 191
 
 
 def test_sog_identity_premorphism():

@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from invhol.errors import SearchBudgetExceeded
 from invhol.heap import enumerate_sha
 from invhol.morphisms import enumerate_endomorphisms, enumerate_premorphisms
-from invhol.search import assert_transformation_monoid, backtrack
+from invhol.search import assert_transformation_monoid, backtrack, row_lookup
 
 import oracles
 
@@ -30,6 +31,46 @@ def test_backtrack_counts_one_node_per_call():
 def test_backtrack_empty_candidates_and_no_positions():
     assert backtrack([range(2), []], _increasing) == []
     assert backtrack([], _increasing) == [()]
+
+
+def test_backtrack_calls_candidates_on_the_partial_vector():
+    # position 1 takes the values above position 0's
+    above = [range(3), lambda vec: range(vec[0] + 1, 3)]
+    assert backtrack(above, lambda vec, k: True) == [(0, 1), (0, 2), (1, 2)]
+
+
+def _lowest_rows(table):
+    lowest = {}
+    for i, row in enumerate(table.tolist()):
+        lowest.setdefault(tuple(row), i)
+    return lowest
+
+
+def test_row_lookup_matches_dict_oracle():
+    # random tables with duplicate rows, widths 1-40 and values below n; the
+    # last case needs several folds (209 values in each of 34 columns).
+    # Queries: every row, random rows, and rows of the table with one entry
+    # set to -1 or to one past its column's largest value
+    rng = np.random.default_rng(20261019)
+    cases = [(int(rng.integers(1, 41)), int(rng.choice([2, 3, 7, 30]))) for _ in range(80)]
+    for width, n in cases + [(34, 209), (1, 209), (40, 2)]:
+        distinct = rng.integers(0, n, (int(rng.integers(1, 30)), width))
+        table = distinct[rng.integers(0, len(distinct), int(rng.integers(1, 60)))].astype(np.int32)
+        outside = np.repeat(table[:6], 2, axis=0)
+        at = np.arange(len(outside)), rng.integers(0, width, len(outside))
+        outside[at] = np.where(at[0] % 2, table.max(axis=0)[at[1]] + 1, -1)
+        queries = np.vstack([table, rng.integers(0, n, (30, width)), outside])
+        lowest = _lowest_rows(table)
+        lookup = row_lookup(table)
+        assert lookup(queries).tolist() == [lowest.get(tuple(q), -1) for q in queries.tolist()]
+        assert (lookup(outside) == -1).all()
+        assert lookup(np.empty((0, width), np.int32)).tolist() == []
+    assert row_lookup(np.empty((0, 3), np.int32))(np.zeros((2, 3), np.int32)).tolist() == [-1, -1]
+    # 256 values in 12 columns: one code over more than 7 of them would wrap
+    # past 2^64 and lose the first column, the only one these rows differ in
+    table = np.zeros((256, 12), np.int32)
+    table[:, 0], table[:, -1] = np.arange(256), 255
+    assert row_lookup(table)(table[::-1]).tolist() == list(range(255, -1, -1))
 
 
 def test_transformation_monoid_assertion():
