@@ -96,10 +96,10 @@ def replay(flagged, witnesses):
 BLOCK_ENTRIES = 1 << 16
 
 
-def row_blocks(rows, width):
-    """Slices of ``rows`` rows each at most BLOCK_ENTRIES // ``width`` long, so
+def row_blocks(rows, width, entries=BLOCK_ENTRIES):
+    """Slices of ``rows`` rows each at most ``entries`` // ``width`` long, so
     a sweep over rows x width pairs keeps its temporaries small."""
-    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    step = max(1, entries // max(width, 1))
     return [slice(start, min(rows, start + step)) for start in range(0, rows, step)]
 
 

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .core import first_nonassociative
+import numpy as np
+
+from .core import first_nonassociative_table, row_blocks
 from .errors import AlphabetMismatch, ParseError, WindowExceeded, NotSuffixPreserving
 from .report import CheckReport
+from .search import distinct_values
 
 ALPHABET = string.ascii_lowercase
 
@@ -226,22 +229,117 @@ def window_values(elems, op, arity):
     return tuple(points), tuple(rows)
 
 
+# ---------------------------------------------------------------------------
+# window products on integer codes
+#
+# A word is its length and its value in base n (letter a is digit 0), so its
+# length-lex rank is _first_rank(n, length) + value.  Elements are digit
+# arrays (zero, |u|, u, |v|, v): a boolean zero flag, then each word's length
+# and value, with the zero element's words empty.  A pair's key is
+# rank(u) * radix + rank(v), or -1 for the zero.
+
+# entries per block of a code table: each entry takes some twenty temporaries,
+# which at this size stay small and in cache (twice as fast as 64k blocks)
+CODE_BLOCK_ENTRIES = 1 << 14
+
+
+def _code_radix(n, L):
+    """The number of words of length <= 3L, the most that a window element
+    times a product of two has in a component: the radix of the pair keys.
+    Raises WindowExceeded when a key could leave int64."""
+    radix = _first_rank(n, 3 * L + 1)
+    if radix * radix > 2**63:
+        raise WindowExceeded(f"pair codes of window L={L} over {n} letters overflow int64")
+    return radix
+
+
+def _pair_code(n, L):
+    """The key of a raw pair with components of length <= 3L, as
+    _window_codes(n, L) numbers it."""
+    ranks, radix = _word_ranks(n, 3 * L), _code_radix(n, L)
+    return lambda x: -1 if x is None else ranks[x[0]] * radix + ranks[x[1]]
+
+
+def _window_digits(n, L):
+    """The digit arrays of poly_window(n, L), element by element."""
+    words = [(k, v) for k in range(L + 1) for v in range(n**k)]
+    cols = np.array([(0, 0, 0, 0)] + [(*u, *v) for u in words for v in words]).T
+    zero = np.zeros(len(words) ** 2 + 1, bool)
+    zero[0] = True
+    return (zero, *cols)
+
+
+def _digit_mul(x, y, powers):
+    """_mul on digit arrays, elementwise under broadcasting.  Every entry is
+    a valid word, also where the product is zero, so its rank is in range."""
+    xz, ul, uv, vl, vv = x
+    yz, pl, pv, ql, qv = y
+    longer = vl >= pl                   # v must end with p, else p with v
+    prefix, suffix = np.divmod(np.where(longer, vv, pv), powers[np.minimum(vl, pl)])
+    zero = xz | yz | (suffix != np.where(longer, pv, vv))
+    cut = abs(vl - pl)                  # the length of that prefix
+    shorter = ~longer
+    # (u, prefix q) when v is the longer word, else (prefix u, q)
+    return (
+        zero,
+        cut * shorter + ul, prefix * shorter * powers[ul] + uv,
+        cut * longer + ql, prefix * longer * powers[ql] + qv,
+    )
+
+
+def _digit_codes(x, first, radix):
+    """The pair keys of digit arrays."""
+    zero, ul, uv, vl, vv = x
+    codes = (first[ul] + uv) * radix + first[vl] + vv
+    codes[zero] = -1
+    return codes
+
+
+def _window_codes(n, L):
+    """The associativity sweep of poly_window(n, L) on pair keys: (ids,
+    codes, left, right) for first_nonassociative_table.  ids[i, j] numbers
+    x_i x_j among the distinct products of two window elements, codes[d] is
+    the key of product d, left[d, k] the key of product d times x_k and
+    right[i, d] that of x_i times product d.  Keys compare equal exactly when
+    the pairs do, so the first failing triple is that of the scalar sweep."""
+    radix = _code_radix(n, L)
+    powers = np.array([n**k for k in range(3 * L + 1)])
+    first = np.array([_first_rank(n, k) for k in range(3 * L + 1)])
+    elems = _window_digits(n, L)
+    size = len(elems[0])
+
+    def table(xs, ys):
+        out = np.empty((len(xs[0]), len(ys[0])), np.int64)
+        for rows in row_blocks(*out.shape, CODE_BLOCK_ENTRIES):
+            block = _digit_mul(tuple(a[rows, None] for a in xs), ys, powers)
+            out[rows] = _digit_codes(block, first, radix)
+        return out
+
+    codes, picked, ids = distinct_values(table(elems, elems).ravel())
+    mids = _digit_mul(*(tuple(a[k] for a in elems) for k in divmod(picked, size)), powers)
+    return ids.reshape(size, size), codes, table(mids, elems), table(elems, mids)
+
+
 def verify_poly_window(n, L):
     """Normal-form multiplication against the rewriting rules on a window,
-    plus associativity, inverses, idempotents and the order comparison."""
+    plus associativity, inverses, idempotents and the order comparison.
+    Associativity is decided on pair keys (_window_codes), whose products of
+    two window elements are checked against _mul here."""
     rep = CheckReport(f"polycyclic arithmetic, n={n}, window L={L}")
     elems = poly_window(n, L)
     rep.add("window", True, detail=f"{len(elems)} elements, components up to length {L}")
 
+    products = [_mul(x, y) for x in elems for y in elems]
     rep.first_failure("matches_rewriting", (
-        f"{x} * {y}: table {_mul(x, y)} vs rewriting {rewrite_mul(x, y)}"
-        for x in elems
-        for y in elems
-        if _mul(x, y) != rewrite_mul(x, y)
+        f"{x} * {y}: table {xy} vs rewriting {rewrite_mul(x, y)}"
+        for (x, y), xy in zip(product(elems, elems), products)
+        if xy != rewrite_mul(x, y)
     ))
 
-    # products leave the window, so the sweep interns them
-    bad = first_nonassociative(elems, _mul)
+    ids, codes, left, right = _window_codes(n, L)
+    if codes[ids].ravel().tolist() != list(map(_pair_code(n, L), products)):
+        raise AssertionError(f"pair codes disagree with _mul on window n={n}, L={L}")
+    bad = first_nonassociative_table(ids, left, right)
     rep.add("associative_on_window", bad is None,
             bad and "associativity fails at ({},{},{})".format(*(elems[i] for i in bad)))
 

@@ -46,7 +46,10 @@ def backtrack(candidates, ok_at, budget=None):
             if ok_at(vec, k):
                 rec(k + 1)
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        del rec  # rec refers to itself; without this its closure outlives the search
     return out
 
 
@@ -84,7 +87,7 @@ def row_lookup(table):
         while stop < width and distinct * radix ** (stop + 1 - start) <= CODE_LIMIT:
             stop += 1
         stop = min(stop, width)
-        codes, first, code = _distinct(fold(code, table, start, stop))
+        codes, first, code = distinct_values(fold(code, table, start, stop))
         folds.append((start, stop, codes))
         distinct, start = len(codes), stop
         if stop == width:
@@ -110,7 +113,7 @@ def row_lookup(table):
     return lookup
 
 
-def _distinct(code):
+def distinct_values(code):
     """The distinct values of ``code`` in increasing order, the index of the
     first entry equal to each, and the rank of each entry among them (what
     np.unique returns, without the numpy.ma import it makes)."""

@@ -2,10 +2,11 @@
 
 The searches here enumerate the raw function space and filter by the
 defining property directly, bypassing the library's pruned searches; the
-plain loops, the element-order premorphism and heap searches and the flow
-pair loop are the code that the library's numpy sweeps, inductive-groupoid
-order, forced heap search and composable-arrow splitting check replaced,
-kept as references.
+plain loops, the element-order premorphism and heap searches, the flow
+pair loop and the interning polycyclic window sweep are the code that the
+library's numpy sweeps, inductive-groupoid order, forced heap search,
+composable-arrow splitting check and pair-code sweep replaced, kept as
+references.
 A hypothesis strategy draws random inverse subsemigroups of I_n.
 """
 
@@ -66,6 +67,7 @@ from invhol.polycyclic import (
     efun_element_image,
     pair_leq,
     poly_window,
+    rewrite_mul,
     words_upto,
 )
 
@@ -637,6 +639,46 @@ def induced_premorphism_failures_by_pairs(fn, n, L):
             rhs = _mul(efun_element_image(fn, x), efun_element_image(fn, y))
             if not pair_leq(lhs, rhs):
                 yield f"inequality fails at {x},{y}"
+
+
+def poly_window_report_by_interning(n, L):
+    """polycyclic.verify_poly_window with associativity decided by
+    core.first_nonassociative, which interns every product it meets through
+    _mul, instead of on pair codes."""
+    rep = CheckReport(f"polycyclic arithmetic, n={n}, window L={L}")
+    elems = poly_window(n, L)
+    rep.add("window", True, detail=f"{len(elems)} elements, components up to length {L}")
+
+    rep.first_failure("matches_rewriting", (
+        f"{x} * {y}: table {_mul(x, y)} vs rewriting {rewrite_mul(x, y)}"
+        for x in elems
+        for y in elems
+        if _mul(x, y) != rewrite_mul(x, y)
+    ))
+
+    bad = first_nonassociative(elems, _mul)
+    rep.add("associative_on_window", bad is None,
+            bad and "associativity fails at ({},{},{})".format(*(elems[i] for i in bad)))
+
+    rep.first_failure("inverses", (
+        f"inverse laws fail at {x}"
+        for x in elems
+        if _mul(_mul(x, _inv(x)), x) != x or _inv(_inv(x)) != x
+    ))
+
+    rep.first_failure("idempotents_are_diagonal", (
+        f"idempotence of {x} is {_mul(x, x) == x}"
+        for x in elems
+        if (_mul(x, x) == x) != (x is None or x[0] == x[1])
+    ))
+
+    rep.first_failure("natural_order_is_suffix_order", (
+        f"order disagreement at ({x},{y})"
+        for x in elems
+        for y in elems
+        if (_mul(_mul(x, _inv(x)), y) == x) != pair_leq(x, y)
+    ))
+    return rep
 
 
 def words_by_length(n, L):

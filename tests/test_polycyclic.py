@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invhol import polycyclic as P
+from invhol.core import first_nonassociative, first_nonassociative_table
 from invhol.errors import (
     AlphabetMismatch,
     NotSuffixPreserving,
@@ -60,6 +61,100 @@ def test_inverse_laws(u, v):
 def test_window_report_small():
     rep = P.verify_poly_window(2, 2)
     assert rep.ok, rep.render()
+
+
+CODE_WINDOWS = [(1, 6), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+
+
+def _code_pairs(n, L, codes):
+    """The raw pairs that keys of _window_codes(n, L) stand for."""
+    words = P.words_upto(n, 3 * L)
+    radix = len(words)
+    return [None if c < 0 else (words[c // radix], words[c % radix]) for c in codes.tolist()]
+
+
+@pytest.mark.parametrize("n, L", CODE_WINDOWS)
+def test_window_codes_match_mul(n, L):
+    """The key tables hold _mul's value on every pair that interning
+    products through _mul would evaluate: two window elements, and each
+    distinct such product times a window element, on either side."""
+    elems = P.poly_window(n, L)
+    code = P._pair_code(n, L)
+    ids, codes, left, right = P._window_codes(n, L)
+    mids = _code_pairs(n, L, codes)
+    assert list(map(code, mids)) == codes.tolist()
+    assert (codes[1:] > codes[:-1]).all()
+    products = [[P._mul(x, y) for y in elems] for x in elems]
+    assert codes[ids].tolist() == [list(map(code, row)) for row in products]
+    # every window element is x * 1, so the distinct products are exactly
+    # the ids that interning gives out before its outer tables
+    assert set(mids) == set(elems).union(*products)
+    assert left.tolist() == [[code(P._mul(m, y)) for y in elems] for m in mids]
+    assert right.tolist() == [[code(P._mul(x, m)) for m in mids] for x in elems]
+
+
+@pytest.mark.parametrize("n, L", CODE_WINDOWS)
+def test_window_report_matches_interning_report(n, L):
+    want = oracles.poly_window_report_by_interning(n, L).lines()
+    assert P.verify_poly_window(n, L).lines() == want
+
+
+def test_bent_window_code_gives_the_interning_witness():
+    """One entry of the product-times-element table bent, on a product that
+    lies outside the window: the sweep finds the witness that interning
+    finds when _mul is bent at the same pair."""
+    n, L = 2, 2
+    elems = P.poly_window(n, L)
+    window = set(elems)
+    code = P._pair_code(n, L)
+    ids, codes, left, right = P._window_codes(n, L)
+    assert first_nonassociative_table(ids, left, right) is None
+    mids = _code_pairs(n, L, codes)
+    outside = [d for d, m in enumerate(mids) if m not in window]
+    pick = random.Random(18)
+    for _ in range(12):
+        d, k = pick.choice(outside), pick.randrange(len(elems))
+        wrong = pick.choice([m for m in mids if code(m) != left[d, k]])
+        bent_left = left.copy()
+        bent_left[d, k] = code(wrong)
+
+        def bent(x, y, at=(mids[d], elems[k]), wrong=wrong):
+            return wrong if (x, y) == at else P._mul(x, y)
+
+        got = first_nonassociative_table(ids, bent_left, right)
+        assert got is not None
+        assert got == first_nonassociative(elems, bent)
+
+
+def test_window_codes_are_checked_against_mul(monkeypatch):
+    """verify_poly_window compares the codes of two window elements' products
+    with _mul's values and raises on a difference, also under python -O."""
+    mul = P._mul
+
+    def bent(x, y):
+        return ("", "b") if (x, y) == (("a", ""), ("", "a")) else mul(x, y)
+
+    monkeypatch.setattr(P, "_mul", bent)
+    with pytest.raises(AssertionError, match="pair codes disagree with _mul"):
+        P.verify_poly_window(2, 1)
+
+
+def test_window_code_radix_guard(monkeypatch):
+    """The keys of window L over n letters reach radix**2 - 1 with radix the
+    number of words of length <= 3L; past int64 the code builder refuses
+    before it builds any window."""
+    assert P._code_radix(2, 10) == 2**31 - 1
+    with pytest.raises(WindowExceeded):
+        P._code_radix(2, 11)
+
+    def never(*args):
+        raise AssertionError("built a window")
+
+    monkeypatch.setattr(P, "poly_window", never)
+    monkeypatch.setattr(P, "_window_digits", never)
+    monkeypatch.setattr(P, "words_upto", never)
+    with pytest.raises(WindowExceeded):
+        P._window_codes(26, 5)
 
 
 def test_suffix_order_examples():
@@ -214,6 +309,17 @@ def test_heap_check_work(monkeypatch):
     P.heap_type_check_polycyclic(2, 1, 2)
     assert len(muls) <= 50_000
     assert len(endos) == 16
+
+
+def test_poly_window_work(monkeypatch):
+    """Associativity is decided on pair codes, so verify_poly_window(2, 3)
+    makes 153,906 products: the 51,076 products of two window elements once,
+    for the rewriting comparison and the code check, and those of the
+    inverse, idempotent and order lines.  Interning every product through
+    _mul made 1,825,854."""
+    muls = _counting(monkeypatch, P, "_mul")
+    assert P.verify_poly_window(2, 3).ok
+    assert len(muls) <= 160_000
 
 
 def test_zappa_translation_work(monkeypatch):

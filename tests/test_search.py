@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -31,6 +33,28 @@ def test_backtrack_counts_one_node_per_call():
 def test_backtrack_empty_candidates_and_no_positions():
     assert backtrack([range(2), []], _increasing) == []
     assert backtrack([], _increasing) == [()]
+
+
+def test_backtrack_leaves_no_reference_cycle():
+    """The search's closure, with ok_at, the candidates and the vectors
+    found, is freed by reference counting alone, on return and on a
+    budget stop."""
+    gc.disable()
+    try:
+        for budget in (None, 3):
+            def ok_at(vec, k):
+                return True
+
+            probe = weakref.ref(ok_at)
+            try:
+                found = backtrack([range(2), range(2)], ok_at, budget)
+            except SearchBudgetExceeded:
+                found = None
+            assert found in ([(0, 0), (0, 1), (1, 0), (1, 1)], None)
+            del ok_at, found
+            assert probe() is None, budget
+    finally:
+        gc.enable()
 
 
 def test_backtrack_calls_candidates_on_the_partial_vector():
