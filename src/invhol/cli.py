@@ -167,8 +167,8 @@ def cmd_esn(args, out):
 # the window checks of `invhol poly`, each to the reports it adds, in the
 # order `--check all` runs them
 POLY_CHECK_REPORTS = {
-    "arith": lambda a: [polycyclic.verify_poly_window(a.alphabet, a.maxlen)] + (
-        [polycyclic.verify_poly_window(1, max(a.maxlen, 6))] if a.alphabet != 1 else []
+    "arith": lambda a: [polycyclic.verify_poly_window(a.alphabet, a.maxlen, a.cap_size)] + (
+        [polycyclic.verify_poly_window(1, max(a.maxlen, 6), a.cap_size)] if a.alphabet != 1 else []
     ),
     "bicyclic": lambda a: [polycyclic.verify_bicyclic(6, 4), polycyclic.bicyclic_hol_check(4, 6)],
     "functors": lambda a: [polycyclic.premorphism_ideal_check(a.alphabet, a.maxlen)],

@@ -16,6 +16,7 @@ from .holomorph import (
     mon_diamond,
     mon_from_hol,
     mon_hol,
+    pair_arrays,
     pair_diamonds,
     tau_positions,
 )
@@ -223,16 +224,15 @@ def bijective_heap_maps(sha):
     return [eta for eta in sha if len(set(eta)) == len(eta)]
 
 
-def multiplicative_failures(S, sha, by_eta, images, R, diamond, witness):
+def multiplicative_failures(S, sha, by_eta, A, T, R, diamond, witness):
     """The pairs (e1, e2) of ``sha``, in loop order, where by_eta of the
     composite e1 then e2 is not diamond(S, by_eta of e1, by_eta of e2), as
     ``witness`` texts; a composite outside ``sha`` raises KeyError.  A sweep
     flags the e1 to replay the loop at: composite j of i is C[i, j] of
-    composite_rows, and its row of ``images`` (alpha, then the rest), keyed
-    by alpha_ids, must be that of pair_diamonds with R."""
+    composite_rows, and its image, row j of the alphas A beside the rest T,
+    keyed by alpha_ids, must be that of pair_diamonds with R."""
     n, k = S.size, len(sha)
     mul = S.mul_array.astype(np.int32)
-    A, T = images[:, :n], images[:, n:]
     ids, alpha = alpha_ids(A)
     keyed = np.column_stack([ids, T])
     flagged = np.zeros(k, bool)
@@ -267,9 +267,8 @@ def verify_sha_embedding(S, sha=None):
 
     rep.first_failure("embedding_injective", injectivity_failures())
 
-    pairs = np.array([by_eta[eta].alpha + by_eta[eta].tau for eta in sha], np.int32)
     rep.first_failure("embedding_multiplicative", multiplicative_failures(
-        S, sha, by_eta, pairs.reshape(len(sha), S.size + len(S.idempotents)),
+        S, sha, by_eta, *pair_arrays(S, [by_eta[eta] for eta in sha]),
         tau_positions(S), hol_diamond, "embedding not multiplicative at ({},{})"))
 
     mul, inv = S.mul, S.inv
@@ -337,6 +336,6 @@ def verify_sha_monoid_iso(M, sha=None, mon=None):
     # the bijection is an isomorphism of monoids
     pairs = np.array([by_eta[eta].alpha + (by_eta[eta].m,) for eta in sha], np.int32)
     rep.first_failure("monoid_isomorphism", multiplicative_failures(
-        M, sha, by_eta, pairs.reshape(len(sha), M.size + 1), np.zeros(M.size, np.intp),
-        mon_diamond, "not multiplicative at ({},{})"))
+        M, sha, by_eta, *np.hsplit(pairs.reshape(len(sha), M.size + 1), [M.size]),
+        np.zeros(M.size, np.intp), mon_diamond, "not multiplicative at ({},{})"))
     return rep

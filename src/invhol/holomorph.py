@@ -196,15 +196,21 @@ def tau_positions(S):
     return np.array([S.idempotent_position[S.mul[S.inv[t]][t]] for t in range(S.size)])
 
 
+def pair_arrays(S, pairs):
+    """The alphas A and the taus T of holomorph pairs, int32, a row per pair."""
+    n = len(pairs)
+    A = np.array([h.alpha for h in pairs], np.int32).reshape(n, S.size)
+    T = np.array([h.tau for h in pairs], np.int32).reshape(n, len(S.idempotents))
+    return A, T
+
+
 def hol_table(S, hol=None):
     """The diamond multiplication table of Hol(S): diamond[i, j] is the row
     of pairs[i] <> pairs[j], rows in the order of ``hol``, filled by
     diamond_table."""
     if hol is None:
         hol = enumerate_holomorph(S)
-    n = len(hol)
-    A = np.array([h.alpha for h in hol], np.int32).reshape(n, S.size)
-    T = np.array([h.tau for h in hol], np.int32).reshape(n, len(S.idempotents))
+    A, T = pair_arrays(S, hol)
     D = diamond_table(S.mul_array.astype(np.int32), tau_positions(S), A, T)
     for i, j in hits(D < 0):  # -1 marks a diamond not among the pairs
         raise AssertionError(f"diamond of pairs {i} and {j} left the holomorph")
@@ -248,7 +254,8 @@ def verify_hol_monoid(S, table=None):
             bad and "associativity fails at ({},{},{})".format(*bad))
 
     # act[i, s] = s <| pairs[i]; the law (s <| i) <| j = s <| (i <> j), one s at a time
-    act = np.array([[hol_action(S, s, h) for s in range(S.size)] for h in hol], np.int32)
+    A, T = pair_arrays(S, hol)
+    act = S.mul_array[A, T[:, tau_positions(S)]]
 
     def action_failures():
         for s in range(S.size):
@@ -257,22 +264,17 @@ def verify_hol_monoid(S, table=None):
 
     rep.first_failure("monoid_action", action_failures())
 
-    # tau is pinned down by its values at maximal idempotents via restriction
-    leq = S.natural_order().leq
+    # tau is pinned down by its values at maximal idempotents via restriction:
+    # e tau = (e alpha)(m tau) for the first maximal idempotent m above e,
+    # which a finite order always has
     E = S.idempotents
-    pos = S.idempotent_position
-    maximal = [e for e in E if not any(leq(e, f) and e != f for f in E)]
-
-    def restriction_failures():
-        for h in hol:
-            for e in E:
-                ms = [m for m in maximal if leq(e, m)]
-                if not ms:
-                    yield f"idempotent {e} below no maximal idempotent"
-                elif S.mul[h.alpha[e]][h.tau[pos[ms[0]]]] != h.tau[pos[e]]:
-                    yield f"tau of {h} not recovered at idempotent {e}"
-
-    rep.first_failure("tau_from_maximal_idempotents", restriction_failures())
+    below = S.natural_order().array[np.ix_(E, E)]  # below[k, l]: E[k] <= E[l]
+    maximal = ~(below & ~np.eye(len(E), dtype=bool)).any(axis=1)
+    top = (below & maximal).argmax(axis=1)
+    rep.first_failure("tau_from_maximal_idempotents", (
+        f"tau of {hol[i]} not recovered at idempotent {E[k]}"
+        for i, k in hits(S.mul_array[A[:, E], T[:, top]] != T)
+    ))
     return rep
 
 
@@ -283,20 +285,26 @@ def verify_interchange(S, table=None):
     if table is None:
         table = hol_table(S)
     hol, D = table.pairs, table.diamond
-    by_alpha = {}
-    for j, h in enumerate(hol):
-        by_alpha.setdefault(h.alpha, []).append(j)
-    # comp[i, j] = row of the groupoid composite of pairs i and j, -1 if undefined
+    mul, R = S.mul_array, tau_positions(S)
+    A, T = pair_arrays(S, hol)
+    # row i is target_premorphism(S, pairs[i]), s -> ((s s^-1) tau)^-1 (s alpha)
+    # ((s^-1 s) tau) with s s^-1 = (s^-1)^-1 s^-1; pairs i and j compose where
+    # it is the alpha of pair j, and their composite is (A[i], T[i] T[j])
+    targets = mul[mul[S.inv_array[T[:, R[S.inv_array]]], A], T[:, R]]
+    alpha_id = row_lookup(A)
+    composable = np.argwhere(alpha_id(targets)[:, None] == alpha_id(A))
+    K, L = composable.T
+    # comp[i, j] = row of the composite, -1 if undefined; the lookup runs over
+    # the rows reversed to give the last of equal pairs, as table.index does
+    found = row_lookup(np.hstack([A, T])[::-1])(np.hstack([A[K], mul[T[K], T[L]]]))
+    for i, j in composable[found < 0][:1]:
+        raise KeyError(hol_groupoid_compose(S, hol[i], hol[j]))  # as table.index[...] would
     comp = np.full(D.shape, -1, np.int32)
-    for i, h in enumerate(hol):
-        for j in by_alpha.get(target_premorphism(S, h), ()):
-            comp[i, j] = table.index[hol_groupoid_compose(S, h, hol[j])]
-    composable = np.argwhere(comp >= 0)
+    comp[K, L] = len(hol) - 1 - found
     rep.add("composable_pairs", True, detail=f"{len(composable)} composable pairs")
 
     # one row of quadruples (i, j, k, l) per composable (i, j), over every
     # (k, l); where the two diamonds do not compose, -1 fails the comparison
-    K, L = composable.T
     KL = comp[K, L]
     w, checked = None, 0
     for i, j in composable.tolist():
@@ -374,7 +382,7 @@ def verify_mon_hol(M, table=None, mon=None):
     MA = np.array([a.alpha for a in mon], np.int32).reshape(len(mon), n)
     m = np.array([a.m for a in mon], np.int32)
     X = np.hstack([MA, mul[MA[:, E], m[:, None]]])  # row i is hol_from_mon(mon[i])
-    H = np.array([h.alpha + h.tau for h in hol], np.int32).reshape(len(hol), X.shape[1])
+    H = np.hstack(pair_arrays(M, hol))
     pi = row_lookup(H)(X)
 
     # an expansion is a valid pair of the table giving back its m at the

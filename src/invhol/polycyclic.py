@@ -16,8 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .core import first_nonassociative_table, row_blocks
-from .errors import AlphabetMismatch, ParseError, WindowExceeded, NotSuffixPreserving
+from .core import DEFAULT_SIZE_CAP, first_nonassociative_table, row_blocks
+from .errors import AlphabetMismatch, ParseError, SizeCap, WindowExceeded, NotSuffixPreserving
 from .report import CheckReport
 from .search import distinct_values
 
@@ -295,18 +295,22 @@ def _digit_codes(x, first, radix):
     return codes
 
 
-def _window_codes(n, L):
+def _window_codes(n, L, cap=None):
     """The associativity sweep of poly_window(n, L) on pair keys: (ids,
     codes, left, right) for first_nonassociative_table.  ids[i, j] numbers
     x_i x_j among the distinct products of two window elements, codes[d] is
     the key of product d, left[d, k] the key of product d times x_k and
     right[i, d] that of x_i times product d.  Keys compare equal exactly when
-    the pairs do, so the first failing triple is that of the scalar sweep."""
+    the pairs do, so the first failing triple is that of the scalar sweep.
+    Raises SizeCap past cap window elements before any table is built, and
+    past cap distinct products before left and right are."""
+    size = _first_rank(n, L + 1) ** 2 + 1
+    if cap is not None and size > cap:
+        raise SizeCap(size, cap)
     radix = _code_radix(n, L)
     powers = np.array([n**k for k in range(3 * L + 1)])
     first = np.array([_first_rank(n, k) for k in range(3 * L + 1)])
     elems = _window_digits(n, L)
-    size = len(elems[0])
 
     def table(xs, ys):
         out = np.empty((len(xs[0]), len(ys[0])), np.int64)
@@ -316,16 +320,21 @@ def _window_codes(n, L):
         return out
 
     codes, picked, ids = distinct_values(table(elems, elems).ravel())
+    if cap is not None and len(codes) > cap:
+        raise SizeCap(len(codes), cap)
     mids = _digit_mul(*(tuple(a[k] for a in elems) for k in divmod(picked, size)), powers)
     return ids.reshape(size, size), codes, table(mids, elems), table(elems, mids)
 
 
-def verify_poly_window(n, L):
+def verify_poly_window(n, L, cap=DEFAULT_SIZE_CAP):
     """Normal-form multiplication against the rewriting rules on a window,
     plus associativity, inverses, idempotents and the order comparison.
     Associativity is decided on pair keys (_window_codes), whose products of
-    two window elements are checked against _mul here."""
+    two window elements are checked against _mul here; the other lines read
+    those products.  Past cap elements or distinct products of two, raises
+    SizeCap before taking any product one pair at a time."""
     rep = CheckReport(f"polycyclic arithmetic, n={n}, window L={L}")
+    ids, codes, left, right = _window_codes(n, L, cap)
     elems = poly_window(n, L)
     rep.add("window", True, detail=f"{len(elems)} elements, components up to length {L}")
 
@@ -336,31 +345,36 @@ def verify_poly_window(n, L):
         if xy != rewrite_mul(x, y)
     ))
 
-    ids, codes, left, right = _window_codes(n, L)
     if codes[ids].ravel().tolist() != list(map(_pair_code(n, L), products)):
         raise AssertionError(f"pair codes disagree with _mul on window n={n}, L={L}")
     bad = first_nonassociative_table(ids, left, right)
     rep.add("associative_on_window", bad is None,
             bad and "associativity fails at ({},{},{})".format(*(elems[i] for i in bad)))
 
+    # rows[i][j] = x_i x_j; x x^-1 is (u, u) or the zero, a window element,
+    # and left_unit[i] is its row, x_i x_i^-1 times each window element
+    rows = [products[i:i + len(elems)] for i in range(0, len(products), len(elems))]
+    index = {x: i for i, x in enumerate(elems)}
+    left_unit = [rows[index[rows[i][index[_inv(x)]]]] for i, x in enumerate(elems)]
+
     rep.first_failure("inverses", (
         f"inverse laws fail at {x}"
-        for x in elems
-        if _mul(_mul(x, _inv(x)), x) != x or _inv(_inv(x)) != x
+        for i, x in enumerate(elems)
+        if left_unit[i][i] != x or _inv(_inv(x)) != x
     ))
 
     rep.first_failure("idempotents_are_diagonal", (
-        f"idempotence of {x} is {_mul(x, x) == x}"
-        for x in elems
-        if (_mul(x, x) == x) != (x is None or x[0] == x[1])
+        f"idempotence of {x} is {rows[i][i] == x}"
+        for i, x in enumerate(elems)
+        if (rows[i][i] == x) != (x is None or x[0] == x[1])
     ))
 
     # the defining order (via a = a a^-1 b) agrees with suffix comparison
     rep.first_failure("natural_order_is_suffix_order", (
         f"order disagreement at ({x},{y})"
-        for x in elems
-        for y in elems
-        if (_mul(_mul(x, _inv(x)), y) == x) != pair_leq(x, y)
+        for i, x in enumerate(elems)
+        for y, xy in zip(elems, left_unit[i])
+        if (xy == x) != pair_leq(x, y)
     ))
     return rep
 

@@ -238,6 +238,21 @@ def monoid_action_witness(S, table):
     return None
 
 
+def tau_recovery_witness(S, hol):
+    """The first pair h, in list order, and idempotent e, in S.idempotents
+    order, with e tau != (e alpha)(m tau) for m the first maximal idempotent
+    above e; as the report's witness text, or None."""
+    leq = S.natural_order().leq
+    E, pos = S.idempotents, S.idempotent_position
+    maximal = [e for e in E if not any(leq(e, f) and e != f for f in E)]
+    for h in hol:
+        for e in E:
+            m = next(m for m in maximal if leq(e, m))
+            if S.mul[h.alpha[e]][h.tau[pos[m]]] != h.tau[pos[e]]:
+                return f"tau of {h} not recovered at idempotent {e}"
+    return None
+
+
 def interchange_sweep(S, table):
     """The interchange law by a plain loop: over composable pairs (i, j),
     then (k, l), each in row order, compare the diamond of the two groupoid
@@ -1207,11 +1222,12 @@ def flow_monoid_structure_by_pairs(G, cap=DEFAULT_FLOW_CAP):
                 if len(fl) != len(welems):
                     yield f"sizes differ: {len(fl)} flows vs {len(welems)} wreath elements"
                     return
-                images = {}
+                images, seen = {}, set()
                 for t in fl:
                     e = to_wreath(t)
-                    if e in images:
+                    if e in seen:
                         yield f"candidate map not injective at flow {t}"
+                    seen.add(e)
                     images[t] = windex[e]
                 for t in fl:
                     for s in fl:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -54,6 +55,25 @@ def test_empty_table_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {empty}: multiplication table is empty\n"
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("hol", None, "cannot read {path}: "),
+    ("verify", '{"names": []}\n', "{path}: neither a semigroup nor a groupoid file"),
+    ("hol", '{"mul": 3}\n', '{path}: "mul" must be a list of rows'),
+    ("hol", '{"names": [0, 1], "mul": [[0, 1], [1, 0]]}\n',
+     '{path}: "names" must be a list of strings'),
+    ("hol", "[[0]]\n", '{path}: expected an object with a "mul" table'),
+])
+def test_unreadable_input_exits_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message.format(path=path))
+    assert captured.err.count("\n") == 1
 
 
 def test_groupoid_index_out_of_range_exits_2(tmp_path, capsys):
@@ -180,6 +200,23 @@ def test_flows_honour_cap_size(files, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: requested size 8 exceeds cap 7\n"
     assert captured.out.endswith("using its ordered groupoid\noverall: pass\n")
+
+
+@pytest.mark.parametrize("flags,size,cap", [
+    # three letters: 1,601 window elements, 85,841 distinct products of two
+    (["--alphabet", "3"], 85841, 5000),
+    (["--cap-size", "225"], 226, 225),
+    (["--cap-size", "3585"], 3586, 3585),
+])
+def test_poly_arith_honours_cap_size(capsys, flags, size, cap):
+    # the window and its distinct products are counted before any product
+    # is taken one pair at a time
+    start = time.perf_counter()
+    assert main(["poly", "--check", "arith", *flags]) == 3
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.err == f"error: requested size {size} exceeds cap {cap}\n"
+    assert captured.out.endswith("seed: 0\noverall: pass\n")
 
 
 def test_poly_expression(capsys):

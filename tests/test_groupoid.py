@@ -211,6 +211,12 @@ def test_ordered_flows(zoo):
     # the 4-element Clifford semigroup: the value at the top determines the rest
     G = esn_forward(zoo["clifford4"])
     assert len(ordered_flows(G)) == 2
+    # on an ordered groupoid the ordered flows form a monoid
+    for name, S in zoo.items():
+        G = esn_forward(S)
+        out = set(ordered_flows(G))
+        assert identity_flow(G) in out, name
+        assert all(flow_compose(G, t, s) in out for t in out for s in out), name
 
 
 def test_wreath_product_size():
@@ -259,6 +265,18 @@ def test_flow_monoid_reports_wreath_map_failure(monkeypatch):
     assert line.name == "component_0_wreath_iso" and not line.ok
     assert line.witness.startswith("candidate map not multiplicative at")
     assert line.detail is None
+
+
+def test_flow_monoid_reports_wreath_map_not_injective(zoo):
+    # Z2's groupoid with 1 * g composing to 1: both flows map to the same
+    # wreath element, and composing them still agrees with the wreath table
+    G = esn_forward(zoo["Z2"])
+    compose = {**G.compose, (0, 1): 0}
+    H = OrderedGroupoid(G.dom, G.ran, G.inv, compose, G.leq, names=G.names)
+    for check in (check_flow_monoid_structure, oracles.flow_monoid_structure_by_pairs):
+        line = check(H).checks[-1]
+        assert (line.name, line.ok, line.witness) == (
+            "component_0_wreath_iso", False, "candidate map not injective at flow (1,)")
 
 
 def i2_times_chain2():

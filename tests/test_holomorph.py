@@ -267,6 +267,29 @@ def test_table_checks_match_loop_oracles(zoo):
     assert min(failing.values()) >= 10, failing
 
 
+def test_tau_recovery_line_matches_loop_oracle(zoo):
+    # tau_from_maximal_idempotents against the pair loop, on the true pairs
+    # and with one seeded pair's tau changed at one idempotent; in B12 the
+    # zero lies below two maximal idempotents
+    failing = 0
+    for name, S in dict(zoo, B12=B12).items():
+        table = hol_table(S)
+        rng = random.Random(name)
+        cases = [table.pairs]
+        for k in rng.sample(range(len(table.pairs)), min(6, len(table.pairs))):
+            h = table.pairs[k]
+            tau = list(h.tau)
+            tau[rng.randrange(len(tau))] = rng.randrange(S.size)
+            cases.append(table.pairs[:k] + [HolElement(h.alpha, tuple(tau))] + table.pairs[k + 1:])
+        for pairs in cases:
+            line = _check_line(verify_hol_monoid(S, dataclasses.replace(table, pairs=pairs)),
+                               "tau_from_maximal_idempotents")
+            w = oracles.tau_recovery_witness(S, pairs)
+            assert (line.ok, line.witness) == (w is None, w), name
+            failing += not line.ok
+    assert failing >= 10, failing
+
+
 def test_hol_table_matches_diamond_oracle(zoo):
     # the row-key fill against one hol_diamond call per entry, on each zoo
     # structure and two seeded relabellings of it, with the pairs in
@@ -438,19 +461,20 @@ def test_sha_sweeps_match_loop_oracles(zoo):
     assert min(failing.values()) >= 10, failing
 
 
+def _counted(calls, f):
+    """f, recording its name in ``calls`` at each call."""
+    def wrapper(*args):
+        calls.append(f.__name__)
+        return f(*args)
+    return wrapper
+
+
 def test_law_checks_compute_no_pair_diamond_when_they_pass(zoo, monkeypatch):
     # on passing inputs the three checks decide every pair from the tables
     calls = []
-
-    def counted(f):
-        def wrapper(*args):
-            calls.append(f.__name__)
-            return f(*args)
-        return wrapper
-
     for module in (holomorph, heap):
         for f in ("hol_diamond", "mon_diamond"):
-            monkeypatch.setattr(module, f, counted(getattr(module, f)))
+            monkeypatch.setattr(module, f, _counted(calls, getattr(module, f)))
     for name, S in zoo.items():
         sha = enumerate_sha(S)
         reports = [verify_sha_embedding(S, sha)]
@@ -459,6 +483,48 @@ def test_law_checks_compute_no_pair_diamond_when_they_pass(zoo, monkeypatch):
             reports += [verify_mon_hol(S, hol_table(S), mon), verify_sha_monoid_iso(S, sha, mon)]
         assert all(r.ok for r in reports), name
     assert calls == []
+
+
+def test_monoid_and_interchange_checks_gather_actions_and_composites(zoo, monkeypatch):
+    # the action table and the groupoid composites come from gathers over the
+    # pair arrays, not from one call per pair
+    calls = []
+    for f in ("hol_action", "target_premorphism", "hol_groupoid_compose"):
+        monkeypatch.setattr(holomorph, f, _counted(calls, getattr(holomorph, f)))
+    for name, S in zoo.items():
+        table = hol_table(S)
+        assert verify_hol_monoid(S, table).ok and verify_interchange(S, table).ok, name
+    assert calls == []
+
+
+def test_interchange_on_dropped_and_repeated_pairs(zoo):
+    # with a pair dropped, the first groupoid composite in row order that is
+    # not among the pairs raises the KeyError of the pair loop; with a pair
+    # repeated, composites point at its last copy, as table.index does
+    raised = 0
+    for name, S in zoo.items():
+        hol = enumerate_holomorph(S)
+        if len(hol) > 64:
+            continue
+        rng = random.Random(name)
+        for k in rng.sample(range(len(hol)), min(3, len(hol))):
+            for pairs in [hol[:k] + hol[k + 1:], hol + [hol[k]]]:
+                if not pairs:
+                    continue
+                t = _with_pairs(S, pairs)
+                try:
+                    w, checked = oracles.interchange_sweep(S, t)
+                except KeyError as want:
+                    with pytest.raises(KeyError) as got:
+                        verify_interchange(S, t)
+                    assert got.value.args == want.args, name
+                    raised += 1
+                    continue
+                if (t.diamond >= 0).all():
+                    law = _check_line(verify_interchange(S, t), "interchange_law")
+                    assert (law.ok, law.witness, law.detail) == (
+                        w is None, w, f"{checked} quadruple(s) checked"), name
+    assert raised >= 10, raised
 
 
 B12 = oracles.inverse_subsemigroup(2, [(2, 0)])

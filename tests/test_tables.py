@@ -151,24 +151,30 @@ def _groupoid(G, compose=None, leq=None, inv=None):
     )
 
 
+def _corruptions(G, rng):
+    """G with an order entry flipped, with a composite changed, with one
+    dropped, and with two arrows exchanging inverses, each drawn from rng."""
+    leq = [row[:] for row in G.leq]
+    a, b = rng.randrange(G.n), rng.randrange(G.n)
+    leq[a][b] = not leq[a][b]
+    changed, dropped = dict(G.compose), dict(G.compose)
+    changed[rng.choice(sorted(changed))] = rng.randrange(G.n)
+    del dropped[rng.choice(sorted(dropped))]
+    # the inversion stays an involution
+    inv = G.inv[:]
+    a, b = rng.randrange(G.n), rng.randrange(G.n)
+    inv[a], inv[G.inv[b]], inv[b], inv[G.inv[a]] = G.inv[b], a, G.inv[a], b
+    return (_groupoid(G, leq=leq), _groupoid(G, compose=changed),
+            _groupoid(G, compose=dropped), _groupoid(G, inv=inv))
+
+
 def test_groupoid_layer_agrees_on_corruptions(all_structures):
     failing = set()
     for name, S in all_structures.items():
         G = esn_forward(S)
         rng = random.Random(name)
         for _ in range(3):
-            leq = [row[:] for row in G.leq]
-            a, b = rng.randrange(G.n), rng.randrange(G.n)
-            leq[a][b] = not leq[a][b]
-            changed, dropped = dict(G.compose), dict(G.compose)
-            changed[rng.choice(sorted(changed))] = rng.randrange(G.n)
-            del dropped[rng.choice(sorted(dropped))]
-            # two arrows exchange inverses; the inversion stays an involution
-            inv = G.inv[:]
-            a, b = rng.randrange(G.n), rng.randrange(G.n)
-            inv[a], inv[G.inv[b]], inv[b], inv[G.inv[a]] = G.inv[b], a, G.inv[a], b
-            for H in (_groupoid(G, leq=leq), _groupoid(G, compose=changed),
-                      _groupoid(G, compose=dropped), _groupoid(G, inv=inv)):
+            for H in _corruptions(G, rng):
                 assert_groupoid_layer_agrees(H)
                 rep = outcome(verify_ordered_groupoid, H)
                 if rep[0] != "returned":
@@ -184,6 +190,29 @@ def test_groupoid_layer_agrees_on_corruptions(all_structures):
         "esn_back returned", "esn_back NotBelowDomain", "esn_back NotInductive",
         "esn_back KeyError", "esn_back ValueError",
     }
+
+
+def test_corestriction_line_follows_from_the_lines_before_it(all_structures):
+    """verify_ordered_groupoid passes OG3star_corestriction without a sweep,
+    because endpoints, OG1 and OG3 imply it.  The oracle's sweep agrees on
+    every seeded corruption (an order entry flipped, a composite changed or
+    dropped, two inverses exchanged) that passes every earlier line; a draw
+    that changes nothing, such as a composite redrawn to itself, counts too."""
+    bases = {name: esn_forward(S) for name, S in all_structures.items()}
+    bases.update(conn2=oracles.connected_groupoid(2, [[0, 1], [1, 0]]),
+                 conn3=oracles.connected_groupoid(3, [[0]]))
+    passing = 0
+    for name, G in bases.items():
+        rng = random.Random(f"OG3* {name}")
+        for _ in range(6):
+            for H in _corruptions(G, rng):
+                rep = oracles.ordered_groupoid_axioms_by_loops(H)
+                *earlier, line = rep.checks[:[c.name for c in rep.checks].index(
+                    "OG3star_corestriction") + 1]
+                if all(c.ok for c in earlier):
+                    assert line.ok, name
+                    passing += 1
+    assert passing >= 200, passing
 
 
 def test_idempotent_meets_under_a_cyclic_order():
