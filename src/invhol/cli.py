@@ -4,7 +4,8 @@ Subcommands: verify, hol, sha, flows, esn, poly.  Reports are deterministic
 given identical inputs, caps and seed; exit codes are 0 for all-pass, 1 for
 check failures, 2 for usage or parse errors, a `--dump` path that cannot be
 written and an input that is not a valid structure (`verify` reports that
-as a check failure), 3 for an exhausted budget or cap.
+as a check failure), 3 for an exhausted budget or cap, or a word window
+whose integer codes would overflow int64.
 """
 
 import argparse
@@ -12,7 +13,9 @@ import json
 import sys
 
 from . import core, groupoid, heap, holomorph, io, morphisms, polycyclic
-from .errors import NotAssociative, NotInverse, ParseError, SearchBudgetExceeded, SizeCap
+from .errors import (
+    NotAssociative, NotInverse, ParseError, SearchBudgetExceeded, SizeCap, WindowExceeded,
+)
 from .report import CheckReport
 
 
@@ -173,7 +176,7 @@ POLY_CHECK_REPORTS = {
     "bicyclic": lambda a: [polycyclic.verify_bicyclic(6, 4), polycyclic.bicyclic_hol_check(4, 6)],
     "functors": lambda a: [polycyclic.premorphism_ideal_check(a.alphabet, a.maxlen)],
     "zappa": lambda a: [
-        polycyclic.verify_zappa(a.alphabet, a.maxlen, samples=a.samples, seed=a.seed)
+        polycyclic.verify_zappa(a.alphabet, a.maxlen, a.samples, a.seed, a.cap_size)
     ],
     "endo": lambda a: [polycyclic.endo_sweep(a.alphabet, a.maxlen)],
     "heap": lambda a: [polycyclic.heap_type_check_polycyclic(a.alphabet, 1, 2)],
@@ -256,7 +259,7 @@ def main(argv=None):
             file=sys.stderr,
         )
         return 3
-    except SizeCap as exc:
+    except (SizeCap, WindowExceeded) as exc:
         print(out.render())
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -299,12 +299,15 @@ def verify_interchange(S, table=None):
     found = row_lookup(np.hstack([A, T])[::-1])(np.hstack([A[K], mul[T[K], T[L]]]))
     for i, j in composable[found < 0][:1]:
         raise KeyError(hol_groupoid_compose(S, hol[i], hol[j]))  # as table.index[...] would
-    comp = np.full(D.shape, -1, np.int32)
+    # one spare last row and column: a diamond entry -1 (not among the pairs,
+    # in a table built by hand) reads -2 there without a test, as does a pair
+    # of diamonds that do not compose; -2 equals no diamond entry
+    comp = np.full((len(hol) + 1, len(hol) + 1), -2, np.int32)
     comp[K, L] = len(hol) - 1 - found
     rep.add("composable_pairs", True, detail=f"{len(composable)} composable pairs")
 
     # one row of quadruples (i, j, k, l) per composable (i, j), over every
-    # (k, l); where the two diamonds do not compose, -1 fails the comparison
+    # (k, l); where the two diamonds do not compose, -2 fails the comparison
     KL = comp[K, L]
     w, checked = None, 0
     for i, j in composable.tolist():

@@ -1103,6 +1103,89 @@ def _outside_window(u, L):
     return WindowExceeded(f"word {u!r} is outside window {L}")
 
 
+@lru_cache(maxsize=None)
+def _rank_tables(m, k):
+    """(first, powers) over m letters for lengths 0..k: the rank of the first
+    word of each length and m to each power, as int64 arrays.  Raises
+    WindowExceeded when some word of length k has a rank past int64."""
+    if _first_rank(m, k + 1) > 2**63:
+        raise WindowExceeded(f"image codes of length {k} over {m} letters overflow int64")
+    return (np.array([_first_rank(m, j) for j in range(k + 1)], np.int64),
+            np.array([m**j for j in range(k + 1)], np.int64))
+
+
+def _image_base(n, images):
+    """The number of letters the codes of images rank over: n, or more where
+    an image uses a later letter."""
+    used = set().union(*images)
+    if used <= set(letters(n)):
+        return n
+    if not used <= set(ALPHABET):
+        bad = next(ch for img in images for ch in img if ch not in ALPHABET)
+        raise AlphabetMismatch(f"letter {bad!r} outside alphabet of size {len(ALPHABET)}")
+    return 1 + max(map(ALPHABET.index, used))
+
+
+# the letters as the digits of int(word, m): "a" is 0
+_LETTER_DIGITS = str.maketrans(ALPHABET, "0123456789abcdefghijklmnop")
+
+
+def _encode(words, m):
+    """(codes, lens): the length-lex ranks over m letters of words that use
+    no later letter, and their lengths."""
+    lens = np.array(list(map(len, words)), np.int64)
+    first, _ = _rank_tables(m, int(lens.max()))
+    if m == 1:
+        return first[lens], lens
+    lex = [int(w.translate(_LETTER_DIGITS), m) if w else 0 for w in words]
+    return first[lens] + np.array(lex, np.int64), lens
+
+
+def _decode(code, length, m):
+    """The word of the given length whose length-lex rank over m letters is code."""
+    lex = int(code) - _first_rank(m, int(length))
+    out = []
+    for _ in range(length):
+        lex, d = divmod(lex, m)
+        out.append(ALPHABET[d])
+    return "".join(reversed(out))
+
+
+def _recode(codes, lens, m, to):
+    """Codes over m letters as codes over `to` letters, and the mask of the
+    words that use no letter past the first `to` (the others code as junk)."""
+    top = int(lens.max())
+    lex = codes - _rank_tables(m, top)[0][lens]
+    out = _rank_tables(to, top)[0][lens]
+    ok, place = np.ones(len(codes), bool), 1
+    for _ in range(top):
+        lex, d = np.divmod(lex, m)
+        ok &= d < to
+        out += np.where(d < to, d, 0) * place
+        place *= to
+    return out, ok
+
+
+@lru_cache(maxsize=None)
+def _transfer_index(n, L, m, lex):
+    """The ranks of p + u for the words p of window L - m in rank order, u
+    the word of length m and lex rank lex.  For |p| = k that is the rank of
+    the first word of length k + m plus lex(p) n^m + lex, so each length k is
+    one strided range."""
+    return np.concatenate([
+        np.arange(n**k, dtype=np.int64) * n**m + (_first_rank(n, k + m) + lex)
+        for k in range(L - m + 1)
+    ])
+
+
+def _length_of_rank(n, r):
+    """The length of the word of length-lex rank r over n letters."""
+    k = 0
+    while _first_rank(n, k + 1) <= r:
+        k += 1
+    return k
+
+
 class SuffixMap:
     """A suffix-preserving self-map of the free monoid, stored on a window.
 
@@ -1110,11 +1193,15 @@ class SuffixMap:
     u.  The prefix-transfer of u sends p to the left-over prefix of the image
     of p + u after the image of u is removed.
 
-    ``images`` holds the image of every word of the window, indexed by the
-    word's length-lex rank.  Only maps built from raw data are validated:
-    the constructor, ``random`` and ``from_affine``.  The results of
-    ``identity``, ``right_translation``, ``constant``, ``transfer`` and
-    ``compose`` are suffix-preserving by construction.
+    The images of the words of the window, indexed by the words' length-lex
+    ranks, are two int64 arrays: ``codes``, each image's length-lex rank
+    over ``base`` letters (the rank _word_ranks gives it; ``base`` is n
+    unless the images use later letters), and ``lens``, each image's length.
+    Only maps built from raw data are validated: the constructor, ``random``
+    and ``from_affine``.  The results of ``identity``,
+    ``right_translation``, ``constant``, ``transfer`` and ``compose`` are
+    suffix-preserving by construction.  An image whose code would leave
+    int64 raises WindowExceeded.
     """
 
     def __init__(self, n, L, table):
@@ -1122,7 +1209,7 @@ class SuffixMap:
         for u in ws:
             if u not in table:
                 raise WindowExceeded(f"map is missing the word {u!r} inside its window")
-        images = tuple(table[u] for u in ws)
+        images = [table[u] for u in ws]
         ranks = _word_ranks(n, L)
         for u, img in zip(ws[1:], images[1:]):
             rest = u[1:]
@@ -1130,13 +1217,15 @@ class SuffixMap:
                 raise NotSuffixPreserving(
                     f"image of {u!r} does not end with the image of {rest!r}"
                 )
-        self.n, self.L, self.images = n, L, images
+        base = _image_base(n, images)
+        self.n, self.L, self.base = n, L, base
+        self.codes, self.lens = _encode(images, base)
 
     @classmethod
-    def _trusted(cls, n, L, images):
-        """A map from its images in rank order, not validated."""
+    def _trusted(cls, n, L, codes, lens, base):
+        """A map from its image codes in rank order, not validated."""
         sm = cls.__new__(cls)
-        sm.n, sm.L, sm.images = n, L, images
+        sm.n, sm.L, sm.codes, sm.lens, sm.base = n, L, codes, lens, base
         return sm
 
     def _rank(self, u):
@@ -1148,43 +1237,47 @@ class SuffixMap:
             raise AlphabetMismatch(f"letter {bad!r} outside alphabet of size {self.n}")
         return r
 
+    def _image(self, r):
+        return _decode(self.codes[r], self.lens[r], self.base)
+
     def apply(self, u):
-        return self.images[self._rank(u)]
+        return self._image(self._rank(u))
 
     def transfer(self, u):
-        """The prefix-transfer map of u, on the shrunken window.
-
-        For p of length k, the rank of p + u is that of the first word of
-        length k + |u| plus lex(p) n^|u| + lex(u), where lex is the rank among
-        words of one length; so each length k is one strided slice."""
+        """The prefix-transfer map of u, on the shrunken window: the images
+        of the words p + u, each with the image of u cut off its end.  A word
+        of length l and rank c over m letters loses its last k letters as the
+        word of rank first(l - k) + (c - first(l)) // m^k."""
         r = self._rank(u)
-        n, m, cut = self.n, len(u), len(self.images[r])
-        lex = r - _first_rank(n, m)
-        out = []
-        for k in range(self.L - m + 1):
-            start = _first_rank(n, k + m) + lex
-            block = self.images[start : start + n ** (k + m) : n**m]
-            out.extend([img[: len(img) - cut] for img in block] if cut else block)
-        return SuffixMap._trusted(n, self.L - m, tuple(out))
+        n, m = self.n, len(u)
+        idx = _transfer_index(n, self.L, m, r - _first_rank(n, m))
+        codes, lens, cut = self.codes[idx], self.lens[idx], int(self.lens[r])
+        if cut:
+            first, powers = _rank_tables(self.base, int(lens.max()))
+            codes = first[lens - cut] + (codes - first[lens]) // powers[cut]
+            lens = lens - cut
+        return SuffixMap._trusted(n, self.L - m, codes, lens, self.base)
 
     def compose(self, other, L_out=None):
         """Apply self, then other; the result lives on the largest window on
         which every intermediate image fits inside the other map's window."""
+        over = self.lens > other.L
         if L_out is None:
             # one less than the length of the first word whose image leaves
             # the other map's window
-            bounds = [_first_rank(self.n, k) for k in range(self.L + 2)]
-            L_out = next((
-                k - 1
-                for k in range(self.L + 1)
-                if max(map(len, self.images[bounds[k] : bounds[k + 1]])) > other.L
-            ), self.L)
+            i = int(over.argmax())
+            L_out = _length_of_rank(self.n, i) - 1 if over[i] else self.L
         if L_out < 0:
             raise WindowExceeded("composition has an empty window")
-        mids = self.images[: _first_rank(self.n, L_out + 1)]
-        ranks = list(map(_word_ranks(other.n, other.L).get, mids))
-        if None in ranks:
-            mid = mids[ranks.index(None)]
+        k = _first_rank(self.n, L_out + 1)
+        mids, bad = self.codes[:k], over[:k]
+        if self.base != other.n:
+            # the intermediate images as ranks over the other map's letters
+            fits = ~bad
+            mids, ok = _recode(mids * fits, self.lens[:k] * fits, self.base, other.n)
+            bad = bad | ~ok
+        if bad.any():
+            mid = self._image(int(bad.argmax()))
             if len(mid) > other.L:
                 raise WindowExceeded(
                     f"intermediate image {mid!r} is outside window {other.L}"
@@ -1192,7 +1285,7 @@ class SuffixMap:
             other._rank(mid)  # raises AlphabetMismatch
         if L_out > self.L:
             raise _outside_window(letters(self.n)[0] * (self.L + 1), self.L)
-        return SuffixMap._trusted(self.n, L_out, tuple(map(other.images.__getitem__, ranks)))
+        return SuffixMap._trusted(self.n, L_out, other.codes[mids], other.lens[mids], other.base)
 
     def agrees_with(self, other, L=None):
         if self.n != other.n:
@@ -1202,20 +1295,43 @@ class SuffixMap:
             L = low
         if L > low:
             raise _outside_window(letters(self.n)[0] * (low + 1), low)
-        k = len(words_upto(self.n, L))
-        return self.images[:k] == other.images[:k]
+        k = _first_rank(self.n, max(L, 0) + 1)  # the empty word even below 0
+        # compare on the smaller base, where an image over more letters
+        # either has a code or uses a letter the other map's images do not
+        small, large = sorted((self, other), key=lambda sm: sm.base)
+        codes, ok = large.codes[:k], True
+        if large.base != small.base:
+            codes, ok = _recode(codes, large.lens[:k], large.base, small.base)
+            ok = bool(ok.all())
+        return ok and np.array_equal(small.codes[:k], codes)
 
     @staticmethod
     def identity(n, L):
-        return SuffixMap._trusted(n, L, words_upto(n, L))
+        lens = np.repeat(np.arange(L + 1, dtype=np.int64), [n**k for k in range(L + 1)])
+        return SuffixMap._trusted(n, L, np.arange(len(lens), dtype=np.int64), lens, n)
 
     @staticmethod
     def right_translation(n, L, w):
-        return SuffixMap._trusted(n, L, tuple([u + w for u in words_upto(n, L)]))
+        """u -> u + w: over m letters, the rank of u + w is that of the first
+        word of its length plus lex(u) m^|w| + lex(w)."""
+        m = _image_base(n, [w])
+        ident = SuffixMap.identity(n, L)
+        codes, lens = ident.codes, ident.lens
+        if m != n:
+            codes, _ = _recode(codes, lens, n, m)
+        first, powers = _rank_tables(m, L + len(w))
+        (code,), _ = _encode([w], m)
+        lex = (codes - first[lens]) * powers[len(w)] + (code - first[len(w)])
+        return SuffixMap._trusted(n, L, first[lens + len(w)] + lex, lens + len(w), m)
 
     @staticmethod
     def constant(n, L, t):
-        return SuffixMap._trusted(n, L, (t,) * len(words_upto(n, L)))
+        m = _image_base(n, [t])
+        (code,), (length,) = _encode([t], m)
+        size = _first_rank(n, L + 1)
+        return SuffixMap._trusted(
+            n, L, np.full(size, code, np.int64), np.full(size, length, np.int64), m
+        )
 
     @staticmethod
     def from_affine(n, L, images, w):
@@ -1245,17 +1361,22 @@ def zappa_compose(pair1, pair2):
     return (phi.compose(psi.transfer(u)), psi.apply(u) + v)
 
 
-def verify_zappa(n=2, L=3, samples=6, seed=0):
+def verify_zappa(n=2, L=3, samples=6, seed=0, cap=DEFAULT_SIZE_CAP):
     """The transfer identities, the product splitting law, associativity of
     the twisted product, and the collapse homomorphism onto suffix maps,
     on randomly sampled suffix maps plus translations and constants.  Work
     that does not depend on the innermost loop variables is done once per
     call: the transfers of each sampled map, the twisted products of two
-    sampled pairs, each right translation and each sampled pair's collapse."""
+    sampled pairs, each right translation and each sampled pair's collapse.
+    Raises SizeCap before any map is built when the store window has more
+    than cap words."""
     import random as _random
 
-    rng = _random.Random(seed)
     store = L + 6
+    size = _first_rank(n, store + 1)  # len(words_upto(n, store))
+    if cap is not None and size > cap:
+        raise SizeCap(size, cap)
+    rng = _random.Random(seed)
     rep = CheckReport(
         f"twisted product of suffix maps, n={n}, window L={L}, "
         f"store {store}, samples {samples}, seed {seed}"

@@ -13,6 +13,7 @@ A hypothesis strategy draws random inverse subsemigroups of I_n.
 import operator
 import random
 import re
+from functools import lru_cache
 from itertools import permutations, product
 from string import ascii_lowercase
 
@@ -696,12 +697,13 @@ def poly_window_report_by_interning(n, L):
     return rep
 
 
+@lru_cache(maxsize=None)
 def words_by_length(n, L):
     """All words of length <= L over the first n letters, in length-lex order."""
     out = [""]
     for k in range(1, L + 1):
         out.extend("".join(w) for w in product(ascii_lowercase[:n], repeat=k))
-    return out
+    return tuple(out)
 
 
 class DictSuffixMap:

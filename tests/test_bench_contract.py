@@ -5,8 +5,9 @@ answers still hold.
 ``bench/jobs.py`` calls library functions by name.  A rename in the program
 would otherwise surface only as a crashed benchmark run; here it fails a
 test.  The poly workload's jobs must stay the checks of ``poly --check all``,
-and the zoo workload's jobs must give the verdicts ``bench/answers.json``
-pins: a renamed report line fails here, not only in the benchmark.  Both
+and the zoo and poly workloads' jobs must give the verdicts
+``bench/answers.json`` pins: a renamed report line fails here, not only in
+the benchmark.  Both
 files are imported without running anything of the benchmark.
 """
 
@@ -58,17 +59,27 @@ def test_poly_jobs_are_the_checks_of_check_all():
     assert jobs.POLY_CHECKS == tuple(c for c in check.choices if c != "all")
 
 
-def test_zoo_jobs_give_the_pinned_verdicts(tmp_path):
-    """Each zoo job, run in this process on the catalogue labelling (seed 0,
-    variant 0), gives the exit code, counts and per-check verdicts that
-    answers.json pins."""
+def _assert_pinned_verdicts(workload, count, directory):
     answers = json.loads((BENCH / "answers.json").read_text())["jobs"]
-    jobs.write_inputs("zoo", 0, tmp_path)
-    zoo_jobs = jobs.workload_jobs("zoo", 0)
-    assert len(zoo_jobs) == 82
-    for job in zoo_jobs:
-        res = jobs.run_job(job, tmp_path)
+    jobs.write_inputs(workload, 0, directory)
+    workload_jobs = jobs.workload_jobs(workload, 0)
+    assert len(workload_jobs) == count
+    for job in workload_jobs:
+        res = jobs.run_job(job, directory)
         assert "error" not in res, (job.id, res.get("error"))
         want = answers[job.id]
         assert [res[k] for k in ("exit", "counts", "checks")] == [
             want[k] for k in ("exit", "counts", "checks")], job.id
+
+
+def test_zoo_jobs_give_the_pinned_verdicts(tmp_path):
+    """Each zoo job, run in this process on the catalogue labelling (seed 0,
+    variant 0), gives the exit code, counts and per-check verdicts that
+    answers.json pins."""
+    _assert_pinned_verdicts("zoo", 82, tmp_path)
+
+
+def test_poly_jobs_give_the_pinned_verdicts(tmp_path):
+    """Each poly job, one check of `poly --check all` at seed 0, gives the
+    verdicts answers.json pins: exit 0, and exit 1 for the heap check."""
+    _assert_pinned_verdicts("poly", 6, tmp_path)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from invhol import catalog, holomorph, io, morphisms
+from invhol import catalog, holomorph, io, morphisms, polycyclic
 from invhol.cli import main
 from invhol.errors import ParseError
 
@@ -217,6 +217,44 @@ def test_poly_arith_honours_cap_size(capsys, flags, size, cap):
     captured = capsys.readouterr()
     assert captured.err == f"error: requested size {size} exceeds cap {cap}\n"
     assert captured.out.endswith("seed: 0\noverall: pass\n")
+
+
+@pytest.mark.parametrize("flags,size,cap", [
+    # 26 letters: a store window of 5,646,683,826,135 words
+    (["--alphabet", "26"], 5646683826135, 5000),
+    # three letters at the default window L = 3: store 9
+    (["--alphabet", "3"], 29524, 5000),
+    (["--cap-size", "1022"], 1023, 1022),
+])
+def test_poly_zappa_honours_cap_size(capsys, flags, size, cap):
+    # the store window is counted before any suffix map is built
+    start = time.perf_counter()
+    assert main(["poly", "--check", "zappa", *flags]) == 3
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.err == f"error: requested size {size} exceeds cap {cap}\n"
+    assert captured.out.endswith("seed: 0\noverall: pass\n")
+
+
+def test_poly_arith_code_overflow_is_an_error_line(capsys):
+    # the cap lets the window L = 11 in, and its pair codes would leave int64
+    assert main(["poly", "--check", "arith", "--maxlen", "11",
+                 "--cap-size", "100000000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: pair codes of window L=11 over 2 letters overflow int64\n"
+    assert captured.out.endswith("overall: pass\n")
+
+
+def test_poly_zappa_code_overflow_is_an_error_line(capsys, monkeypatch):
+    # a constant map whose image of 64 letters has a length-lex code past
+    # int64 stops the check through the suffix maps' guard
+    constant = polycyclic.SuffixMap.constant
+    monkeypatch.setattr(polycyclic.SuffixMap, "constant",
+                        staticmethod(lambda n, L, t: constant(n, L, t * 32)))
+    assert main(["poly", "--check", "zappa"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: image codes of length 64 over 2 letters overflow int64\n"
+    assert captured.out.endswith("overall: pass\n")
 
 
 def test_poly_expression(capsys):

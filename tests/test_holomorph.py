@@ -520,11 +520,34 @@ def test_interchange_on_dropped_and_repeated_pairs(zoo):
                     assert got.value.args == want.args, name
                     raised += 1
                     continue
-                if (t.diamond >= 0).all():
-                    law = _check_line(verify_interchange(S, t), "interchange_law")
-                    assert (law.ok, law.witness, law.detail) == (
-                        w is None, w, f"{checked} quadruple(s) checked"), name
+                law = _check_line(verify_interchange(S, t), "interchange_law")
+                assert (law.ok, law.witness, law.detail) == (
+                    w is None, w, f"{checked} quadruple(s) checked"), name
     assert raised >= 10, raised
+
+
+def test_interchange_fails_on_missing_diamonds_as_the_pair_loop(zoo):
+    # a diamond entry -1, a diamond not among the pairs, fails the law where
+    # the pair loop fails it, and is not read as the last pair: every table
+    # of the zoo with one pair dropped whose composites are all pairs
+    with_missing = 0
+    for name, S in zoo.items():
+        hol = enumerate_holomorph(S)
+        for k in range(len(hol)):
+            t = _with_pairs(S, hol[:k] + hol[k + 1:])
+            try:
+                w, checked = oracles.interchange_sweep(S, t)
+            except KeyError:
+                continue
+            law = _check_line(verify_interchange(S, t), "interchange_law")
+            assert (law.ok, law.witness, law.detail) == (
+                w is None, w, f"{checked} quadruple(s) checked"), (name, k)
+            with_missing += bool((t.diamond < 0).any())
+    assert with_missing == 106
+    S = zoo["Z2"]
+    hol = enumerate_holomorph(S)
+    law = _check_line(verify_interchange(S, _with_pairs(S, hol[:1] + hol[2:])), "interchange_law")
+    assert (law.witness, law.detail) == ("quadruple (0,0,1,2)", "3 quadruple(s) checked")
 
 
 B12 = oracles.inverse_subsemigroup(2, [(2, 0)])

@@ -582,7 +582,7 @@ def _outcome(call):
         return type(exc).__name__, str(exc)
     if isinstance(got, P.SuffixMap):
         assert _suffix_preserving(got)
-        return got.L, got.images
+        return got.L, tuple(map(got.apply, P.words_upto(got.n, got.L)))
     if isinstance(got, oracles.DictSuffixMap):
         return got.L, tuple(got.table[u] for u in oracles.words_by_length(got.n, got.L))
     return got
@@ -632,6 +632,80 @@ def test_suffix_map_matches_dict_oracle(n):
                     assert got[0] == "WindowExceeded", (new, new2, L_out)
                 else:
                     assert got == want, (new, new2, L_out)
+
+
+def test_suffix_map_matches_dict_oracle_across_alphabets():
+    # a map on one letter into maps on two: the composite's images are words
+    # over two letters, though it is defined on words over one
+    for into in ["identity", "right_translation", "random"]:
+        def args():
+            return {"identity": (), "right_translation": ("ba",),
+                    "random": (random.Random(5),)}[into]
+        new = P.SuffixMap.right_translation(1, 4, "a").compose(
+            getattr(P.SuffixMap, into)(2, 6, *args()))
+        old = oracles.DictSuffixMap.right_translation(1, 4, "a").compose(
+            getattr(oracles.DictSuffixMap, into)(2, 6, *args()))
+        assert _outcome(lambda: new) == _outcome(lambda: old), into
+        for u in P.words_upto(1, new.L):
+            assert _outcome(lambda: new.transfer(u)) == _outcome(lambda: old.transfer(u))
+        assert new.agrees_with(new) and old.agrees_with(old)
+    # the two-letter composite back into a map on one letter, as the oracle:
+    # the first intermediate image with a "b" stops it
+    two = P.SuffixMap.right_translation(1, 4, "a").compose(
+        P.SuffixMap.right_translation(2, 6, "ba"))
+    with pytest.raises(AlphabetMismatch, match="^letter 'b' outside alphabet of size 1$"):
+        two.compose(P.SuffixMap.identity(1, 9))
+    assert two.agrees_with(P.SuffixMap.right_translation(1, 4, "aba"))
+    assert not two.agrees_with(P.SuffixMap.right_translation(1, 4, "aaa"))
+    # images over one letter, coded over two, agree with the same images
+    # coded over one
+    one = P.SuffixMap.right_translation(1, 4, "a").compose(P.SuffixMap.identity(2, 6))
+    assert one.agrees_with(P.SuffixMap.right_translation(1, 4, "a"))
+    assert not one.agrees_with(P.SuffixMap.right_translation(1, 4, "aa"))
+    # images past the domain's letters are coded over more letters
+    table = {u: u + "c" for u in P.words_upto(2, 2)}
+    new, old = P.SuffixMap(2, 2, table), oracles.DictSuffixMap(2, 2, table)
+    assert _outcome(lambda: new) == _outcome(lambda: old)
+    assert _outcome(lambda: new.compose(P.SuffixMap.identity(3, 3))) == _outcome(
+        lambda: old.compose(oracles.DictSuffixMap.identity(3, 3)))
+    with pytest.raises(AlphabetMismatch, match="^letter 'c' outside alphabet of size 2$"):
+        new.compose(P.SuffixMap.identity(2, 3))
+    with pytest.raises(AlphabetMismatch, match="^letter 'A' outside alphabet of size 26$"):
+        P.SuffixMap.constant(2, 1, "aA")
+
+
+def test_suffix_map_codes_never_wrap():
+    # every word of 62 letters over two has an int64 code, "b" * 63 none:
+    # the map that would hold a word of 63 letters raises where the dict
+    # oracle holds strings
+    long = "b" * 62
+    old = oracles.DictSuffixMap.constant(2, 2, long)
+    assert P.SuffixMap.constant(2, 2, long).apply("ab") == old.apply("ab") == long
+    assert P.SuffixMap.right_translation(2, 2, long[2:]).apply("ab") == "ab" + long[2:]
+    overflow = "^image codes of length 63 over 2 letters overflow int64$"
+    for build in [
+        lambda: P.SuffixMap.constant(2, 2, long + "a"),
+        lambda: P.SuffixMap.right_translation(2, 1, long),
+        lambda: P.SuffixMap(2, 1, {"": "a" * 62, "a": "a" * 63, "b": "b" + "a" * 62}),
+    ]:
+        with pytest.raises(WindowExceeded, match=overflow):
+            build()
+    assert oracles.DictSuffixMap.right_translation(2, 1, long).apply("b") == "b" + long
+
+
+@pytest.mark.parametrize("n,L,seeds", [
+    (1, 3, range(5)), (2, 2, range(5)), (2, 3, range(5)),
+    # one seed: the reference builds and validates some 26,000 maps on the
+    # 3,280 words of store window 7 per seed, about 15 s
+    (3, 1, range(1)),
+])
+def test_zappa_report_matches_dict_oracle(monkeypatch, n, L, seeds):
+    # the whole check with the dict reference in place of SuffixMap
+    for seed in seeds:
+        want = P.verify_zappa(n, L, seed=seed).to_dict()
+        with monkeypatch.context() as m:
+            m.setattr(P, "SuffixMap", oracles.DictSuffixMap)
+            assert P.verify_zappa(n, L, seed=seed).to_dict() == want, seed
 
 
 def test_random_suffix_maps_are_valid():
