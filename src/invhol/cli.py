@@ -8,9 +8,9 @@ as a check failure), 3 for an exhausted budget or cap, or a word window
 whose integer codes would overflow int64.
 """
 
-import argparse
 import json
 import sys
+import types
 
 from . import core, groupoid, heap, holomorph, io, morphisms, polycyclic
 from .errors import (
@@ -204,23 +204,39 @@ COMMANDS = {
 }
 
 
+# the options of every subcommand, and the ones poly adds, each flag to its
+# (type, default, choices, help); build_parser and _parse_common read both
+OPTIONS = {
+    "--cap-size": (int, core.DEFAULT_SIZE_CAP, None, None),
+    "--budget": (int, morphisms.DEFAULT_NODE_BUDGET, None, None),
+    "--maxlen": (int, 3, None, "word-length window"),
+    "--alphabet": (int, 2, None, "alphabet size"),
+    "--jobs": (int, 1, None, "echoed in the report header; every search runs in one process"),
+    "--format": (str, "text", ("text", "json"), None),
+    "--seed": (int, 0, None, "seed for sampled checks"),
+    "--dump": (str, None, None, "write elements/structures here"),
+}
+POLY_OPTIONS = {
+    "--check": (str, None, (*POLY_CHECKS, "all"), "window checks to run (repeatable)"),
+    "--samples": (int, 6, None, "sampled maps for checks"),
+}
+
+
+def _add_options(parser, options):
+    for flag, (type_, default, choices, help_) in options.items():
+        action = "append" if flag == "--check" else "store"
+        parser.add_argument(flag, action=action, type=type_, default=default,
+                            choices=choices, help=help_)
+
+
 def build_parser():
+    import argparse
     p = argparse.ArgumentParser(
         prog="invhol",
         description="inverse semigroup holomorph workbench",
     )
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--cap-size", type=int, default=core.DEFAULT_SIZE_CAP)
-    shared.add_argument("--budget", type=int, default=morphisms.DEFAULT_NODE_BUDGET)
-    shared.add_argument("--maxlen", type=int, default=3, help="word-length window")
-    shared.add_argument("--alphabet", type=int, default=2, help="alphabet size")
-    shared.add_argument(
-        "--jobs", type=int, default=1,
-        help="echoed in the report header; every search runs in one process",
-    )
-    shared.add_argument("--format", choices=["text", "json"], default="text")
-    shared.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    shared.add_argument("--dump", default=None, help="write elements/structures here")
+    _add_options(shared, OPTIONS)
 
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -229,19 +245,45 @@ def build_parser():
             cp.add_argument("path")
     pp = sub.choices["poly"]
     pp.add_argument("expr", nargs="?", default=None, help="expression to evaluate")
-    pp.add_argument(
-        "--check",
-        action="append",
-        choices=[*POLY_CHECKS, "all"],
-        help="window checks to run (repeatable)",
-    )
-    pp.add_argument("--samples", type=int, default=6, help="sampled maps for checks")
+    _add_options(pp, POLY_OPTIONS)
     return p
 
 
+def _parse_common(argv):
+    """`COMMAND [POSITIONAL] (--OPTION VALUE)*`, each option spelled in full
+    and no value starting with '-', parsed as build_parser() parses it;
+    None for any other argv, which argparse then parses, or answers with
+    help or a usage error."""
+    command, *rest = argv or [None]
+    if command not in COMMANDS:
+        return None
+    options = {**OPTIONS, **POLY_OPTIONS} if command == "poly" else OPTIONS
+    args = {flag[2:].replace("-", "_"): spec[1] for flag, spec in options.items()}
+    positional = "expr" if command == "poly" else "path"
+    args["command"], args[positional] = command, None
+    if rest and not rest[0].startswith("-"):
+        args[positional] = rest.pop(0)
+    if len(rest) % 2 or args[positional] is None and command != "poly":
+        return None
+    for flag, value in zip(rest[::2], rest[1::2]):
+        if flag not in options or value.startswith("-"):
+            return None
+        type_, _, choices, _ = options[flag]
+        try:
+            value = type_(value)
+        except ValueError:
+            return None
+        if choices and value not in choices:
+            return None
+        dest = flag[2:].replace("-", "_")
+        args[dest] = [*(args[dest] or []), value] if flag == "--check" else value
+    return types.SimpleNamespace(**args)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    args.inputs = [args.path] if "path" in args else [args.expr] if args.expr else []
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_common(argv) or build_parser().parse_args(argv)
+    args.inputs = [args.path] if hasattr(args, "path") else [args.expr] if args.expr else []
     out = Output(args)
     try:
         if min(args.cap_size, args.budget, args.maxlen, args.jobs) <= 0:

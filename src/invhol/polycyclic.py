@@ -110,38 +110,23 @@ def pair_leq(x, y):
 def rewrite_mul(x, y):
     """Multiply two normal forms by free rewriting over the presentation.
 
-    The concatenation u^-1 v p^-1 q is written as a signed-letter sequence
-    and the rules  z z^-1 -> 1  and  z w^-1 -> 0 (z != w)  are applied until
-    none matches; the survivor must be a block of inverses followed by a
-    block of plain letters.
+    The signed letters of the concatenation u^-1 v p^-1 q are reduced left
+    to right on a stack: an inverse letter meeting a plain one on top applies
+    z z^-1 -> 1  or  z w^-1 -> 0 (z != w).  An inverse letter is pushed only
+    onto a stack of inverses, so the stack is held as its two blocks: the
+    inverses, then the plain letters.
     """
     if x is None or y is None:
         return None
-    seq = []
+    inverses, letters = [], []
     for u, v in (x, y):
-        seq.extend((ch, -1) for ch in reversed(u))
-        seq.extend((ch, +1) for ch in v)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(seq) - 1):
-            (c1, s1), (c2, s2) = seq[i], seq[i + 1]
-            if s1 == +1 and s2 == -1:
-                if c1 != c2:
-                    return None
-                del seq[i : i + 2]
-                changed = True
-                break
-    u = []
-    v = []
-    for ch, s in seq:
-        if s == -1:
-            if v:
-                raise AssertionError("rewriting left a malformed word")
-            u.append(ch)
-        else:
-            v.append(ch)
-    return ("".join(reversed(u)), "".join(v))
+        for ch in reversed(u):
+            if not letters:
+                inverses.append(ch)
+            elif letters.pop() != ch:
+                return None
+        letters.extend(v)
+    return ("".join(reversed(inverses)), "".join(letters))
 
 
 @dataclass(frozen=True)

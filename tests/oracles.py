@@ -68,7 +68,6 @@ from invhol.polycyclic import (
     efun_element_image,
     pair_leq,
     poly_window,
-    rewrite_mul,
     words_upto,
 )
 
@@ -657,6 +656,39 @@ def induced_premorphism_failures_by_pairs(fn, n, L):
                 yield f"inequality fails at {x},{y}"
 
 
+def rescan_rewrite_mul(x, y):
+    """polycyclic.rewrite_mul by rescanning the signed-letter sequence from
+    its start after every rewrite, until no rule  z z^-1 -> 1  or
+    z w^-1 -> 0 (z != w)  matches."""
+    if x is None or y is None:
+        return None
+    seq = []
+    for u, v in (x, y):
+        seq.extend((ch, -1) for ch in reversed(u))
+        seq.extend((ch, +1) for ch in v)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(seq) - 1):
+            (c1, s1), (c2, s2) = seq[i], seq[i + 1]
+            if s1 == +1 and s2 == -1:
+                if c1 != c2:
+                    return None
+                del seq[i : i + 2]
+                changed = True
+                break
+    u = []
+    v = []
+    for ch, s in seq:
+        if s == -1:
+            if v:
+                raise AssertionError("rewriting left a malformed word")
+            u.append(ch)
+        else:
+            v.append(ch)
+    return ("".join(reversed(u)), "".join(v))
+
+
 def poly_window_report_by_interning(n, L):
     """polycyclic.verify_poly_window with associativity decided by
     core.first_nonassociative, which interns every product it meets through
@@ -666,10 +698,10 @@ def poly_window_report_by_interning(n, L):
     rep.add("window", True, detail=f"{len(elems)} elements, components up to length {L}")
 
     rep.first_failure("matches_rewriting", (
-        f"{x} * {y}: table {_mul(x, y)} vs rewriting {rewrite_mul(x, y)}"
+        f"{x} * {y}: table {_mul(x, y)} vs rewriting {rescan_rewrite_mul(x, y)}"
         for x in elems
         for y in elems
-        if _mul(x, y) != rewrite_mul(x, y)
+        if _mul(x, y) != rescan_rewrite_mul(x, y)
     ))
 
     bad = first_nonassociative(elems, _mul)

@@ -43,6 +43,16 @@ def test_poly_mul_matches_rewriting(u, v, p, q):
     assert P._mul((u, v), (p, q)) == P.rewrite_mul((u, v), (p, q))
 
 
+@pytest.mark.parametrize("n, L", [(2, 3), (1, 6), (3, 2)])
+def test_rewrite_mul_matches_rescanning_reference(n, L):
+    """The one-pass stack reduction gives the rescanning reference's product
+    on every pair of the window, zero included."""
+    elems = P.poly_window(n, L)
+    for x in elems:
+        for y in elems:
+            assert P.rewrite_mul(x, y) == oracles.rescan_rewrite_mul(x, y), (x, y)
+
+
 @given(words2, words2, words2, words2, words2, words2)
 @settings(max_examples=300, deadline=None)
 def test_poly_mul_associative(u1, v1, u2, v2, u3, v3):
