@@ -91,6 +91,13 @@ def _cases():
         cases[f"poly_heap_alphabet3_{fmt}"] = [
             "poly", "--check", "heap", "--alphabet", "3", "--maxlen", "1", "--format", fmt
         ]
+        # the default window: on one letter the endo sweep fails (a -> empty
+        # word preserves meets but is not injective) and so does the heap
+        # check's affine line; on three letters the endo and functor sweeps
+        for check, alphabet in [("endo", "1"), ("heap", "1"), ("endo", "3"), ("functors", "3")]:
+            cases[f"poly_{check}_alphabet{alphabet}_{fmt}"] = [
+                "poly", "--check", check, "--alphabet", alphabet, "--format", fmt
+            ]
         cases[f"verify_corrupt_groupoid_{fmt}"] = [
             "verify", "tests/golden/corrupt_i2_groupoid.json", "--format", fmt
         ]
