@@ -174,12 +174,12 @@ POLY_CHECK_REPORTS = {
         [polycyclic.verify_poly_window(1, max(a.maxlen, 6), a.cap_size)] if a.alphabet != 1 else []
     ),
     "bicyclic": lambda a: [polycyclic.verify_bicyclic(6, 4), polycyclic.bicyclic_hol_check(4, 6)],
-    "functors": lambda a: [polycyclic.premorphism_ideal_check(a.alphabet, a.maxlen)],
+    "functors": lambda a: [polycyclic.premorphism_ideal_check(a.alphabet, a.maxlen, a.cap_size)],
     "zappa": lambda a: [
         polycyclic.verify_zappa(a.alphabet, a.maxlen, a.samples, a.seed, a.cap_size)
     ],
-    "endo": lambda a: [polycyclic.endo_sweep(a.alphabet, a.maxlen)],
-    "heap": lambda a: [polycyclic.heap_type_check_polycyclic(a.alphabet, 1, 2)],
+    "endo": lambda a: [polycyclic.endo_sweep(a.alphabet, a.maxlen, a.cap_size)],
+    "heap": lambda a: [polycyclic.heap_type_check_polycyclic(a.alphabet, 1, 2, a.cap_size)],
 }
 POLY_CHECKS = tuple(POLY_CHECK_REPORTS)
 

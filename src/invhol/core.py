@@ -103,10 +103,10 @@ def row_blocks(rows, width, entries=BLOCK_ENTRIES):
     return [slice(start, min(rows, start + step)) for start in range(0, rows, step)]
 
 
-def first_hits(rows, width, mask_of):
+def first_hits(rows, width, mask_of, entries=BLOCK_ENTRIES):
     """The True entries (r, c) of a rows x width boolean matrix in row-major
     order, each block of rows computed by mask_of(block) only when reached."""
-    for block in row_blocks(rows, width):
+    for block in row_blocks(rows, width, entries):
         for r, c in hits(mask_of(block)):
             yield block.start + r, c
 

@@ -3,10 +3,10 @@
 The searches here enumerate the raw function space and filter by the
 defining property directly, bypassing the library's pruned searches; the
 plain loops, the element-order premorphism and heap searches, the flow
-pair loop and the interning polycyclic window sweep are the code that the
-library's numpy sweeps, inductive-groupoid order, forced heap search,
-composable-arrow splitting check and pair-code sweep replaced, kept as
-references.
+pair loop, the interning polycyclic window sweep and the polycyclic endo,
+functor and heap sweeps on strings are the code that the library's numpy
+sweeps, inductive-groupoid order, forced heap search, composable-arrow
+splitting check and word-code sweeps replaced, kept as references.
 A hypothesis strategy draws random inverse subsemigroups of I_n.
 """
 
@@ -62,12 +62,13 @@ from invhol.report import CheckReport
 from invhol.search import backtrack
 from invhol.polycyclic import (
     AffineWordMap,
-    _heap,
+    _encode,
     _inv,
     _mul,
-    efun_element_image,
+    is_suffix_code,
     pair_leq,
     poly_window,
+    window_values,
     words_upto,
 )
 
@@ -534,6 +535,23 @@ def ordered_heap_maps_by_schedule(S, check_order=True):
     return backtrack([range(n)] * n, ok_at)
 
 
+def _heap(a, b, c):
+    """The heap value <a, b, c> = a b^-1 c of raw polycyclic pairs."""
+    return _mul(_mul(a, _inv(b)), c)
+
+
+def efun_element_image(fn, x):
+    """The self-map of the polycyclic monoid induced by an ordered function
+    on idempotents: (u,v) -> (u fn, v fn) and 0 -> the idempotent at 0 fn."""
+    if x is None:
+        z = fn.zero_image
+        return None if z is None else (z, z)
+    fu, fv = fn.word_image(x[0]), fn.word_image(x[1])
+    if fu is None or fv is None:
+        return None
+    return (fu, fv)
+
+
 def constant_pair_zero_preservation(n, L, param_len):
     """Whether each constant holomorph pair preserves the zero-valued heap
     instances of the n-generator polycyclic monoid, by brute force.
@@ -623,10 +641,10 @@ def hol_pair_action_tau_form(fn, m):
 
 
 def heap_split_by_triples(act, elems):
-    """polycyclic.heap_split by one pass over every triple of the window,
-    each heap value and each action image computed afresh: (all
-    nonzero-valued instances preserved, all zero-valued preserved, first
-    witnesses)."""
+    """The heap split of polycyclic._heap_failures by one pass over every
+    triple of the window, each heap value and each action image computed
+    afresh: (all nonzero-valued instances preserved, all zero-valued
+    preserved, first witnesses)."""
     ok_nz, ok_z = True, True
     w_nz = w_z = None
     for a in elems:
@@ -645,8 +663,8 @@ def heap_split_by_triples(act, elems):
 
 
 def induced_premorphism_failures_by_pairs(fn, n, L):
-    """polycyclic.induced_premorphism_failures by one pass over every pair
-    of the element window, each product and image computed afresh."""
+    """polycyclic._induced_failures by one pass over every pair of the
+    element window, each product and image computed afresh."""
     elems = poly_window(n, L)
     for x in elems:
         for y in elems:
@@ -654,6 +672,153 @@ def induced_premorphism_failures_by_pairs(fn, n, L):
             rhs = _mul(efun_element_image(fn, x), efun_element_image(fn, y))
             if not pair_leq(lhs, rhs):
                 yield f"inequality fails at {x},{y}"
+
+
+# ---------------------------------------------------------------------------
+# the polycyclic window sweeps on strings: the references for the endo,
+# functor and heap sweeps on word codes
+
+
+def word_meet(x, y):
+    """Meet in the suffix order: the lower of two comparable words, else zero."""
+    if x is None or y is None:
+        return None
+    if x.endswith(y):
+        return x
+    if y.endswith(x):
+        return y
+    return None
+
+
+def endo_classification_report(n, sigma_images, w, L):
+    """polycyclic.endo_classification_check with its meets taken on strings,
+    each word's image derived afresh for every pair."""
+    af = AffineWordMap(n, tuple(sigma_images), w)
+    rep = CheckReport(
+        f"endomorphism test for letters->{tuple(sigma_images)} translation {w!r}, "
+        f"n={n}, window L={L}"
+    )
+    ws = words_upto(n, L)
+    points = [None, *ws]
+
+    def meet_failures():
+        for x in points:
+            for y in points:
+                lhs_arg = word_meet(x, y)
+                lhs = None if lhs_arg is None else af.word_image(lhs_arg)
+                rhs = word_meet(af.word_image(x) if x is not None else None,
+                                af.word_image(y) if y is not None else None)
+                if lhs != rhs:
+                    yield f"meet mismatch at ({x!r},{y!r}): {lhs!r} vs {rhs!r}"
+
+    witness = next(meet_failures(), None)
+    meet_ok = witness is None
+    images = [af.word_image(u) for u in ws]
+    injective = len(set(images)) == len(images)
+    code = is_suffix_code(sigma_images)
+    agree = meet_ok == (injective and code)
+    rep.add(
+        "meet_preserving_iff_injective_suffix_code",
+        agree,
+        None
+        if agree
+        else f"meets {'preserved' if meet_ok else 'broken'} but injective={injective}, "
+        f"suffix_code={code}; {witness}",
+        detail=f"meets {'preserved' if meet_ok else 'not preserved'}; "
+        f"injective={injective}, suffix_code={code}",
+    )
+    if witness and not agree:
+        rep.note(witness)
+    return rep
+
+
+@lru_cache(maxsize=None)
+def _product_window(n, L):
+    return window_values(poly_window(n, L), _mul, 2)
+
+
+def induced_premorphism_failures(fn, n, L):
+    """polycyclic._induced_failures on strings: the products of the element
+    window are computed once per window and the map once per point."""
+    points, products = _product_window(n, L)
+    image = [efun_element_image(fn, x) for x in points]
+    for x, y, xy in products:
+        if not pair_leq(image[xy], _mul(image[x], image[y])):
+            yield f"inequality fails at {points[x]},{points[y]}"
+
+
+def hol_pair_action(fn, m):
+    """x -> (x fn) m, the action of a holomorph pair in compressed form."""
+
+    def act(x):
+        return _mul(efun_element_image(fn, x), m)
+
+    return act
+
+
+def heap_window(n, L):
+    """polycyclic._heap_window on strings: (points, nonzero, zero, heap),
+    the rows of window_values(elems, _heap, 3) split into the nonzero-valued
+    and the zero-valued instances, and a memoised _heap that the maps of one
+    window share for their image side."""
+    points, rows = window_values(poly_window(n, L), _heap, 3)
+    nonzero = tuple(row for row in rows if points[row[3]] is not None)
+    zero = tuple(row for row in rows if points[row[3]] is None)
+    return points, nonzero, zero, lru_cache(maxsize=None)(_heap)
+
+
+def heap_failures(fn, m, window):
+    """polycyclic._heap_failures on strings: the first failing nonzero-valued
+    and zero-valued instance of a heap_window, with the action evaluated
+    once per point."""
+    points, nonzero, zero, heap = window
+    image = [hol_pair_action(fn, m)(x) for x in points]
+
+    def first_failure(instances):
+        for a, b, c, d in instances:
+            lhs, rhs = image[d], heap(image[a], image[b], image[c])
+            if lhs != rhs:
+                value = 0 if points[d] is None else points[d]
+                return f"<{points[a]},{points[b]},{points[c]}> = {value}: {lhs} vs {rhs}"
+        return None
+
+    return first_failure(nonzero), first_failure(zero)
+
+
+def bent_codes(efun, n, K, at, image):
+    """An ordered function's codes(K), over n letters, with the value at the
+    word `at`, or at the zero when `at` is None, replaced by `image`."""
+    base, zero, table, top = efun
+    code = -1 if image is None else int(_encode([image], base)[0][0])
+    if at is None:
+        zero = code
+    elif len(at) <= K:
+        table = table.copy()
+        table[words_upto(n, K).index(at)] = code
+    return base, zero, table, max(top, len(image or ""))
+
+
+class BentFunction:
+    """An ordered function on idempotents with its value at one word, or at
+    the zero when `at` is None, replaced by `image` (None for the zero);
+    alike on strings and on word codes, so that a bent input reaches the
+    string references and the code sweeps the same way."""
+
+    def __init__(self, fn, at, image):
+        self.fn, self.at, self.image, self.n = fn, at, image, fn.n
+
+    def word_image(self, u):
+        return self.image if u == self.at else self.fn.word_image(u)
+
+    @property
+    def zero_image(self):
+        return self.image if self.at is None else self.fn.zero_image
+
+    def codes(self, K):
+        return bent_codes(self.fn.codes(K), self.n, K, self.at, self.image)
+
+    def __repr__(self):
+        return f"Bent({self.fn!r}, {self.at!r} -> {self.image!r})"
 
 
 def rescan_rewrite_mul(x, y):
@@ -745,17 +910,17 @@ class DictSuffixMap:
     def __init__(self, n, L, table):
         self.n = n
         self.L = L
-        self.table = dict(table)
-        for u in words_by_length(n, L):
-            if u not in self.table:
-                raise WindowExceeded(f"map is missing the word {u!r} inside its window")
-        for u in words_by_length(n, L):
-            if len(u) >= 1:
-                rest = u[1:]
-                if not self.table[u].endswith(self.table[rest]):
-                    raise NotSuffixPreserving(
-                        f"image of {u!r} does not end with the image of {rest!r}"
-                    )
+        self.table = image = dict(table)
+        self._transfers = {}
+        words = words_by_length(n, L)
+        missing = next((u for u in words if u not in image), None)
+        if missing is not None:
+            raise WindowExceeded(f"map is missing the word {missing!r} inside its window")
+        for u in words[1:]:  # every word but the empty one, which comes first
+            if not image[u].endswith(image[u[1:]]):
+                raise NotSuffixPreserving(
+                    f"image of {u!r} does not end with the image of {u[1:]!r}"
+                )
 
     def apply(self, u):
         if len(u) > self.L:
@@ -763,21 +928,25 @@ class DictSuffixMap:
         return self.table[u]
 
     def transfer(self, u):
+        """The transfer of u, built and validated once per map and word, as
+        verify_zappa keeps the transfers it takes again."""
         if len(u) > self.L:
             raise WindowExceeded(f"word {u!r} is outside window {self.L}")
-        base = self.table[u]
-        out = {}
-        for p in words_by_length(self.n, self.L - len(u)):
-            img = self.table[p + u]
-            out[p] = img[: len(img) - len(base)]
-        return DictSuffixMap(self.n, self.L - len(u), out)
+        if u not in self._transfers:
+            base = self.table[u]
+            out = {}
+            for p in words_by_length(self.n, self.L - len(u)):
+                img = self.table[p + u]
+                out[p] = img[: len(img) - len(base)]
+            self._transfers[u] = DictSuffixMap(self.n, self.L - len(u), out)
+        return self._transfers[u]
 
     def compose(self, other, L_out=None):
         if L_out is None:
-            L_out = self.L
-            for u in words_by_length(self.n, self.L):
-                if len(u) <= L_out and len(self.table[u]) > other.L:
-                    L_out = len(u) - 1
+            # the words come in length order: the first image past the other
+            # map's window ends the composite's window below its word
+            past = (u for u in words_by_length(self.n, self.L) if len(self.table[u]) > other.L)
+            L_out = len(next(past, "?" * (self.L + 1))) - 1
         if L_out < 0:
             raise WindowExceeded("composition has an empty window")
         out = {}

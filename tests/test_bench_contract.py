@@ -15,6 +15,7 @@ import argparse
 import importlib
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,33 @@ def test_poly_jobs_give_the_pinned_verdicts(tmp_path):
     """Each poly job, one check of `poly --check all` at seed 0, gives the
     verdicts answers.json pins: exit 0, and exit 1 for the heap check."""
     _assert_pinned_verdicts("poly", 6, tmp_path)
+
+
+def _traced_counts(job):
+    """The trace counters of one job, run traced in a forked child so that
+    no wrapper that tracing.install sets stays in this process."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            tracer = tracing.Tracer(job.id)
+            tracing.install(tracer)
+            jobs.run_job(job, None)
+            os.write(w, json.dumps(dict(tracer.counters)).encode())
+        finally:
+            os._exit(0)
+    os.close(w)
+    with os.fdopen(r) as f:
+        data = f.read()
+    os.waitpid(pid, 0)
+    return json.loads(data)
+
+
+def test_poly_jobs_give_the_pinned_trace_counts():
+    """Each poly job, traced, counts the calls answers.json pins: the endo
+    job runs endo_classification_check on its 49 letter maps and the heap
+    job on its 16 affine representatives."""
+    answers = json.loads((BENCH / "answers.json").read_text())["jobs"]
+    for job in jobs.workload_jobs("poly", 0):
+        assert _traced_counts(job) == answers[job.id]["trace_counts"], job.id

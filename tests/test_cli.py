@@ -236,6 +236,32 @@ def test_poly_zappa_honours_cap_size(capsys, flags, size, cap):
     assert captured.out.endswith("seed: 0\noverall: pass\n")
 
 
+@pytest.mark.parametrize("check,alphabet,size", [
+    # 21 letter maps per letter, 194,481 at four letters
+    ("endo", "4", 21**4),
+    ("endo", "26", 703**26),
+    # 18,279 words in the window L = 3 over 26 letters
+    ("functors", "26", 18279),
+    # 730 elements in the element window L = 1, each heap instance a triple
+    ("heap", "26", 730**3),
+], ids=["endo-4", "endo-26", "functors-26", "heap-26"])
+def test_poly_sweeps_honour_cap_size(capsys, check, alphabet, size):
+    # the letter maps, words, elements and heap instances are counted
+    # before any sweep
+    start = time.perf_counter()
+    assert main(["poly", "--check", check, "--alphabet", alphabet]) == 3
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.err == f"error: requested size {size} exceeds cap 5000\n"
+    assert captured.out.endswith("seed: 0\noverall: pass\n")
+
+
+def test_poly_heap_runs_past_the_default_cap(capsys):
+    # 17,576 heap instances at four letters: the stated boundary still fails
+    assert main(["poly", "--check", "heap", "--alphabet", "4", "--cap-size", "20000"]) == 1
+    assert "[FAIL] constant_pair_zero_iff_w_eq_s_eq_t" in capsys.readouterr().out
+
+
 def test_poly_arith_code_overflow_is_an_error_line(capsys):
     # the cap lets the window L = 11 in, and its pair codes would leave int64
     assert main(["poly", "--check", "arith", "--maxlen", "11",
