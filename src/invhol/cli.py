@@ -5,7 +5,9 @@ given identical inputs, caps and seed; exit codes are 0 for all-pass, 1 for
 check failures, 2 for usage or parse errors, a `--dump` path that cannot be
 written and an input that is not a valid structure (`verify` reports that
 as a check failure), 3 for an exhausted budget or cap, or a word window
-whose integer codes would overflow int64.
+whose integer codes would overflow int64; such a stopped run prints the
+report so far with the verdict `overall: incomplete` (`"ok": false` in
+JSON).
 """
 
 import json
@@ -25,10 +27,11 @@ class Output:
         self.sections = []
         self.counts = {}
         self.lines = []
+        self.stopped = False  # a budget or cap ended the run early
 
     @property
     def ok(self):
-        return all(r.ok for r in self.sections)
+        return not self.stopped and all(r.ok for r in self.sections)
 
     def render(self):
         a = self.args
@@ -63,7 +66,7 @@ class Output:
         out.extend(self.lines)
         for r in self.sections:
             out.extend(r.lines())
-        out.append(f"overall: {'pass' if self.ok else 'FAIL'}")
+        out.append(f"overall: {'incomplete' if self.stopped else 'pass' if self.ok else 'FAIL'}")
         return "\n".join(out)
 
 
@@ -185,11 +188,11 @@ POLY_CHECKS = tuple(POLY_CHECK_REPORTS)
 
 
 def cmd_poly(args, out):
-    if args.expr:
+    if args.expr is not None:
         val = polycyclic.parse_poly_expression(args.expr, args.alphabet)
         out.lines.append(f"value: {polycyclic.format_poly(val)}")
         out.counts["expression"] = args.expr
-    checks = args.check or ([] if args.expr else ["all"])
+    checks = args.check or ([] if args.expr is not None else ["all"])
     for c in POLY_CHECKS if "all" in checks else checks:
         out.sections.extend(POLY_CHECK_REPORTS[c](args))
 
@@ -283,7 +286,8 @@ def _parse_common(argv):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_common(argv) or build_parser().parse_args(argv)
-    args.inputs = [args.path] if hasattr(args, "path") else [args.expr] if args.expr else []
+    args.inputs = ([args.path] if hasattr(args, "path")
+                   else [] if args.expr is None else [args.expr])
     out = Output(args)
     try:
         if min(args.cap_size, args.budget, args.maxlen, args.jobs) <= 0:
@@ -294,6 +298,7 @@ def main(argv=None):
             raise ParseError("samples must not be negative")
         COMMANDS[args.command](args, out)
     except SearchBudgetExceeded as exc:
+        out.stopped = True
         print(out.render())
         print(
             f"search budget exceeded: visited {exc.nodes} nodes, "
@@ -302,6 +307,7 @@ def main(argv=None):
         )
         return 3
     except (SizeCap, WindowExceeded) as exc:
+        out.stopped = True
         print(out.render())
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -13,7 +13,6 @@ import string
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -180,24 +179,6 @@ def poly_window(n, L):
     """The zero element followed by all pairs with components of length <= L."""
     ws = words_upto(n, L)
     return [None] + [(u, v) for u in ws for v in ws]
-
-
-def window_values(elems, op, arity):
-    """Every value of op on `arity` elements of a window, computed once per
-    window: (points, rows), where points lists the elements and then each
-    value that leaves the window, and rows holds each argument tuple with
-    its value as positions in points, in lexicographic order."""
-    points = list(elems)
-    index = {x: i for i, x in enumerate(points)}
-    rows = []
-    for args in product(range(len(elems)), repeat=arity):
-        val = op(*[elems[i] for i in args])
-        pos = index.get(val)
-        if pos is None:
-            pos = index[val] = len(points)
-            points.append(val)
-        rows.append((*args, pos))
-    return tuple(points), tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +471,16 @@ def verify_poly_window(n, L, cap=DEFAULT_SIZE_CAP):
 
 
 # ---------------------------------------------------------------------------
-# the bicyclic monoid: pairs of naturals, a^-i a^j
+# the bicyclic monoid: pairs of naturals, a^-i a^j.  It is P_1, and (i, j) is
+# the one-letter pair code (a^i, a^j), since the shortlex code of a^i is i.
+# The pair formulas act elementwise, on ints or on arrays of components, so
+# the checks sweep the window's pairs as two arrays and decode a witness.
 
 
 def bicyclic_mul(x, y):
     (i, j), (k, l) = x, y
-    m = max(j, k)
-    return (i + m - j, l + m - k)
+    d = k - j
+    return (i + d * (d > 0), l - d * (d < 0))
 
 
 def bicyclic_inv(x):
@@ -529,13 +513,19 @@ def bicyclic_endo(k, p):
     return AffineNat(k, p)
 
 
+def _differ(x, y):
+    """The flat positions, in row-major order, where two pair arrays differ."""
+    return np.flatnonzero((x[0] != y[0]) | (x[1] != y[1]))
+
+
 def verify_bicyclic(window=6, param=4):
     """The pair formula, the endomorphism family and its affine composition,
-    all validated against single-letter polycyclic rewriting.  The pair
-    products are computed once, and each endomorphism's images once per
-    parameter."""
+    all validated against single-letter polycyclic rewriting.  The family's
+    lines compare the window's pairs, or their products, as arrays, once
+    per parameter pair."""
     rep = CheckReport(f"bicyclic monoid, window {window}, parameters up to {param}")
     pairs = [(i, j) for i in range(window + 1) for j in range(window + 1)]
+    grid = tuple(np.array(pairs).T)  # the pairs as two component arrays
 
     def formula_failures():
         for x in pairs:
@@ -555,15 +545,15 @@ def verify_bicyclic(window=6, param=4):
 
     params = [(k, p) for k in range(param + 1) for p in range(param + 1)]
 
-    points, products = window_values(pairs, bicyclic_mul, 2)
-
     def multiplicativity_failures():
+        rows = (grid[0][:, None], grid[1][:, None])
+        products = bicyclic_mul(rows, grid)
         for k, p in params:
             nu = bicyclic_endo(k, p)
-            image = [nu.apply_pair(x) for x in points]
-            for x, y, xy in products:
-                if image[xy] != bicyclic_mul(image[x], image[y]):
-                    yield f"(k,p)=({k},{p}) not multiplicative at {points[x]},{points[y]}"
+            images = bicyclic_mul(nu.apply_pair(rows), nu.apply_pair(grid))
+            for t in _differ(nu.apply_pair(products), images):
+                a, b = divmod(t, len(pairs))
+                yield f"(k,p)=({k},{p}) not multiplicative at {pairs[a]},{pairs[b]}"
 
     rep.first_failure("endomorphism_family_multiplicative", multiplicativity_failures())
 
@@ -591,15 +581,14 @@ def verify_bicyclic(window=6, param=4):
     def composition_failures():
         for k, p in params:
             nu = bicyclic_endo(k, p)
-            image = [nu.apply_pair(x) for x in pairs]
+            image = nu.apply_pair(grid)
             for k2, p2 in params:
                 nu2 = bicyclic_endo(k2, p2)
                 comp = nu.compose(nu2)
                 if comp != AffineNat(k * k2, p * k2 + p2):
                     yield f"affine composition fails at ({k},{p}),({k2},{p2})"
-                for x, x_nu in zip(pairs, image):
-                    if comp.apply_pair(x) != nu2.apply_pair(x_nu):
-                        yield f"composite map wrong at {x}"
+                for t in _differ(comp.apply_pair(grid), nu2.apply_pair(image)):
+                    yield f"composite map wrong at {pairs[t]}"
 
     rep.first_failure("family_composes_as_affine_maps", composition_failures())
     return rep
@@ -613,21 +602,22 @@ def bicyclic_hol_check(param=4, window=6):
     the domain condition forces l = p with m free.  The diamond composition,
     evaluated generically in bicyclic arithmetic, must match the semidirect
     composition law; the action law is spot-checked on a smaller sweep.
-    Each endomorphism is built once per parameter, outside the sweeps over
-    the free parts.
+    The validity and semidirect lines compare all (l, m), or all free parts
+    (m, m2), as arrays per parameter pair; the action law all x and m2.
     """
     rep = CheckReport(f"bicyclic holomorph, parameters up to {param}, window {window}")
     params = [(k, p) for k in range(param + 1) for p in range(param + 1)]
+    pairs = [(i, j) for i in range(window + 1) for j in range(window + 1)]
+    grid = tuple(np.array(pairs).T)  # the pairs as two component arrays
 
     def validity_failures():
+        tops = bicyclic_mul(grid, bicyclic_inv(grid))
         for k, p in params:
-            nu = bicyclic_endo(k, p)
-            top = nu.apply_pair((0, 0))
-            for l in range(window + 1):
-                for m in range(window + 1):
-                    valid = bicyclic_mul((l, m), bicyclic_inv((l, m))) == top
-                    if valid != (l == p):
-                        yield f"(k,p)=({k},{p}): pair ({l},{m}) validity is {valid}"
+            top = bicyclic_endo(k, p).apply_pair((0, 0))
+            valid = (tops[0] == top[0]) & (tops[1] == top[1])
+            for t in np.flatnonzero(valid != (grid[0] == p)):
+                l, m = pairs[t]
+                yield f"(k,p)=({k},{p}): pair ({l},{m}) validity is {bool(valid[t])}"
 
     rep.first_failure("transformation_part_forces_l_eq_p", validity_failures())
 
@@ -640,16 +630,17 @@ def bicyclic_hol_check(param=4, window=6):
             a1 = bicyclic_endo(k, p)
             for k2, p2 in params:
                 a2 = bicyclic_endo(k2, p2)
-                for m in range(window + 1):
-                    for m2 in range(window + 1):
-                        comp_alpha, comp_m = diamond((a1, (p, m)), (a2, (p2, m2)))
-                        want_alpha = AffineNat(k * k2, p * k2 + p2)
-                        want_m = (p * k2 + p2, m * k2 + m2)
-                        if comp_alpha != want_alpha or comp_m != want_m:
-                            yield (
-                                f"composition of ((k,p),m)=(({k},{p}),{m}) and "
-                                f"(({k2},{p2}),{m2}) gave {comp_alpha},{comp_m}"
-                            )
+                alpha, ms = diamond((a1, (p, grid[0])), (a2, (p2, grid[1])))
+                want_m = (p * k2 + p2, grid[0] * k2 + grid[1])
+                flagged = (range(len(pairs)) if alpha != AffineNat(k * k2, p * k2 + p2)
+                           else _differ(ms, want_m))
+                for t in flagged:
+                    m, m2 = pairs[t]
+                    comp_alpha, comp_m = diamond((a1, (p, m)), (a2, (p2, m2)))
+                    yield (
+                        f"composition of ((k,p),m)=(({k},{p}),{m}) and "
+                        f"(({k2},{p2}),{m2}) gave {comp_alpha},{comp_m}"
+                    )
 
     rep.first_failure("diamond_matches_semidirect_product", semidirect_failures())
     rep.note("free part composes as m k' + m'; the translation p' cancels")
@@ -670,22 +661,21 @@ def bicyclic_hol_check(param=4, window=6):
     rep.first_failure("identity_pair_neutral", identity_failures())
 
     small = [(k, p) for k in range(3) for p in range(3)]
-    pairs_w = [(i, j) for i in range(window + 1) for j in range(window + 1)]
+    m2 = np.arange(3)[:, None]
 
     def action_failures():
         for k, p in small:
             a = bicyclic_endo(k, p)
+            image = a.apply_pair(grid)
             for m in range(3):
+                step = bicyclic_mul(image, (p, m))
                 for k2, p2 in small:
                     b = bicyclic_endo(k2, p2)
-                    for m2 in range(3):
-                        ca, cm = diamond((a, (p, m)), (b, (p2, m2)))
-                        for x in pairs_w:
-                            lhs = bicyclic_mul(ca.apply_pair(x), cm)
-                            step = bicyclic_mul(a.apply_pair(x), (p, m))
-                            rhs = bicyclic_mul(b.apply_pair(step), (p2, m2))
-                            if lhs != rhs:
-                                yield f"action law fails at x={x}"
+                    ca, cm = diamond((a, (p, m)), (b, (p2, m2)))
+                    lhs = bicyclic_mul(ca.apply_pair(grid), cm)
+                    rhs = bicyclic_mul(b.apply_pair(step), (p2, m2))
+                    for t in _differ(lhs, rhs):
+                        yield f"action law fails at x={pairs[t % len(pairs)]}"
 
     rep.first_failure("action_law", action_failures())
     return rep
@@ -773,22 +763,15 @@ def _efun_pairs(efun, x):
     return np.where(nonzero, fu, at_zero), np.where(nonzero, fv, at_zero)
 
 
-def efun_equal_on_window(f, g, n, L):
-    if f.zero_image != g.zero_image:
-        return False
-    return all(f.word_image(u) == g.word_image(u) for u in words_upto(n, L))
+def _composes_to(f, g, want, n, L):
+    """Whether f then g agrees with `want` at the zero and on the words of
+    window L; a function maps the zero, and each word it sends to the zero,
+    to its zero_image."""
 
+    def image(fn, u):
+        return fn.zero_image if u is None else fn.word_image(u)
 
-def compose_efuns(f, g):
-    """Apply f, then g, as a concrete function on window points."""
-
-    def word_image(u):
-        m = f.word_image(u)
-        return g.zero_image if m is None else g.word_image(m)
-
-    z = f.zero_image
-    return SimpleNamespace(n=f.n, word_image=word_image,
-                           zero_image=g.zero_image if z is None else g.word_image(z))
+    return all(image(g, image(f, u)) == image(want, u) for u in [None, *words_upto(n, L)])
 
 
 def classify_ordered_functor(n, L, zero_image, table):
@@ -931,43 +914,35 @@ def premorphism_ideal_check(n=2, L=3, cap=DEFAULT_SIZE_CAP):
         f"c({w1!r},{t1!r}) then c({w2!r},{t2!r})"
         for w1, t1 in cs
         for w2, t2 in cs
-        if not efun_equal_on_window(
-            compose_efuns(ConstPair(n, w1, t1), ConstPair(n, w2, t2)),
-            ConstPair(n, t2, t2), n, L,
-        )
+        if not _composes_to(ConstPair(n, w1, t1), ConstPair(n, w2, t2), ConstPair(n, t2, t2), n, L)
     ))
 
     rep.first_failure("constant_then_affine", (
         f"c({w1!r},{t1!r}) then affine {af}"
         for w1, t1 in cs
         for af in affs
-        if not efun_equal_on_window(
-            compose_efuns(ConstPair(n, w1, t1), af),
-            ConstPair(n, af.word_image(w1), af.word_image(t1)), n, L,
-        )
+        if not _composes_to(ConstPair(n, w1, t1), af,
+                            ConstPair(n, af.word_image(w1), af.word_image(t1)), n, L)
     ))
 
     rep.first_failure("affine_then_constant", (
         f"affine {af} then c({w1!r},{t1!r})"
         for w1, t1 in cs
         for af in affs
-        if not efun_equal_on_window(
-            compose_efuns(af, ConstPair(n, w1, t1)), ConstPair(n, w1, t1), n, L
-        )
+        if not _composes_to(af, ConstPair(n, w1, t1), ConstPair(n, w1, t1), n, L)
     ))
 
     z = ConstZero(n)
 
     def zero_failures():
         for fn in [z] + affs + [ConstPair(n, a, b) for a, b in cs]:
-            if not efun_equal_on_window(compose_efuns(fn, z), z, n, L):
+            if not _composes_to(fn, z, z, n, L):
                 yield f"{fn} then zero map"
         for af in affs:
-            if not efun_equal_on_window(compose_efuns(z, af), z, n, L):
+            if not _composes_to(z, af, z, n, L):
                 yield f"zero map then affine {af}"
         for a, b in cs:
-            got = compose_efuns(z, ConstPair(n, a, b))
-            if not efun_equal_on_window(got, ConstPair(n, a, a), n, L):
+            if not _composes_to(z, ConstPair(n, a, b), ConstPair(n, a, a), n, L):
                 yield f"zero map then c({a!r},{b!r}) is not c({a!r},{a!r})"
 
     rep.first_failure("zero_map_composition", zero_failures())

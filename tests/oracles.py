@@ -3,10 +3,12 @@
 The searches here enumerate the raw function space and filter by the
 defining property directly, bypassing the library's pruned searches; the
 plain loops, the element-order premorphism and heap searches, the flow
-pair loop, the interning polycyclic window sweep and the polycyclic endo,
-functor and heap sweeps on strings are the code that the library's numpy
+pair loop, the interning polycyclic window sweep, the polycyclic endo,
+functor and heap sweeps on strings, the functor check's composite objects
+and the bicyclic checks' scalar loops are the code that the library's numpy
 sweeps, inductive-groupoid order, forced heap search, composable-arrow
-splitting check and word-code sweeps replaced, kept as references.
+splitting check, word-code sweeps, composition helper and pair-array
+sweeps replaced, kept as references.
 A hypothesis strategy draws random inverse subsemigroups of I_n.
 """
 
@@ -16,6 +18,7 @@ import re
 from functools import lru_cache
 from itertools import permutations, product
 from string import ascii_lowercase
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import assume
@@ -61,14 +64,19 @@ from invhol.errors import NotSuffixPreserving, WindowExceeded
 from invhol.report import CheckReport
 from invhol.search import backtrack
 from invhol.polycyclic import (
+    AffineNat,
     AffineWordMap,
     _encode,
     _inv,
     _mul,
+    bicyclic_endo,
+    bicyclic_inv,
+    bicyclic_mul,
+    bicyclic_to_poly,
     is_suffix_code,
     pair_leq,
     poly_window,
-    window_values,
+    rewrite_mul,
     words_upto,
 )
 
@@ -732,6 +740,47 @@ def endo_classification_report(n, sigma_images, w, L):
     return rep
 
 
+def window_values(elems, op, arity):
+    """Every value of op on `arity` elements of a window, computed once per
+    window: (points, rows), where points lists the elements and then each
+    value that leaves the window, and rows holds each argument tuple with
+    its value as positions in points, in lexicographic order."""
+    points = list(elems)
+    index = {x: i for i, x in enumerate(points)}
+    rows = []
+    for args in product(range(len(elems)), repeat=arity):
+        val = op(*[elems[i] for i in args])
+        pos = index.get(val)
+        if pos is None:
+            pos = index[val] = len(points)
+            points.append(val)
+        rows.append((*args, pos))
+    return tuple(points), tuple(rows)
+
+
+def efun_equal_on_window(f, g, n, L):
+    if f.zero_image != g.zero_image:
+        return False
+    return all(f.word_image(u) == g.word_image(u) for u in words_upto(n, L))
+
+
+def compose_efuns(f, g):
+    """Apply f, then g, as a concrete function on window points."""
+
+    def word_image(u):
+        m = f.word_image(u)
+        return g.zero_image if m is None else g.word_image(m)
+
+    z = f.zero_image
+    return SimpleNamespace(n=f.n, word_image=word_image,
+                           zero_image=g.zero_image if z is None else g.word_image(z))
+
+
+def composes_to_by_efuns(f, g, want, n, L):
+    """polycyclic._composes_to through a composite object."""
+    return efun_equal_on_window(compose_efuns(f, g), want, n, L)
+
+
 @lru_cache(maxsize=None)
 def _product_window(n, L):
     return window_values(poly_window(n, L), _mul, 2)
@@ -819,6 +868,159 @@ class BentFunction:
 
     def __repr__(self):
         return f"Bent({self.fn!r}, {self.at!r} -> {self.image!r})"
+
+
+def bicyclic_report_by_loops(window=6, param=4):
+    """polycyclic.verify_bicyclic by scalar loops over the window's pairs:
+    the pair products are interned by window_values, and each
+    endomorphism's images are computed once per parameter."""
+    rep = CheckReport(f"bicyclic monoid, window {window}, parameters up to {param}")
+    pairs = [(i, j) for i in range(window + 1) for j in range(window + 1)]
+
+    def formula_failures():
+        for x in pairs:
+            for y in pairs:
+                via_words = rewrite_mul(bicyclic_to_poly(x), bicyclic_to_poly(y))
+                got = bicyclic_mul(x, y)
+                if via_words != bicyclic_to_poly(got):
+                    yield f"{x} * {y}: pair formula {got} vs rewriting {via_words}"
+
+    rep.first_failure("pair_formula_matches_rewriting", formula_failures())
+
+    rep.first_failure("identity", (
+        "identity (0,0) fails"
+        for x in pairs
+        if bicyclic_mul((0, 0), x) != x or bicyclic_mul(x, (0, 0)) != x
+    ))
+
+    params = [(k, p) for k in range(param + 1) for p in range(param + 1)]
+
+    points, products = window_values(pairs, bicyclic_mul, 2)
+
+    def multiplicativity_failures():
+        for k, p in params:
+            nu = bicyclic_endo(k, p)
+            image = [nu.apply_pair(x) for x in points]
+            for x, y, xy in products:
+                if image[xy] != bicyclic_mul(image[x], image[y]):
+                    yield f"(k,p)=({k},{p}) not multiplicative at {points[x]},{points[y]}"
+
+    rep.first_failure("endomorphism_family_multiplicative", multiplicativity_failures())
+
+    # generator image a -> a^-p a^(p+k) reproduces the formula through powers;
+    # the identity pair (0,0) stands for the word a a^-1, not an empty product
+    def power_failures():
+        for k, p in params:
+            nu = bicyclic_endo(k, p)
+            gen = (p, p + k)
+            for i, j in pairs:
+                if i == j == 0:
+                    acc = bicyclic_mul(gen, bicyclic_inv(gen))
+                else:
+                    acc = None
+                    for _ in range(i):
+                        step = bicyclic_inv(gen)
+                        acc = step if acc is None else bicyclic_mul(acc, step)
+                    for _ in range(j):
+                        acc = gen if acc is None else bicyclic_mul(acc, gen)
+                if acc != nu.apply_pair((i, j)):
+                    yield f"(k,p)=({k},{p}): power evaluation differs at ({i},{j})"
+
+    rep.first_failure("formula_matches_generator_powers", power_failures())
+
+    def composition_failures():
+        for k, p in params:
+            nu = bicyclic_endo(k, p)
+            image = [nu.apply_pair(x) for x in pairs]
+            for k2, p2 in params:
+                nu2 = bicyclic_endo(k2, p2)
+                comp = nu.compose(nu2)
+                if comp != AffineNat(k * k2, p * k2 + p2):
+                    yield f"affine composition fails at ({k},{p}),({k2},{p2})"
+                for x, x_nu in zip(pairs, image):
+                    if comp.apply_pair(x) != nu2.apply_pair(x_nu):
+                        yield f"composite map wrong at {x}"
+
+    rep.first_failure("family_composes_as_affine_maps", composition_failures())
+    return rep
+
+
+def bicyclic_hol_report_by_loops(param=4, window=6):
+    """polycyclic.bicyclic_hol_check by scalar loops over the free parts
+    (m, m2) and the window's pairs."""
+    rep = CheckReport(f"bicyclic holomorph, parameters up to {param}, window {window}")
+    params = [(k, p) for k in range(param + 1) for p in range(param + 1)]
+
+    def validity_failures():
+        for k, p in params:
+            nu = bicyclic_endo(k, p)
+            top = nu.apply_pair((0, 0))
+            for l in range(window + 1):
+                for m in range(window + 1):
+                    valid = bicyclic_mul((l, m), bicyclic_inv((l, m))) == top
+                    if valid != (l == p):
+                        yield f"(k,p)=({k},{p}): pair ({l},{m}) validity is {valid}"
+
+    rep.first_failure("transformation_part_forces_l_eq_p", validity_failures())
+
+    def diamond(e1, e2):
+        (a1, m1), (a2, m2) = e1, e2
+        return (a1.compose(a2), bicyclic_mul(a2.apply_pair(m1), m2))
+
+    def semidirect_failures():
+        for k, p in params:
+            a1 = bicyclic_endo(k, p)
+            for k2, p2 in params:
+                a2 = bicyclic_endo(k2, p2)
+                for m in range(window + 1):
+                    for m2 in range(window + 1):
+                        comp_alpha, comp_m = diamond((a1, (p, m)), (a2, (p2, m2)))
+                        want_alpha = AffineNat(k * k2, p * k2 + p2)
+                        want_m = (p * k2 + p2, m * k2 + m2)
+                        if comp_alpha != want_alpha or comp_m != want_m:
+                            yield (
+                                f"composition of ((k,p),m)=(({k},{p}),{m}) and "
+                                f"(({k2},{p2}),{m2}) gave {comp_alpha},{comp_m}"
+                            )
+
+    rep.first_failure("diamond_matches_semidirect_product", semidirect_failures())
+    rep.note("free part composes as m k' + m'; the translation p' cancels")
+
+    ident = (bicyclic_endo(1, 0), (0, 0))
+
+    def identity_failures():
+        for k, p, m in product(range(param + 1), repeat=3):
+            e = (bicyclic_endo(k, p), (p, m))
+            if diamond(ident, e) != e or diamond(e, ident) != e:
+                yield "identity pair does not compose neutrally"
+        # translations compose additively
+        for m, m2 in product(range(param + 1), repeat=2):
+            got = diamond((bicyclic_endo(1, 0), (0, m)), (bicyclic_endo(1, 0), (0, m2)))
+            if got != (bicyclic_endo(1, 0), (0, m + m2)):
+                yield "identity pair does not compose neutrally"
+
+    rep.first_failure("identity_pair_neutral", identity_failures())
+
+    small = [(k, p) for k in range(3) for p in range(3)]
+    pairs_w = [(i, j) for i in range(window + 1) for j in range(window + 1)]
+
+    def action_failures():
+        for k, p in small:
+            a = bicyclic_endo(k, p)
+            for m in range(3):
+                for k2, p2 in small:
+                    b = bicyclic_endo(k2, p2)
+                    for m2 in range(3):
+                        ca, cm = diamond((a, (p, m)), (b, (p2, m2)))
+                        for x in pairs_w:
+                            lhs = bicyclic_mul(ca.apply_pair(x), cm)
+                            step = bicyclic_mul(a.apply_pair(x), (p, m))
+                            rhs = bicyclic_mul(b.apply_pair(step), (p2, m2))
+                            if lhs != rhs:
+                                yield f"action law fails at x={x}"
+
+    rep.first_failure("action_law", action_failures())
+    return rep
 
 
 def rescan_rewrite_mul(x, y):

@@ -5,10 +5,10 @@ answers still hold.
 ``bench/jobs.py`` calls library functions by name.  A rename in the program
 would otherwise surface only as a crashed benchmark run; here it fails a
 test.  The poly workload's jobs must stay the checks of ``poly --check all``,
-and the zoo and poly workloads' jobs must give the verdicts
-``bench/answers.json`` pins: a renamed report line fails here, not only in
-the benchmark.  Both
-files are imported without running anything of the benchmark.
+and every job of the zoo, ladder and poly workloads must give the verdicts
+and trace counts ``bench/answers.json`` pins: a renamed report line or a
+changed count fails here, not only in the benchmark.  Both files are
+imported without running anything of the benchmark.
 """
 
 import argparse
@@ -60,35 +60,41 @@ def test_poly_jobs_are_the_checks_of_check_all():
     assert jobs.POLY_CHECKS == tuple(c for c in check.choices if c != "all")
 
 
-def _assert_pinned_verdicts(workload, count, directory):
+VERDICT = ("exit", "counts", "checks")
+
+
+def _assert_pinned(workload, count, directory, run, keys=VERDICT):
+    """Each job of the workload at seed 0, its inputs written to directory
+    and run by run(job, directory), gives the values answers.json pins
+    under keys."""
     answers = json.loads((BENCH / "answers.json").read_text())["jobs"]
     jobs.write_inputs(workload, 0, directory)
     workload_jobs = jobs.workload_jobs(workload, 0)
     assert len(workload_jobs) == count
     for job in workload_jobs:
-        res = jobs.run_job(job, directory)
+        res = run(job, directory)
         assert "error" not in res, (job.id, res.get("error"))
         want = answers[job.id]
-        assert [res[k] for k in ("exit", "counts", "checks")] == [
-            want[k] for k in ("exit", "counts", "checks")], job.id
+        assert [res[k] for k in keys] == [want[k] for k in keys], job.id
 
 
 def test_zoo_jobs_give_the_pinned_verdicts(tmp_path):
     """Each zoo job, run in this process on the catalogue labelling (seed 0,
     variant 0), gives the exit code, counts and per-check verdicts that
     answers.json pins."""
-    _assert_pinned_verdicts("zoo", 82, tmp_path)
+    _assert_pinned("zoo", 82, tmp_path, jobs.run_job)
 
 
 def test_poly_jobs_give_the_pinned_verdicts(tmp_path):
     """Each poly job, one check of `poly --check all` at seed 0, gives the
     verdicts answers.json pins: exit 0, and exit 1 for the heap check."""
-    _assert_pinned_verdicts("poly", 6, tmp_path)
+    _assert_pinned("poly", 6, tmp_path, jobs.run_job)
 
 
-def _traced_counts(job):
-    """The trace counters of one job, run traced in a forked child so that
-    no wrapper that tracing.install sets stays in this process."""
+def _traced_run(job, directory):
+    """run_job's result for one job with the trace counters, run traced in a
+    forked child so that no wrapper that tracing.install sets stays in this
+    process."""
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -96,8 +102,8 @@ def _traced_counts(job):
             os.close(r)
             tracer = tracing.Tracer(job.id)
             tracing.install(tracer)
-            jobs.run_job(job, None)
-            os.write(w, json.dumps(dict(tracer.counters)).encode())
+            res = jobs.run_job(job, directory)
+            os.write(w, json.dumps({**res, "trace_counts": dict(tracer.counters)}).encode())
         finally:
             os._exit(0)
     os.close(w)
@@ -107,10 +113,20 @@ def _traced_counts(job):
     return json.loads(data)
 
 
-def test_poly_jobs_give_the_pinned_trace_counts():
+def test_ladder_jobs_give_the_pinned_verdicts_and_trace_counts(tmp_path):
+    """Each ladder job, traced in a forked child, gives the verdict and the
+    counts of found maps, pairs and units that answers.json pins."""
+    _assert_pinned("ladder", 5, tmp_path, _traced_run, (*VERDICT, "trace_counts"))
+
+
+def test_zoo_jobs_give_the_pinned_trace_counts(tmp_path):
+    """Each zoo job, traced in a forked child, counts the premorphisms,
+    pairs, units, quadruples, heap maps and flows answers.json pins."""
+    _assert_pinned("zoo", 82, tmp_path, _traced_run, ("trace_counts",))
+
+
+def test_poly_jobs_give_the_pinned_trace_counts(tmp_path):
     """Each poly job, traced, counts the calls answers.json pins: the endo
     job runs endo_classification_check on its 49 letter maps and the heap
     job on its 16 affine representatives."""
-    answers = json.loads((BENCH / "answers.json").read_text())["jobs"]
-    for job in jobs.workload_jobs("poly", 0):
-        assert _traced_counts(job) == answers[job.id]["trace_counts"], job.id
+    _assert_pinned("poly", 6, tmp_path, _traced_run, ("trace_counts",))

@@ -199,7 +199,7 @@ def test_flows_honour_cap_size(files, capsys):
     assert main(["flows", paths["I2"], "--cap-size", "7"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "error: requested size 8 exceeds cap 7\n"
-    assert captured.out.endswith("using its ordered groupoid\noverall: pass\n")
+    assert captured.out.endswith("using its ordered groupoid\noverall: incomplete\n")
 
 
 @pytest.mark.parametrize("flags,size,cap", [
@@ -216,7 +216,7 @@ def test_poly_arith_honours_cap_size(capsys, flags, size, cap):
     assert time.perf_counter() - start < 10
     captured = capsys.readouterr()
     assert captured.err == f"error: requested size {size} exceeds cap {cap}\n"
-    assert captured.out.endswith("seed: 0\noverall: pass\n")
+    assert captured.out.endswith("seed: 0\noverall: incomplete\n")
 
 
 @pytest.mark.parametrize("flags,size,cap", [
@@ -233,7 +233,7 @@ def test_poly_zappa_honours_cap_size(capsys, flags, size, cap):
     assert time.perf_counter() - start < 10
     captured = capsys.readouterr()
     assert captured.err == f"error: requested size {size} exceeds cap {cap}\n"
-    assert captured.out.endswith("seed: 0\noverall: pass\n")
+    assert captured.out.endswith("seed: 0\noverall: incomplete\n")
 
 
 @pytest.mark.parametrize("check,alphabet,size", [
@@ -253,7 +253,7 @@ def test_poly_sweeps_honour_cap_size(capsys, check, alphabet, size):
     assert time.perf_counter() - start < 5
     captured = capsys.readouterr()
     assert captured.err == f"error: requested size {size} exceeds cap 5000\n"
-    assert captured.out.endswith("seed: 0\noverall: pass\n")
+    assert captured.out.endswith("seed: 0\noverall: incomplete\n")
 
 
 def test_poly_heap_runs_past_the_default_cap(capsys):
@@ -268,7 +268,7 @@ def test_poly_arith_code_overflow_is_an_error_line(capsys):
                  "--cap-size", "100000000000"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "error: pair codes of window L=11 over 2 letters overflow int64\n"
-    assert captured.out.endswith("overall: pass\n")
+    assert captured.out.endswith("overall: incomplete\n")
 
 
 def test_poly_zappa_code_overflow_is_an_error_line(capsys, monkeypatch):
@@ -280,7 +280,7 @@ def test_poly_zappa_code_overflow_is_an_error_line(capsys, monkeypatch):
     assert main(["poly", "--check", "zappa"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "error: image codes of length 64 over 2 letters overflow int64\n"
-    assert captured.out.endswith("overall: pass\n")
+    assert captured.out.endswith("overall: incomplete\n")
 
 
 def test_poly_expression(capsys):

@@ -42,6 +42,7 @@ POLY_EXPRESSIONS = [
     ("err_unclosed", "(ab", "2"),
     ("err_dangling_star", "a *", "2"),
     ("err_blank", "   ", "2"),
+    ("err_empty", "", "2"),
     ("err_close_first", "a) b", "2"),
     ("err_leading_star", "* a", "2"),
     ("err_double_inverse", "a ^-1 ^-1", "2"),

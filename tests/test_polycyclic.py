@@ -233,6 +233,94 @@ def test_bicyclic_reports():
     assert rep.ok, rep.render()
 
 
+def test_bicyclic_mul_on_arrays_is_the_scalar_formula():
+    """On component arrays the product is max(j, k)'s formula at every pair
+    of pairs, element by element, and on ints it stays in ints."""
+    args = list(product(product(range(5), repeat=2), repeat=2))
+    x, y = (tuple(np.array([a[side] for a in args]).T) for side in (0, 1))
+    got = P.bicyclic_mul(x, y)
+    for t, ((i, j), (k, l)) in enumerate(args):
+        m = max(j, k)
+        want = (i + m - j, l + m - k)
+        assert (got[0][t], got[1][t]) == want
+        scalar = P.bicyclic_mul((i, j), (k, l))
+        assert scalar == want and all(type(c) is int for c in scalar)
+
+
+def _bend_bicyclic(monkeypatch, kind, where):
+    """Bend one value of the bicyclic formulas, alike on ints and on arrays:
+    bicyclic_mul at one argument pair, or AffineNat.apply_pair for one
+    (k, p) at one point, by adding 1 to the first component; or
+    AffineNat.compose for one (k, p), by adding 1 to the translation."""
+    if kind == "mul":
+        (x0, y0), mul = where, P.bicyclic_mul
+
+        def bent(x, y):
+            i, j = mul(x, y)
+            return i + ((x[0] == x0[0]) & (x[1] == x0[1]) & (y[0] == y0[0]) & (y[1] == y0[1])), j
+
+        monkeypatch.setattr(P, "bicyclic_mul", bent)
+        monkeypatch.setattr(oracles, "bicyclic_mul", bent)
+    elif kind == "apply_pair":
+        (kp, (i0, j0)), apply_pair = where, P.AffineNat.apply_pair
+
+        def bent(self, x):
+            i, j = apply_pair(self, x)
+            return i + (((self.k, self.p) == kp) & (x[0] == i0) & (x[1] == j0)), j
+
+        monkeypatch.setattr(P.AffineNat, "apply_pair", bent)
+    else:
+        compose = P.AffineNat.compose
+
+        def bent(self, other):
+            c = compose(self, other)
+            return P.AffineNat(c.k, c.p + ((self.k, self.p) == where))
+
+        monkeypatch.setattr(P.AffineNat, "compose", bent)
+
+
+def _bicyclic_reports(window=6, param=4):
+    return [P.verify_bicyclic(window, param).to_dict(),
+            P.bicyclic_hol_check(param, window).to_dict()]
+
+
+BICYCLIC_BENDS = [
+    ("mul", ((0, 0), (2, 3))), ("mul", ((2, 2), (1, 2))), ("mul", ((4, 4), (4, 4))),
+    ("apply_pair", ((2, 1), (0, 0))), ("apply_pair", ((1, 2), (2, 5))),
+    ("compose", (1, 0)), ("compose", (2, 3)),
+]
+
+
+@pytest.mark.parametrize("window, param", [(6, 4), (2, 1), (3, 5), (0, 0)])
+def test_bicyclic_checks_match_scalar_loops(window, param):
+    assert _bicyclic_reports(window, param) == [
+        oracles.bicyclic_report_by_loops(window, param).to_dict(),
+        oracles.bicyclic_hol_report_by_loops(param, window).to_dict(),
+    ]
+
+
+@pytest.mark.parametrize("kind, where", BICYCLIC_BENDS)
+def test_bent_bicyclic_checks_match_scalar_loops(monkeypatch, kind, where):
+    """A bent formula fails lines of both checks; the witnesses are those of
+    the scalar loops, which meet the same bend."""
+    _bend_bicyclic(monkeypatch, kind, where)
+    got = _bicyclic_reports()
+    assert got == [oracles.bicyclic_report_by_loops().to_dict(),
+                   oracles.bicyclic_hol_report_by_loops().to_dict()]
+    assert not all(rep["ok"] for rep in got)
+
+
+def test_every_bicyclic_line_fails_under_some_bend(monkeypatch):
+    lines = {c["name"] for rep in _bicyclic_reports() for c in rep["checks"]}
+    failed = set()
+    for kind, where in BICYCLIC_BENDS:
+        with monkeypatch.context() as m:
+            _bend_bicyclic(m, kind, where)
+            failed |= {c["name"] for rep in _bicyclic_reports()
+                       for c in rep["checks"] if not c["ok"]}
+    assert len(lines) == 9 and failed == lines
+
+
 def test_affine_nat_composition():
     f = P.bicyclic_endo(2, 1)
     g = P.bicyclic_endo(3, 2)
@@ -445,8 +533,10 @@ def test_bent_endo_check_matches_string_reference(monkeypatch, at, image):
 
 
 def _with_string_sweeps(monkeypatch, check):
-    """The report of check() with the functor and heap sweeps on strings."""
+    """The report of check() with the functor and heap sweeps on strings and
+    the functor check's compositions through composite objects."""
     with monkeypatch.context() as m:
+        m.setattr(P, "_composes_to", oracles.composes_to_by_efuns)
         m.setattr(P, "_induced_failures", oracles.induced_premorphism_failures)
         m.setattr(P, "_heap_window", oracles.heap_window)
         m.setattr(P, "_heap_failures", oracles.heap_failures)
@@ -481,6 +571,13 @@ def test_bent_functor_and_heap_checks_match_string_sweeps(monkeypatch, check, cl
     got = CHECKS[check]().to_dict()
     assert got == _with_string_sweeps(monkeypatch, CHECKS[check])
     assert got != unbent
+
+
+def test_a_bent_constant_pair_fails_every_composition_line(monkeypatch):
+    _bend_every(monkeypatch, P.ConstPair, "b", "ab")
+    failed = {c.name for c in CHECKS["functors"]().failures()}
+    assert {"constant_then_constant", "constant_then_affine", "affine_then_constant",
+            "zero_map_composition"} <= failed
 
 
 def test_bent_induced_failures_match_string_sweep():
