@@ -395,34 +395,11 @@ def component_subgroupoid(G, keep):
     return OrderedGroupoid(dom, ran, inv, compose, leq, names=names)
 
 
-def wreath_product(group_table, m):
-    """The wreath product of a group with the full transformation monoid on m
-    points: elements (lam, theta) with lam: X -> L and theta: X -> X.
-
-    Returns (elements, mul_table) with elements in canonical sorted order.
-    """
-    k = len(group_table)
-    elems = sorted(
-        (lam, theta)
-        for lam in product(range(k), repeat=m)
-        for theta in product(range(m), repeat=m)
-    )
-    index = {e: i for i, e in enumerate(elems)}
-
-    def mul(e1, e2):
-        lam1, th1 = e1
-        lam2, th2 = e2
-        theta = tuple(th2[th1[x]] for x in range(m))
-        lam = tuple(group_table[lam1[x]][lam2[th1[x]]] for x in range(m))
-        return (lam, theta)
-
-    table = [[index[mul(a, b)] for b in elems] for a in elems]
-    return elems, table
-
-
 def check_flow_monoid_structure(G, cap=DEFAULT_FLOW_CAP):
-    """Decompose the flow monoid by connected components and verify each
-    connected piece against the explicit wreath product."""
+    """Decompose the flow monoid by connected components and verify that each
+    connected piece is the wreath product L wr T_m of its local group L with
+    the full transformation monoid on its m objects, on composable arrows:
+    no wreath table is built and no two flows are composed."""
     rep = CheckReport(f"flow monoid structure on {G!r}")
     flows = enumerate_flows(G, cap=cap)
     rep.add("flow_count", True, detail=f"|flows| = {len(flows)}")
@@ -467,57 +444,51 @@ def check_flow_monoid_structure(G, cap=DEFAULT_FLOW_CAP):
 
     for ci, (Gi, fl) in enumerate(zip(subs, sub_flows)):
         label = f"component_{ci}_wreath_iso"
-        m = len(Gi.identities)
-        base = Gi.identities[0]
-        local = [g for g in range(Gi.n) if Gi.dom[g] == base and Gi.ran[g] == base]
+        C, m, base = Gi.compose, len(Gi.identities), Gi.identities[0]
+        local = [g for g in Gi.star(base) if Gi.ran[g] == base]
         lidx = {g: i for i, g in enumerate(local)}
-        ltable = [[lidx[Gi.compose[(a, b)]] for b in local] for a in local]
-        connect = {}
-        ok = True
-        for y in Gi.identities:
-            cands = [g for g in range(Gi.n) if Gi.dom[g] == base and Gi.ran[g] == y]
-            if not cands:
-                rep.add(label, False, f"object {y} not reachable from base {base}")
-                ok = False
-                break
-            connect[y] = min(cands)
-        if not ok:
+        ltable = [[lidx[C[(a, b)]] for b in local] for a in local]
+        connect = {}  # the first arrow from base to each object
+        for g in Gi.star(base):
+            connect.setdefault(Gi.ran[g], g)
+        missing = [y for y in Gi.identities if y not in connect]
+        if missing:
+            rep.add(label, False, f"object {missing[0]} not reachable from base {base}")
             continue
 
-        welems, wtable = wreath_product(ltable, m)
-        windex = {e: i for i, e in enumerate(welems)}
-        gpos = {x: i for i, x in enumerate(Gi.identities)}
-
-        def to_wreath(t):
-            theta = tuple(gpos[Gi.ran[g]] for g in t)
-            lam = tuple(
-                lidx[
-                    Gi.compose[(
-                        Gi.compose[(connect[Gi.identities[x]], t[x])],
-                        Gi.inv[connect[Gi.ran[t[x]]]],
-                    )]
-                ]
-                for x in range(m)
-            )
-            return (lam, theta)
+        # t -> (lam, theta) is coordinatewise: coordinate x of t is that of its
+        # arrow g = t(x), the local element c_dom(g) g c_ran(g)^-1 and the
+        # position of ran g.  An arrow whose local element is undefined gets
+        # none, so the first flow holding it raises KeyError.
+        coord = [{} for _ in range(m)]  # coord[x][g] for g in the x-th star
+        for g in range(Gi.n):
+            lam = lidx.get(C.get((C.get((connect[Gi.dom[g]], g)), Gi.inv[connect[Gi.ran[g]]])))
+            if lam is not None:
+                coord[Gi.identity_index[Gi.dom[g]]][g] = (lam, Gi.identity_index[Gi.ran[g]])
 
         def wreath_failures():
-            if len(fl) != len(welems):
-                yield f"sizes differ: {len(fl)} flows vs {len(welems)} wreath elements"
+            size = len(local) ** m * m ** m
+            if len(fl) != size:
+                yield f"sizes differ: {len(fl)} flows vs {size} wreath elements"
                 return
-            images, seen = {}, set()
+            seen = set()
             for t in fl:
-                e = to_wreath(t)
+                e = tuple(cx[g] for cx, g in zip(coord, t))
                 if e in seen:
                     yield f"candidate map not injective at flow {t}"
                 seen.add(e)
-                images[t] = windex[e]
-            for t in fl:
-                for s in fl:
-                    if images[flow_compose(Gi, t, s)] != wtable[images[t]][images[s]]:
-                        yield f"candidate map not multiplicative at ({t},{s})"
+            # coordinate x of t s is that of the composable pair (t(x), s(y)),
+            # y = ran t(x), and each composable pair occurs so because each
+            # star holds its identity: the map is multiplicative iff every gh
+            # has coordinate (lam(g) lam(h), theta(h)).  A gh outside the star
+            # of dom g raises KeyError, as the composite flow is then no flow.
+            for cx in coord:
+                for g, (lam, y) in cx.items():
+                    for h, (mu, z) in coord[y].items():
+                        if cx[C[(g, h)]] != (ltable[lam][mu], z):
+                            yield f"candidate map not multiplicative at arrows ({g},{h})"
 
-        # the size identity is only claimed when the explicit map is an isomorphism
+        # the size identity is only claimed when the map is an isomorphism
         w = next(wreath_failures(), None)
         rep.add(label, w is None, w,
                 detail=None if w else f"|flows| = {len(fl)} = |L|^{m} * {m}^{m}")

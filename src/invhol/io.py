@@ -102,6 +102,8 @@ def read_groupoid(path):
         compose = {(g, h): k for g, h, k in obj.get("compose", [])}
         leq = [[False] * n for _ in range(n)]
         for a, b in obj.get("leq", []):
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"order pair {[a, b]} out of range")
             leq[a][b] = True
         names = obj.get("names")
         return OrderedGroupoid(dom, ran, inv, compose, leq, names=names)

@@ -2,13 +2,14 @@
 
 The searches here enumerate the raw function space and filter by the
 defining property directly, bypassing the library's pruned searches; the
-plain loops, the element-order premorphism and heap searches, the flow
-pair loop, the interning polycyclic window sweep, the polycyclic endo,
-functor and heap sweeps on strings, the functor check's composite objects
-and the bicyclic checks' scalar loops are the code that the library's numpy
-sweeps, inductive-groupoid order, forced heap search, composable-arrow
-splitting check, word-code sweeps, composition helper and pair-array
-sweeps replaced, kept as references.
+plain loops, the heap-preservation triple loop, the element-order
+premorphism and heap searches, the flow pair loops with the explicit wreath
+table, the interning polycyclic window sweep, the polycyclic endo, functor
+and heap sweeps on strings, the functor check's composite objects and the
+bicyclic checks' scalar loops are the code that the library's numpy sweeps
+and gathers, inductive-groupoid order, forced heap search, composable-arrow
+flow checks, word-code sweeps, composition helper and pair-array sweeps
+replaced, kept as references.
 A hypothesis strategy draws random inverse subsemigroups of I_n.
 """
 
@@ -41,9 +42,8 @@ from invhol.groupoid import (
     enumerate_flows,
     flow_compose,
     verify_ordered_groupoid,
-    wreath_product,
 )
-from invhol.heap import _embed, enumerate_sha, is_heap_preserving
+from invhol.heap import _embed, enumerate_sha
 from invhol.holomorph import (
     HolElement,
     enumerate_holomorph,
@@ -400,6 +400,20 @@ def sha_embedding_report_by_loops(S, sha=None):
     return rep
 
 
+def heap_preserving_by_loops(S, eta):
+    """heap.is_heap_preserving by a loop over every triple (a, b, c)."""
+    mul, inv = S.mul, S.inv
+    n = S.size
+    for a in range(n):
+        for b in range(n):
+            ab = mul[a][inv[b]]
+            hab = mul[eta[a]][inv[eta[b]]]
+            for c in range(n):
+                if eta[mul[ab][c]] != mul[hab][eta[c]]:
+                    return False
+    return True
+
+
 def sha_monoid_iso_report_by_loops(M, sha=None, mon=None):
     """heap.verify_sha_monoid_iso with every pair of maps compared by one
     mon_diamond call."""
@@ -437,7 +451,7 @@ def sha_monoid_iso_report_by_loops(M, sha=None, mon=None):
         for a in sub:
             h = hol_from_mon(M, a)
             eta = tuple(hol_action(M, s, h) for s in range(M.size))
-            if not is_heap_preserving(M, eta):
+            if not heap_preserving_by_loops(M, eta):
                 yield f"pair {a} does not act as an ordered heap map"
             elif a not in image:
                 yield f"pair {a} is not hit by the embedding"
@@ -1548,10 +1562,37 @@ def esn_back_by_loops(G, cap=None):
     return build_from_table(G.names, mul, cap=cap)
 
 
+def wreath_product(group_table, m):
+    """The wreath product of a group with the full transformation monoid on m
+    points: elements (lam, theta) with lam: X -> L and theta: X -> X.
+
+    Returns (elements, mul_table) with elements in canonical sorted order.
+    """
+    k = len(group_table)
+    elems = sorted(
+        (lam, theta)
+        for lam in product(range(k), repeat=m)
+        for theta in product(range(m), repeat=m)
+    )
+    index = {e: i for i, e in enumerate(elems)}
+
+    def mul(e1, e2):
+        lam1, th1 = e1
+        lam2, th2 = e2
+        theta = tuple(th2[th1[x]] for x in range(m))
+        lam = tuple(group_table[lam1[x]][lam2[th1[x]]] for x in range(m))
+        return (lam, theta)
+
+    table = [[index[mul(a, b)] for b in elems] for a in elems]
+    return elems, table
+
+
 def flow_monoid_structure_by_pairs(G, cap=DEFAULT_FLOW_CAP):
     """check_flow_monoid_structure deciding component_product_iso by
     composing every pair of whole-groupoid flows and comparing the split
-    composite with the componentwise composites."""
+    composite with the componentwise composites, and each wreath line by
+    composing every pair of the component's flows against the explicit
+    wreath_product table."""
     rep = CheckReport(f"flow monoid structure on {G!r}")
     flows = enumerate_flows(G, cap=cap)
     rep.add("flow_count", True, detail=f"|flows| = {len(flows)}")
@@ -1577,9 +1618,9 @@ def flow_monoid_structure_by_pairs(G, cap=DEFAULT_FLOW_CAP):
         return tuple(tuple(amap[t[pos[x]]] for x in c) for c, amap in zip(comps, arrow_maps))
 
     def splitting_failures():
-        seen = set()
+        seen, splits = set(), {}
         for t in flows:
-            s = split(t)
+            s = splits[t] = split(t)
             if s in seen:
                 yield f"splitting map not injective at flow {t}"
             seen.add(s)
@@ -1588,7 +1629,7 @@ def flow_monoid_structure_by_pairs(G, cap=DEFAULT_FLOW_CAP):
                 lhs = split(flow_compose(G, t, s))
                 rhs = tuple(
                     flow_compose(Gi, a, b)
-                    for Gi, a, b in zip(subs, split(t), split(s))
+                    for Gi, a, b in zip(subs, splits[t], splits[s])
                 )
                 if lhs != rhs:
                     yield f"splitting map not multiplicative at ({t},{s})"

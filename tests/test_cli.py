@@ -86,6 +86,24 @@ def test_groupoid_index_out_of_range_exits_2(tmp_path, capsys):
     )
 
 
+def test_groupoid_order_pair_out_of_range_exits_2(files, tmp_path, capsys):
+    # Z2's groupoid with a negative order pair, which list indexing would
+    # read as the pair (0, 0)
+    _, paths = files
+    from invhol import groupoid as gp
+
+    obj = io.groupoid_to_dict(gp.esn_forward(io.read_semigroup(paths["Z2"])))
+    obj["leq"] = [[-2, -2], [1, 1]]
+    bad = tmp_path / "badg.json"
+    io._dump(obj, bad)
+    assert main(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {bad}: malformed groupoid data: order pair [-2, -2] out of range\n"
+    )
+
+
 def test_verify_corrupted_groupoid_exits_1(files, capsys, tmp_path):
     _, paths = files
     from invhol import groupoid as gp

@@ -136,6 +136,11 @@ def _cases():
         cases[f"flows_i3_cap100000_{fmt}"] = [
             "flows", "tests/golden/i3.json", "--cap-size", "100000", "--format", fmt
         ]
+        # the connected groupoid on three objects with local group Z3: 27
+        # arrows, 729 flows in one wreath product Z3 wr T_3
+        cases[f"flows_connected3_z3_{fmt}"] = [
+            "flows", "tests/golden/connected3_z3_groupoid.json", "--format", fmt
+        ]
         # expressions: valid ones print their value, malformed ones exit 2
         # with one error line, one case per parser message at least
         for label, expr, alphabet in POLY_EXPRESSIONS:

@@ -20,12 +20,12 @@ from invhol.groupoid import (
     pseudoproduct,
     restriction,
     verify_ordered_groupoid,
-    wreath_product,
 )
 
 import oracles
 
 Z2 = [[0, 1], [1, 0]]
+Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
 def trivial_groupoid():
@@ -220,7 +220,7 @@ def test_ordered_flows(zoo):
 
 
 def test_wreath_product_size():
-    elems, table = wreath_product(Z2, 2)
+    elems, table = oracles.wreath_product(Z2, 2)
     assert len(elems) == 16
     n = len(elems)
     for i in range(n):
@@ -250,21 +250,23 @@ def test_flow_monoid_single_object_group():
 
 
 
-def test_flow_monoid_reports_wreath_map_failure(monkeypatch):
-    from invhol import groupoid as gp
-
-    real = gp.wreath_product
-
-    def rows_swapped(group_table, m):
-        # exchanging two rows leaves a table the explicit map cannot match
-        elems, table = real(group_table, m)
-        return elems, [table[1], table[0]] + table[2:]
-
-    monkeypatch.setattr(gp, "wreath_product", rows_swapped)
-    line = check_flow_monoid_structure(oracles.connected_groupoid(2, Z2)).checks[-1]
-    assert line.name == "component_0_wreath_iso" and not line.ok
-    assert line.witness.startswith("candidate map not multiplicative at")
-    assert line.detail is None
+def test_flow_monoid_reports_wreath_map_failure():
+    # the non-identity loop at base squared to itself: the local-group table
+    # the check reads is no group table, so some composite of arrows misses
+    # the product of the coordinates; the splitting line still passes
+    G = oracles.connected_groupoid(2, Z2)
+    loop = G.names.index("(0,1,0)")
+    H = OrderedGroupoid(G.dom, G.ran, G.inv, {**G.compose, (loop, loop): loop}, G.leq,
+                        names=G.names)
+    for check in (check_flow_monoid_structure, oracles.flow_monoid_structure_by_pairs):
+        rep = check(H)
+        assert [(c.name, c.ok) for c in rep.checks[:3]] == [
+            ("flow_count", True), ("component_product_count", True),
+            ("component_product_iso", True)]
+        line = rep.checks[-1]
+        assert line.name == "component_0_wreath_iso" and not line.ok
+        assert line.witness.startswith("candidate map not multiplicative at")
+        assert line.detail is None
 
 
 def test_flow_monoid_reports_wreath_map_not_injective(zoo):
@@ -277,6 +279,22 @@ def test_flow_monoid_reports_wreath_map_not_injective(zoo):
         line = check(H).checks[-1]
         assert (line.name, line.ok, line.witness) == (
             "component_0_wreath_iso", False, "candidate map not injective at flow (1,)")
+
+
+def test_flow_monoid_reports_wreath_size_mismatch():
+    # no groupoid: a loop b at object 1 and none but the identity at object 0,
+    # so 2 x 3 flows against |L|^2 * 2^2 = 4 with the trivial local group at 0
+    i0, i1, a, a_, b = range(5)
+    compose = {(i0, i0): i0, (i0, a): a, (a, i1): a, (a, a_): i0, (a, b): a,
+               (i1, i1): i1, (i1, a_): a_, (i1, b): b, (a_, i0): a_, (a_, a): i1,
+               (b, i1): b, (b, a_): a_, (b, b): i1}
+    leq = [[x == y for y in range(5)] for x in range(5)]
+    H = OrderedGroupoid([i0, i1, i0, i1, i1], [i0, i1, i1, i0, i1], [i0, i1, a_, a, b],
+                        compose, leq)
+    for check in (check_flow_monoid_structure, oracles.flow_monoid_structure_by_pairs):
+        line = check(H).checks[-1]
+        assert (line.name, line.ok, line.witness) == (
+            "component_0_wreath_iso", False, "sizes differ: 6 flows vs 4 wreath elements")
 
 
 def i2_times_chain2():
@@ -294,22 +312,23 @@ def flow_outcome(check, G):
 
 
 def test_flow_splitting_check_matches_pair_loop(zoo):
-    # the composable-arrow check decides what composing every pair of flows
-    # decided, on valid groupoids and on groupoids with one composite changed
-    # or dropped, which a library caller can pass in (`invhol flows` rejects them)
-    cases = [esn_forward(S) for S in zoo.values()] + [
-        i2_times_chain2(),
-        oracles.disjoint_union(
-            oracles.connected_groupoid(1, Z2), oracles.connected_groupoid(2, [[0]])),
-        oracles.disjoint_union(esn_forward(zoo["I2"]), oracles.connected_groupoid(2, Z2)),
-    ]
+    # the composable-arrow checks decide what composing every pair of flows,
+    # against the wreath table for the wreath lines, decided: on valid
+    # groupoids and on groupoids with one composite changed or dropped, which
+    # a library caller can pass in (`invhol flows` rejects them)
+    bases = {name: esn_forward(S) for name, S in zoo.items()}
+    bases["connected(2, Z3)"] = oracles.connected_groupoid(2, Z3)
+    bases["connected(3, Z2)"] = oracles.connected_groupoid(3, Z2)
+    cases = [*bases.values(), i2_times_chain2(),
+             oracles.disjoint_union(
+                 oracles.connected_groupoid(1, Z2), oracles.connected_groupoid(2, [[0]])),
+             oracles.disjoint_union(esn_forward(zoo["I2"]), oracles.connected_groupoid(2, Z2))]
     for G in cases:
         assert flow_outcome(check_flow_monoid_structure, G) == flow_outcome(
             oracles.flow_monoid_structure_by_pairs, G)
         assert check_flow_monoid_structure(G).ok
     kinds = set()
-    for name, S in zoo.items():
-        G = esn_forward(S)
+    for name, G in bases.items():
         rng = random.Random(f"flows {name}")
         for _ in range(20):
             changed, dropped = dict(G.compose), dict(G.compose)
@@ -328,18 +347,20 @@ def test_flow_splitting_check_matches_pair_loop(zoo):
 
 
 def test_flow_splitting_check_composes_no_whole_groupoid_flows(monkeypatch):
-    # the pair loop composed all 64^2 pairs of I2 x chain2's flows; the check
-    # composes flows only inside components, for the wreath lines
+    # the pair loops composed all 64^2 pairs of I2 x chain2's flows and every
+    # pair of each component's flows; the check composes no flow at all
     from invhol import groupoid as gp
 
     G = i2_times_chain2()
-    real, calls = gp.flow_compose, []
-
-    def counted(H, t, s):
-        calls.append(H is G)
-        return real(H, t, s)
-
-    monkeypatch.setattr(gp, "flow_compose", counted)
+    calls = []
+    monkeypatch.setattr(gp, "flow_compose", lambda H, t, s: calls.append(t))
     assert check_flow_monoid_structure(G).ok
     assert len(enumerate_flows(G)) == 64
-    assert calls and not any(calls)
+    assert calls == []
+
+
+def test_flow_monoid_decides_four_objects():
+    # 20,736 flows: the wreath table would have 20,736^2 entries
+    line = check_flow_monoid_structure(oracles.connected_groupoid(4, Z3)).checks[-1]
+    assert (line.name, line.ok, line.detail) == (
+        "component_0_wreath_iso", True, "|flows| = 20736 = |L|^4 * 4^4")

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -186,6 +187,48 @@ def test_constant_maps_preserve_heap(zoo):
         S = zoo[name]
         for c in range(S.size):
             assert is_heap_preserving(S, (c,) * S.size)
+
+
+def test_heap_preservation_gather_matches_triple_loop(zoo):
+    # every heap map, random maps, and heap maps with one value bent, on the
+    # zoo and I3
+    rng = random.Random("heap gather")
+    verdicts = set()
+    for name, S in dict(zoo, I3=core.build_symmetric_inverse_monoid(3)).items():
+        sha = enumerate_sha(S)
+        maps = sha + [tuple(rng.choices(range(S.size), k=S.size)) for _ in range(20)]
+        for eta in rng.sample(sha, min(20, len(sha))):
+            bent = list(eta)
+            bent[rng.randrange(S.size)] = rng.randrange(S.size)
+            maps.append(tuple(bent))
+        for eta in maps:
+            got = is_heap_preserving(S, eta)
+            assert got == oracles.heap_preserving_by_loops(S, eta), (name, eta)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_heap_preservation_gather_over_several_row_blocks():
+    # I3 x chain2 has 68 elements, so the gather takes its rows a in blocks of
+    # 14; relabelled so that the rows where the identity with 0 sent to 1
+    # fails come last, that map fails in no row of the first two blocks
+    S = core.direct_product(core.build_symmetric_inverse_monoid(3), core.chain_semilattice(2))
+    n = S.size
+    bent = (1,) + tuple(range(1, n))
+    failing = [a for a in range(n) if any(
+        bent[heap(S, a, b, c)] != heap(S, bent[a], bent[b], bent[c])
+        for b in range(n) for c in range(n))]
+    order = [a for a in range(n) if a not in failing] + failing
+    assert order.index(failing[0]) >= 28
+    p = [order.index(a) for a in range(n)]
+    T = oracles.relabelled(S, p)
+    ident = tuple(range(n))
+    maps = [ident, (0,) * n, (n - 1,) * n, tuple(p[bent[order[a]]] for a in range(n))]
+    for i in (0, n // 2, n - 1):
+        maps.append(ident[:i] + ((i + 1) % n,) + ident[i + 1:])
+    got = [is_heap_preserving(T, eta) for eta in maps]
+    assert got == [oracles.heap_preserving_by_loops(T, eta) for eta in maps]
+    assert got[:4] == [True, True, True, False]
 
 
 def test_phi_formula(zoo):
