@@ -128,10 +128,11 @@ def cmd_sha(args, out):
     sha = heap.enumerate_sha(S, budget=args.budget)
     out.counts["heap_monoid_size"] = len(sha)
     out.counts["bijective_heap_maps"] = len(heap.bijective_heap_maps(sha))
-    out.sections.append(heap.verify_sha_embedding(S, sha))
+    by_eta = {eta: heap.embed(S, eta) for eta in sha}
+    out.sections.append(heap.verify_sha_embedding(S, sha, by_eta))
     if S.identity is not None:
         mon = holomorph.mon_hol(S, morphisms.enumerate_premorphisms(S, budget=args.budget))
-        out.sections.append(heap.verify_sha_monoid_iso(S, sha, mon))
+        out.sections.append(heap.verify_sha_monoid_iso(S, sha, mon, by_eta))
     if args.dump:
         io._dump({"elements": [{"eta": list(eta)} for eta in sha]}, args.dump)
         out.lines.append(f"dumped {len(sha)} maps to {args.dump}")

@@ -34,7 +34,7 @@ def first_nonassociative(elems, product):
     Products are interned to integer ids, each distinct value once in
     first-seen order, so a repeated element or a product that leaves
     ``elems`` (as on a window of an infinite monoid) still compares by
-    value; the sweep then runs one vectorised row at a time.
+    value; first_nonassociative_table then decides the id tables.
     """
     ids = {e: i for i, e in enumerate(dict.fromkeys(elems))}
     distinct = len(ids)
@@ -57,10 +57,11 @@ def first_nonassociative(elems, product):
 
 
 def first_nonassociative_table(m1, left=None, right=None):
-    """first_nonassociative over a table of product ids, one vectorised row
-    per left factor; `left` and `right` extend it to ids outside it."""
+    """first_nonassociative over a table of product ids (`left` and `right`
+    extend it to ids outside it), one vectorised row per left factor; a
+    closed table is swept only if it fails light_associative."""
     if left is None:
-        left = right = m1
+        return None if light_associative(m1) else first_nonassociative_table(m1, m1, m1)
     for i in range(len(m1)):
         lhs = left[m1[i, :], :]          # lhs[j,k] = (x_i x_j) x_k
         rhs = right[i, m1]               # rhs[j,k] = x_i (x_j x_k)
@@ -68,6 +69,34 @@ def first_nonassociative_table(m1, left=None, right=None):
         if differ.any():
             return (i, *next(hits(differ)))
     return None
+
+
+def light_associative(M):
+    """Light's test (Clifford-Preston I, 1.2): the square table M is associative
+    iff (x g) y = x (g y) for g in generators, as the g that pass form a
+    submagma of any magma: if g and h pass, (x(gh))y = ((xg)h)y = (xg)(hy) =
+    x(g(hy)) = x((gh)y).  One gather takes every g while n^3 <= BLOCK_ENTRIES."""
+    n = len(M)
+    if n ** 3 <= BLOCK_ENTRIES:
+        return bool((M[M] == M[:, M]).all())
+    return 0 <= M.min() and M.max() < n and all(
+        (M[M[:, g]] == M[:, M[g]]).all() for g in greedy_generators(M))
+
+
+def greedy_generators(M):
+    """Generators of the square table M: each next the unreached element with
+    the most distinct entries in its row, closing the reached set under
+    products with the generators on either side, until all is reached."""
+    rows = np.sort(M, axis=1)
+    reached, gens = np.zeros(len(M), bool), []
+    for g in (rows[:, 1:] == rows[:, :-1]).sum(axis=1).argsort(kind="stable").tolist():
+        if not reached[g]:
+            gens.append(g)
+            fresh = np.concatenate(([g], M[g, reached], M[reached, g]))
+            while len(fresh := fresh[~reached[fresh]]):
+                reached[fresh] = True
+                fresh = np.concatenate((M[gens][:, fresh].ravel(), M[fresh][:, gens].ravel()))
+    return gens
 
 
 # The sweeps below keep to array methods, operators and indexing: in a

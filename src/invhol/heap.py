@@ -200,10 +200,10 @@ def sha_embed(S, eta):
     eta = tuple(eta)
     if not is_heap_preserving(S, eta):
         raise NotHeapPreserving(f"map {eta} is not an ordered heap map")
-    return _embed(S, eta)
+    return embed(S, eta)
 
 
-def _embed(S, eta):
+def embed(S, eta):
     """sha_embed of a map already known to preserve the heap, such as one of
     enumerate_sha: phi_eta is a -> eta(a) eta(a^-1 a)^-1."""
     mul, inv = S.mul, S.inv
@@ -247,13 +247,13 @@ def multiplicative_failures(S, sha, by_eta, A, T, R, diamond, witness):
     return replay(flagged, failures)
 
 
-def verify_sha_embedding(S, sha=None):
+def verify_sha_embedding(S, sha=None, by_eta=None):
     """The embedding into the holomorph is injective and multiplicative."""
     rep = CheckReport(f"heap monoid embedding on {S!r}")
     if sha is None:
         sha = enumerate_sha(S)
     rep.add("sha_count", True, detail=f"|heap monoid| = {len(sha)}")
-    by_eta = {eta: _embed(S, eta) for eta in sha}
+    by_eta = by_eta or {eta: embed(S, eta) for eta in sha}
     images = {}
 
     def injectivity_failures():
@@ -283,7 +283,7 @@ def verify_sha_embedding(S, sha=None):
     return rep
 
 
-def verify_sha_monoid_iso(M, sha=None, mon=None):
+def verify_sha_monoid_iso(M, sha=None, mon=None, by_eta=None):
     """For an inverse monoid, the heap monoid is exactly the submonoid of
     compressed holomorph pairs whose first component is an endomorphism."""
     rep = CheckReport(f"heap monoid vs endomorphism pairs on {M!r}")
@@ -303,7 +303,7 @@ def verify_sha_monoid_iso(M, sha=None, mon=None):
     )
 
     # forward: every heap map embeds onto an endomorphism pair
-    by_eta = {eta: mon_from_hol(M, _embed(M, eta)) for eta in sha}
+    by_eta = {eta: mon_from_hol(M, by_eta[eta] if by_eta else embed(M, eta)) for eta in sha}
     sub_set = set(sub)
     image = set()
 

@@ -43,7 +43,7 @@ from invhol.groupoid import (
     flow_compose,
     verify_ordered_groupoid,
 )
-from invhol.heap import _embed, enumerate_sha
+from invhol.heap import embed, enumerate_sha
 from invhol.holomorph import (
     HolElement,
     enumerate_holomorph,
@@ -147,6 +147,15 @@ def first_nonassociative_by_loops(elems, product):
                 if product(product(x, y), z) != product(x, product(y, z)):
                     return (i, j, k)
     return None
+
+
+def closure_under_products(mul, gens):
+    """Every element that products of two reached elements reach from
+    ``gens``, by a plain loop until nothing new is reached."""
+    reached = set(gens)
+    while new := {mul[a][b] for a in reached for b in reached} - reached:
+        reached |= new
+    return reached
 
 
 def holomorph_pairs_by_filter(S):
@@ -366,7 +375,7 @@ def sha_embedding_report_by_loops(S, sha=None):
     if sha is None:
         sha = enumerate_sha(S)
     rep.add("sha_count", True, detail=f"|heap monoid| = {len(sha)}")
-    by_eta = {eta: _embed(S, eta) for eta in sha}
+    by_eta = {eta: embed(S, eta) for eta in sha}
     images = {}
 
     def injectivity_failures():
@@ -432,7 +441,7 @@ def sha_monoid_iso_report_by_loops(M, sha=None, mon=None):
         None if len(sub) == len(sha) else f"|End x M| = {len(sub)} vs |Sha| = {len(sha)}",
         detail=f"{len(sha)} heap maps, {len(sub)} endomorphism pairs",
     )
-    by_eta = {eta: mon_from_hol(M, _embed(M, eta)) for eta in sha}
+    by_eta = {eta: mon_from_hol(M, embed(M, eta)) for eta in sha}
     sub_set = set(sub)
     image = set()
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from invhol import catalog, holomorph, io, morphisms, polycyclic
+from invhol import catalog, heap, holomorph, io, morphisms, polycyclic
 from invhol.cli import main
 from invhol.errors import ParseError
 
@@ -188,6 +188,16 @@ def test_sha_counts(files, capsys):
     assert main(["sha", paths["Z3"]]) == 0
     out = capsys.readouterr().out
     assert "heap_monoid_size: 9" in out
+
+
+def test_sha_embeds_each_map_once(files, capsys, monkeypatch):
+    # verify_sha_embedding and verify_sha_monoid_iso read one embedding per map
+    _, paths = files
+    calls, embed = [], heap.embed
+    monkeypatch.setattr(heap, "embed", lambda S, eta: calls.append(eta) or embed(S, eta))
+    assert main(["sha", paths["I2"]]) == 0
+    assert "monoid_isomorphism" in capsys.readouterr().out
+    assert calls == heap.enumerate_sha(io.read_semigroup(paths["I2"]))
 
 
 def test_esn_round_trip_and_flows(files, capsys, tmp_path):

@@ -15,6 +15,7 @@ from invhol.core import (
     meet_idempotents,
     verify_semigroup_properties,
 )
+from invhol.holomorph import hol_table
 from invhol.errors import (
     LinkingIncompatible,
     NotAssociative,
@@ -84,6 +85,81 @@ def test_first_nonassociative_matches_oracle_on_corrupted_tables(zoo):
             repeats_failing += got is not None
     assert failing > 40
     assert repeats_failing > 20, repeats_failing
+
+
+def _ladder_structures():
+    return {
+        "I4": build_symmetric_inverse_monoid(4),
+        "I3": build_symmetric_inverse_monoid(3),
+        "S4": core.symmetric_group(4),
+        "I2xchain2": core.direct_product(
+            build_symmetric_inverse_monoid(2), core.chain_semilattice(2)),
+    }
+
+
+def test_greedy_generators_generate_the_table(zoo):
+    for name, S in {**zoo, **_ladder_structures()}.items():
+        for R in (S, *oracles.seeded_relabellings(S, name, 2)):
+            gens = core.greedy_generators(R.mul_array)
+            assert len(set(gens)) == len(gens), name
+            assert oracles.closure_under_products(R.mul, gens) == set(range(R.size)), name
+    # a chain's product is the smaller element, so no element is a product of others
+    assert sorted(core.greedy_generators(zoo["chain4"].mul_array)) == [0, 1, 2, 3]
+
+
+def _constructor_triple(mul):
+    try:
+        build_from_table(None, mul)
+    except NotAssociative as exc:
+        return exc.triple
+    except NotInverse:
+        pass
+    return None
+
+
+def test_light_test_agrees_with_the_row_sweep_above_one_block(zoo):
+    # tables of more than 40 elements, where light_associative takes the greedy
+    # generators; the sweep with left = right = the table is the row sweep alone
+    I4 = build_symmetric_inverse_monoid(4)
+    tables = {"I4": I4.mul_array}
+    for i, R in enumerate(oracles.seeded_relabellings(I4, "I4", 3), 1):
+        tables[f"I4/{i}"] = R.mul_array
+    tables["I2xS3"] = core.direct_product(zoo["I2"], zoo["S3"]).mul_array
+    for name in ("S3", "V4"):
+        tables[f"Hol({name})"] = hol_table(zoo[name]).diamond
+    draws = failing = 0
+    for name, M in tables.items():
+        n = len(M)
+        assert n ** 3 > core.BLOCK_ENTRIES and core.light_associative(M), name
+        assert core.first_nonassociative_table(M) is None
+        rng = random.Random(name)
+        for _ in range(4):
+            bent = M.copy()
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                bent[i, j] = (bent[i, j] + rng.randrange(1, n)) % n
+            want = core.first_nonassociative_table(bent, bent, bent)
+            assert core.first_nonassociative_table(bent) == want, name
+            assert _constructor_triple(bent.tolist()) == want, name
+            if n <= 42:
+                rows = bent.tolist()
+                assert want == oracles.first_nonassociative_by_loops(
+                    range(n), lambda a, b: rows[a][b]), name
+            draws += 1
+            failing += want is not None
+    assert draws == 28 and failing > 24, failing
+
+    # a corruption in row 0 of a large diamond table: the sweep stops at row 0
+    D = hol_table(build_symmetric_inverse_monoid(3)).diamond
+    assert len(D) == 1105 and core.light_associative(D)
+    rng = random.Random("Hol(I3)")
+    for _ in range(3):
+        bent = D.copy()
+        j = rng.randrange(len(D))
+        bent[0, j] = (bent[0, j] + rng.randrange(1, len(D))) % len(D)
+        want = core.first_nonassociative_table(bent, bent, bent)
+        assert want is not None and want[0] == 0
+        assert core.first_nonassociative_table(bent) == want
 
 
 def test_first_nonassociative_interns_products_outside_the_window():
