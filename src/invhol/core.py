@@ -161,7 +161,8 @@ class InverseSemigroup:
             if len(row) != n:
                 raise ValueError("multiplication table is not square")
             for v in row:
-                if not (isinstance(v, int) and 0 <= v < n):
+                # not isinstance: JSON true and false are ints to Python
+                if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"table entry {v!r} out of range")
         self.size = n
         self.names = [str(x) for x in names]

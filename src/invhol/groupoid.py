@@ -22,7 +22,7 @@ DEFAULT_FLOW_CAP = 10**6
 
 def _check_indices(values, n, what):
     for v in values:
-        if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
+        if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and 0 <= v < n):
             raise ValueError(f"{what} {v!r} out of range")
 
 
@@ -35,9 +35,11 @@ class OrderedGroupoid:
         self.inv = list(inv)
         self.compose = dict(compose)
         self.leq = [list(map(bool, row)) for row in leq]
-        self.names = [str(x) for x in names] if names else [f"g{i}" for i in range(n)]
+        self.names = [f"g{i}" for i in range(n)] if names is None else [str(x) for x in names]
         if len(self.ran) != n or len(self.inv) != n:
             raise ValueError("arrow data disagree in length")
+        if len(self.names) != n:
+            raise ValueError("names and arrow count disagree")
         _check_indices(self.dom + self.ran, n, "endpoint")
         _check_indices(self.inv, n, "inverse")
         _check_indices([x for pair in self.compose for x in pair], n, "composable arrow")

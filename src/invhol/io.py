@@ -48,6 +48,13 @@ def write_semigroup(path, S):
     _dump(semigroup_to_dict(S), path)
 
 
+def _check_names(path, names):
+    if names is not None and (
+        not isinstance(names, list) or not all(isinstance(x, str) for x in names)
+    ):
+        raise ParseError(f"{path}: \"names\" must be a list of strings")
+
+
 def read_semigroup(path, cap=core.DEFAULT_SIZE_CAP):
     obj = _load(path)
     if not isinstance(obj, dict) or "mul" not in obj:
@@ -56,16 +63,13 @@ def read_semigroup(path, cap=core.DEFAULT_SIZE_CAP):
     mul = obj["mul"]
     if not isinstance(mul, list) or not all(isinstance(r, list) for r in mul):
         raise ParseError(f"{path}: \"mul\" must be a list of rows")
-    if names is not None and (
-        not isinstance(names, list) or not all(isinstance(x, str) for x in names)
-    ):
-        raise ParseError(f"{path}: \"names\" must be a list of strings")
+    _check_names(path, names)
     try:
         S = core.build_from_table(names, mul, cap=cap)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     for key in ("identity", "zero"):
-        if key in obj and obj[key] != getattr(S, key):
+        if key in obj and (isinstance(obj[key], bool) or obj[key] != getattr(S, key)):
             raise ParseError(
                 f"{path}: stated {key} {obj[key]} disagrees with the table "
                 f"({getattr(S, key)})"
@@ -94,6 +98,8 @@ def read_groupoid(path):
     if not isinstance(obj, dict) or "arrows" not in obj:
         raise ParseError(f"{path}: expected an object with an \"arrows\" list")
     arrows = obj["arrows"]
+    names = obj.get("names")
+    _check_names(path, names)
     try:
         dom = [a[0] for a in arrows]
         ran = [a[1] for a in arrows]
@@ -102,10 +108,9 @@ def read_groupoid(path):
         compose = {(g, h): k for g, h, k in obj.get("compose", [])}
         leq = [[False] * n for _ in range(n)]
         for a, b in obj.get("leq", []):
-            if not (0 <= a < n and 0 <= b < n):
+            if not all(type(x) is int and 0 <= x < n for x in (a, b)):  # not a JSON bool
                 raise ValueError(f"order pair {[a, b]} out of range")
             leq[a][b] = True
-        names = obj.get("names")
         return OrderedGroupoid(dom, ran, inv, compose, leq, names=names)
     except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise ParseError(f"{path}: malformed groupoid data: {exc}") from exc

@@ -134,11 +134,21 @@ class PolyElement:
         return format_poly(self)
 
 
+def _check_letters(n, words):
+    """Raise AlphabetMismatch at the first letter of the words outside the
+    alphabet of size n, the only one the word codes know."""
+    if not set().union(*words) <= set(letters(n)):
+        bad = next(ch for w in words for ch in w if ch not in letters(n))
+        raise AlphabetMismatch(f"letter {bad!r} outside alphabet of size {n}")
+
+
+def _check_same_n(x, y):
+    if x.n != y.n:
+        raise AlphabetMismatch(f"alphabet sizes differ: {x.n} vs {y.n}")
+
+
 def poly(n, u, v):
-    for w in (u, v):
-        for ch in w:
-            if ch not in letters(n):
-                raise AlphabetMismatch(f"letter {ch!r} outside alphabet of size {n}")
+    _check_letters(n, (u, v))
     return PolyElement(n, (u, v))
 
 
@@ -151,14 +161,12 @@ def poly_one(n):
 
 
 def poly_mul(x, y):
-    if x.n != y.n:
-        raise AlphabetMismatch(f"alphabet sizes differ: {x.n} vs {y.n}")
+    _check_same_n(x, y)
     return PolyElement(x.n, _mul(x.pair, y.pair))
 
 
 def poly_leq(x, y):
-    if x.n != y.n:
-        raise AlphabetMismatch(f"alphabet sizes differ: {x.n} vs {y.n}")
+    _check_same_n(x, y)
     return pair_leq(x.pair, y.pair)
 
 
@@ -184,15 +192,17 @@ def poly_window(n, L):
 # ---------------------------------------------------------------------------
 # int64 word codes
 #
-# A word over m letters is coded by its shortlex rank: the number of shorter
-# words plus its value in base m, letter a being digit 0, so the words of
-# words_upto(n, L) are the codes 0 .. _first_rank(n, L + 1) - 1 in order.  A
+# A word over the n letters of the monoid is coded by its shortlex rank: the
+# number of shorter words plus its value in base n, letter a being digit 0,
+# so the words of words_upto(n, L) are the codes 0 .. _first_rank(n, L + 1) - 1
+# in order.  Every map on words is a self-map of these words, so n is the
+# only alphabet the codes know, and _encode rejects any other letter.  A
 # word of length l and code c has the value c - first[l], and it ends with
-# the word of length k and code d exactly when that value mod m^k is
+# the word of length k and code d exactly when that value mod n^k is
 # d - first[k]; suffix tests, cuts, concatenation and the product and order
 # of pairs are array arithmetic.  A pair (u, v) is two code arrays, the zero
 # element coded as u = v = -1.  The functions on code arrays take the tables
-# (first, powers) of _rank_tables(m, k), and k must cover every length they
+# (first, powers) of _rank_tables(n, k), and k must cover every length they
 # meet: for two pairs, the sum of their longest components, which keeps even
 # the entries they mask inside the tables.
 
@@ -202,14 +212,14 @@ CODE_BLOCK_ENTRIES = 1 << 14
 
 
 @lru_cache(maxsize=None)
-def _rank_tables(m, k):
-    """(first, powers) over m letters for lengths 0..k: the code of the first
-    word of each length and m to each power, as int64 arrays.  Raises
+def _rank_tables(n, k):
+    """(first, powers) over n letters for lengths 0..k: the code of the first
+    word of each length and n to each power, as int64 arrays.  Raises
     WindowExceeded when some word of length k has a code past int64."""
-    if _first_rank(m, k + 1) > 2**63:
-        raise WindowExceeded(f"image codes of length {k} over {m} letters overflow int64")
-    return (np.array([_first_rank(m, j) for j in range(k + 1)], np.int64),
-            np.array([m**j for j in range(k + 1)], np.int64))
+    if _first_rank(n, k + 1) > 2**63:
+        raise WindowExceeded(f"image codes of length {k} over {n} letters overflow int64")
+    return (np.array([_first_rank(n, j) for j in range(k + 1)], np.int64),
+            np.array([n**j for j in range(k + 1)], np.int64))
 
 
 def _lengths(codes, tables):
@@ -217,64 +227,39 @@ def _lengths(codes, tables):
     return tables[0][1:].searchsorted(codes, "right")
 
 
-def _image_base(n, images):
-    """The number of letters the codes of images rank over: n, or more where
-    an image uses a later letter."""
-    used = set().union(*images)
-    if used <= set(letters(n)):
-        return n
-    if not used <= set(ALPHABET):
-        bad = next(ch for img in images for ch in img if ch not in ALPHABET)
-        raise AlphabetMismatch(f"letter {bad!r} outside alphabet of size {len(ALPHABET)}")
-    return 1 + max(map(ALPHABET.index, used))
-
-
-# the letters as the digits of int(word, m): "a" is 0
+# the letters as the digits of int(word, n): "a" is 0
 _LETTER_DIGITS = str.maketrans(ALPHABET, "0123456789abcdefghijklmnop")
 
 
-def _encode(words, m):
-    """(codes, lens): the codes over m letters of words that use no later
-    letter, and their lengths."""
+def _encode(words, n):
+    """(codes, lens): the codes of words over n letters, and their lengths.
+    Every word from outside enters the codes here, so a letter outside the
+    alphabet raises AlphabetMismatch before int() could misread it."""
+    _check_letters(n, words)
     lens = np.array(list(map(len, words)), np.int64)
-    first, _ = _rank_tables(m, int(lens.max()))
-    if m == 1:
+    first, _ = _rank_tables(n, int(lens.max()))
+    if n == 1:
         return first[lens], lens
-    lex = [int(w.translate(_LETTER_DIGITS), m) if w else 0 for w in words]
+    lex = [int(w.translate(_LETTER_DIGITS), n) if w else 0 for w in words]
     return first[lens] + np.array(lex, np.int64), lens
 
 
-def _decode(code, m, k=None):
-    """The word whose code over m letters is code, of length k when that is
+def _decode(code, n, k=None):
+    """The word whose code over n letters is code, of length k when that is
     known; None for -1."""
     if code < 0:
         return None
     if k is None:
         k = 0
-        while _first_rank(m, k + 1) <= code:
+        while _first_rank(n, k + 1) <= code:
             k += 1
-    lex = int(code) - _first_rank(m, int(k))
-    return "".join(ALPHABET[lex // m**i % m] for i in reversed(range(k)))
+    lex = int(code) - _first_rank(n, int(k))
+    return "".join(ALPHABET[lex // n**i % n] for i in reversed(range(k)))
 
 
-def _decode_pair(u, v, m):
-    """The raw pair of two codes over m letters; None for the zero."""
-    return None if u < 0 else (_decode(u, m), _decode(v, m))
-
-
-def _recode(codes, lens, m, to):
-    """Codes over m letters as codes over `to` letters, and the mask of the
-    words that use no letter past the first `to` (the others code as junk)."""
-    top = int(lens.max())
-    lex = codes - _rank_tables(m, top)[0][lens]
-    out = _rank_tables(to, top)[0][lens]
-    ok, place = np.ones(len(codes), bool), 1
-    for _ in range(top):
-        lex, d = np.divmod(lex, m)
-        ok &= d < to
-        out += np.where(d < to, d, 0) * place
-        place *= to
-    return out, ok
+def _decode_pair(u, v, n):
+    """The raw pair of two codes over n letters; None for the zero."""
+    return None if u < 0 else (_decode(u, n), _decode(v, n))
 
 
 def _ends_with(x, xl, y, yl, tables):
@@ -329,18 +314,18 @@ def _pair_leq(x, y, tables):
     return (u1 < 0) | ((u2 >= 0) & same)
 
 
-def _affine_codes(K, images, w, m):
-    """The codes over m letters of the words (u sigma) w, sigma sending the
-    i-th letter to images[i], for the words u of length <= K over
-    len(images) letters in shortlex order: each length is the one before it
-    followed by a letter, one broadcast against the letter images."""
-    tables = _rank_tables(m, K * max(map(len, images)) + len(w))
-    sig, sigl = _encode(images, m)
+def _affine_codes(K, images, w, n):
+    """The codes over n letters of the words (u sigma) w, sigma sending the
+    i-th letter to images[i], for the words u of length <= K in shortlex
+    order: each length is the one before it followed by a letter, one
+    broadcast against the letter images."""
+    tables = _rank_tables(n, K * max(map(len, images)) + len(w))
+    sig, sigl = _encode(images, n)
     codes, lens = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
     for _ in range(K):
         codes.append(_concat(codes[-1][:, None], lens[-1][:, None], sig, sigl, tables).ravel())
         lens.append((lens[-1][:, None] + sigl).ravel())
-    (wc,), (wl,) = _encode([w], m)
+    (wc,), (wl,) = _encode([w], n)
     return _concat(np.concatenate(codes), np.concatenate(lens), wc, wl, tables)
 
 
@@ -697,10 +682,10 @@ class ConstZero:
         return None
 
     def codes(self, K):
-        """(base, zero, images, top): the image of the zero and the images of
-        the words of length <= K in shortlex order, as codes over base
-        letters with -1 for the zero, and the length of the longest image."""
-        return self.n, -1, np.full(_first_rank(self.n, K + 1), -1, np.int64), 0
+        """(zero, images, top): the image of the zero and the images of the
+        words of length <= K in shortlex order, as codes over n letters with
+        -1 for the zero, and the length of the longest image."""
+        return -1, np.full(_first_rank(self.n, K + 1), -1, np.int64), 0
 
 
 @dataclass(frozen=True)
@@ -724,9 +709,8 @@ class ConstPair:
 
     def codes(self, K):
         """As ConstZero.codes."""
-        m = _image_base(self.n, [self.w])
-        (w, t), _ = _encode([self.w, self.t], m)
-        return m, w, np.full(_first_rank(self.n, K + 1), t, np.int64), len(self.w)
+        (w, t), _ = _encode([self.w, self.t], self.n)
+        return w, np.full(_first_rank(self.n, K + 1), t, np.int64), len(self.w)
 
 
 @dataclass(frozen=True)
@@ -746,16 +730,15 @@ class AffineWordMap:
 
     def codes(self, K):
         """As ConstZero.codes."""
-        m = _image_base(self.n, [*self.images, self.w])
-        codes = _affine_codes(K, self.images, self.w, m)
-        return m, -1, codes, K * max(map(len, self.images)) + len(self.w)
+        codes = _affine_codes(K, self.images, self.w, self.n)
+        return -1, codes, K * max(map(len, self.images)) + len(self.w)
 
 
 def _efun_pairs(efun, x):
     """The self-map of the polycyclic monoid induced by an ordered function
     on idempotents, (u, v) -> (u fn, v fn) and 0 -> the idempotent at 0 fn,
     on pair codes: for efun = fn.codes(K) and components up to length K."""
-    _, zero, table, _ = efun
+    zero, table, _ = efun
     u, v = x
     fu, fv = table[u], table[v]
     nonzero = (u >= 0) & (fu >= 0) & (fv >= 0)
@@ -866,7 +849,7 @@ def _induced_failures(fn, n, L):
     rows at a time."""
     u, v = _window_pairs(n, L)
     efun = fn.codes(2 * L)
-    domain, tables = _rank_tables(n, 2 * L), _rank_tables(efun[0], 2 * efun[3])
+    domain, tables = _rank_tables(n, 2 * L), _rank_tables(n, 2 * efun[2])
 
     def broken(rows):
         x, y = (u[rows, None], v[rows, None]), (u, v)
@@ -980,8 +963,8 @@ def endo_classification_check(n, sigma_images, w, L):
         f"endomorphism test for letters->{sigma_images} translation {w!r}, "
         f"n={n}, window L={L}"
     )
-    m, _, images, top = AffineWordMap(n, sigma_images, w).codes(L)
-    domain, tables = _rank_tables(n, L), _rank_tables(m, top)
+    _, images, top = AffineWordMap(n, sigma_images, w).codes(L)
+    domain, tables = _rank_tables(n, L), _rank_tables(n, top)
     words = np.arange(len(images))
     wl, il = _lengths(words, domain), _lengths(images, tables)
 
@@ -998,7 +981,7 @@ def endo_classification_check(n, sigma_images, w, L):
 
     def meet_failures():
         for i, j in first_hits(len(words), len(words), differ, CODE_BLOCK_ENTRIES):
-            lhs, rhs = (_decode(c[0, j], m) for c in meets(slice(i, i + 1)))
+            lhs, rhs = (_decode(c[0, j], n) for c in meets(slice(i, i + 1)))
             yield f"meet mismatch at ({_decode(i, n)!r},{_decode(j, n)!r}): {lhs!r} vs {rhs!r}"
 
     witness = next(meet_failures(), None)
@@ -1056,16 +1039,15 @@ def _valid_hol_pair(fn, m):
 
 def _hol_act(fn, m, K):
     """x -> (x fn) m, the action of a holomorph pair in compressed form, on
-    pair codes with components up to length K: (act, base, tables), the
-    images coded over base letters and the tables covering the heap value
-    of three of them."""
+    pair codes with components up to length K: (act, tables), the tables
+    covering the heap value of three images."""
     efun = fn.codes(K)
-    base, top, mu, mv = efun[0], efun[3], -1, -1
+    top, mu, mv = efun[2], -1, -1
     if m is not None:
-        (mu, mv), _ = _encode(m, base)
+        (mu, mv), _ = _encode(m, fn.n)
         top += max(map(len, m))
-    tables = _rank_tables(base, 3 * top)
-    return (lambda u, v: _pair_mul(_efun_pairs(efun, (u, v)), (mu, mv), tables)), base, tables
+    tables = _rank_tables(fn.n, 3 * top)
+    return (lambda u, v: _pair_mul(_efun_pairs(efun, (u, v)), (mu, mv), tables)), tables
 
 
 def _heap_window(n, L):
@@ -1091,7 +1073,7 @@ def _heap_failures(fn, m, window):
     action is taken once per window element and per heap value, and the
     instances are swept on pair codes, one block at a time."""
     n, L, (u, v), (pu, pv), index = window
-    act, base, tables = _hol_act(fn, m, 3 * L)
+    act, tables = _hol_act(fn, m, 3 * L)
     (fu, fv), (iu, iv) = act(u, v), act(pu, pv)
     at = np.arange(len(u))
 
@@ -1111,7 +1093,7 @@ def _heap_failures(fn, m, window):
             return None
         a, b, c = (int(i) for i in np.unravel_index(mask.argmax(), mask.shape))
         value = _decode_pair(pu[index[a, b, c]], pv[index[a, b, c]], n) or 0
-        lhs, rhs = (_decode_pair(*x, base) for x in sides(a, b, c))
+        lhs, rhs = (_decode_pair(*x, n) for x in sides(a, b, c))
         a, b, c = (_decode_pair(u[i], v[i], n) for i in (a, b, c))
         return f"<{a},{b},{c}> = {value}: {lhs} vs {rhs}"
 
@@ -1203,7 +1185,7 @@ def heap_type_check_polycyclic(n=2, L=1, param_len=2, cap=DEFAULT_SIZE_CAP):
             # the verdict comes from inj_code; the benchmark's answers pin
             # how many of these sweeps run (endo_maps_checked)
             endo_classification_check(n, images, u, endo_len)
-            codes = fn.codes(endo_len)[2]
+            codes = fn.codes(endo_len)[1]
             inj_code = is_suffix_code(images) and len(distinct_values(codes)[0]) == len(codes)
             if preserved != inj_code:
                 yield (
@@ -1233,13 +1215,13 @@ class SuffixMap:
 
     The images of the words of the window, indexed by the words' length-lex
     ranks, are two int64 arrays: ``codes``, each image's length-lex rank
-    over ``base`` letters (the rank _word_ranks gives it; ``base`` is n
-    unless the images use later letters), and ``lens``, each image's length.
-    Only maps built from raw data are validated: the constructor, ``random``
-    and ``from_affine``.  The results of ``identity``,
-    ``right_translation``, ``constant``, ``transfer`` and ``compose`` are
-    suffix-preserving by construction.  An image whose code would leave
-    int64 raises WindowExceeded.
+    over the n letters (the rank _word_ranks gives it), and ``lens``, each
+    image's length.  Only maps built from raw data are validated: the
+    constructor, ``random`` and ``from_affine``.  The results of
+    ``identity``, ``right_translation``, ``constant``, ``transfer`` and
+    ``compose`` are suffix-preserving by construction.  An image with a
+    letter outside the n letters raises AlphabetMismatch, and one whose code
+    would leave int64 raises WindowExceeded.
     """
 
     def __init__(self, n, L, table):
@@ -1255,15 +1237,14 @@ class SuffixMap:
                 raise NotSuffixPreserving(
                     f"image of {u!r} does not end with the image of {rest!r}"
                 )
-        base = _image_base(n, images)
-        self.n, self.L, self.base = n, L, base
-        self.codes, self.lens = _encode(images, base)
+        self.n, self.L = n, L
+        self.codes, self.lens = _encode(images, n)
 
     @classmethod
-    def _trusted(cls, n, L, codes, lens, base):
+    def _trusted(cls, n, L, codes, lens):
         """A map from its image codes in rank order, not validated."""
         sm = cls.__new__(cls)
-        sm.n, sm.L, sm.codes, sm.lens, sm.base = n, L, codes, lens, base
+        sm.n, sm.L, sm.codes, sm.lens = n, L, codes, lens
         return sm
 
     def _rank(self, u):
@@ -1271,12 +1252,11 @@ class SuffixMap:
         if r is None:
             if len(u) > self.L:
                 raise _outside_window(u, self.L)
-            bad = next(ch for ch in u if ch not in letters(self.n))
-            raise AlphabetMismatch(f"letter {bad!r} outside alphabet of size {self.n}")
+            _check_letters(self.n, [u])  # short enough, so a letter is foreign
         return r
 
     def _image(self, r):
-        return _decode(self.codes[r], self.base, self.lens[r])
+        return _decode(self.codes[r], self.n, self.lens[r])
 
     def apply(self, u):
         return self._image(self._rank(u))
@@ -1289,13 +1269,15 @@ class SuffixMap:
         idx = _suffixed(n, self.L - k, r, k)
         codes, lens, cut = self.codes[idx], self.lens[idx], int(self.lens[r])
         if cut:
-            codes = _cut(codes, lens, cut, _rank_tables(self.base, int(lens.max())))
+            codes = _cut(codes, lens, cut, _rank_tables(n, int(lens.max())))
             lens = lens - cut
-        return SuffixMap._trusted(n, self.L - k, codes, lens, self.base)
+        return SuffixMap._trusted(n, self.L - k, codes, lens)
 
     def compose(self, other, L_out=None):
         """Apply self, then other; the result lives on the largest window on
-        which every intermediate image fits inside the other map's window."""
+        which every intermediate image fits inside the other map's window.
+        Both maps must be on the same alphabet."""
+        _check_same_n(self, other)
         over = self.lens > other.L
         if L_out is None:
             # one less than the length of the first word whose image leaves
@@ -1306,64 +1288,42 @@ class SuffixMap:
             raise WindowExceeded("composition has an empty window")
         k = _first_rank(self.n, L_out + 1)
         mids, bad = self.codes[:k], over[:k]
-        if self.base != other.n:
-            # the intermediate images as ranks over the other map's letters
-            fits = ~bad
-            mids, ok = _recode(mids * fits, self.lens[:k] * fits, self.base, other.n)
-            bad = bad | ~ok
         if bad.any():
             mid = self._image(int(bad.argmax()))
-            if len(mid) > other.L:
-                raise WindowExceeded(
-                    f"intermediate image {mid!r} is outside window {other.L}"
-                )
-            other._rank(mid)  # raises AlphabetMismatch
+            raise WindowExceeded(f"intermediate image {mid!r} is outside window {other.L}")
         if L_out > self.L:
             raise _outside_window(letters(self.n)[0] * (self.L + 1), self.L)
-        return SuffixMap._trusted(self.n, L_out, other.codes[mids], other.lens[mids], other.base)
+        return SuffixMap._trusted(self.n, L_out, other.codes[mids], other.lens[mids])
 
     def agrees_with(self, other, L=None):
-        if self.n != other.n:
-            raise AlphabetMismatch(f"alphabet sizes differ: {self.n} vs {other.n}")
+        _check_same_n(self, other)
         low = min(self.L, other.L)
         if L is None:
             L = low
         if L > low:
             raise _outside_window(letters(self.n)[0] * (low + 1), low)
         k = _first_rank(self.n, max(L, 0) + 1)  # the empty word even below 0
-        # compare on the smaller base, where an image over more letters
-        # either has a code or uses a letter the other map's images do not
-        small, large = sorted((self, other), key=lambda sm: sm.base)
-        codes, ok = large.codes[:k], True
-        if large.base != small.base:
-            codes, ok = _recode(codes, large.lens[:k], large.base, small.base)
-            ok = bool(ok.all())
-        return ok and np.array_equal(small.codes[:k], codes)
+        return np.array_equal(self.codes[:k], other.codes[:k])
 
     @staticmethod
     def identity(n, L):
         lens = np.repeat(np.arange(L + 1, dtype=np.int64), [n**k for k in range(L + 1)])
-        return SuffixMap._trusted(n, L, np.arange(len(lens), dtype=np.int64), lens, n)
+        return SuffixMap._trusted(n, L, np.arange(len(lens), dtype=np.int64), lens)
 
     @staticmethod
     def right_translation(n, L, w):
-        """u -> u + w, coded over the letters of n and w."""
-        m = _image_base(n, [w])
+        """u -> u + w."""
         ident = SuffixMap.identity(n, L)
-        codes, lens = ident.codes, ident.lens
-        if m != n:
-            codes, _ = _recode(codes, lens, n, m)
-        (code,), (k,) = _encode([w], m)
-        codes = _concat(codes, lens, code, k, _rank_tables(m, L + len(w)))
-        return SuffixMap._trusted(n, L, codes, lens + k, m)
+        (code,), (k,) = _encode([w], n)
+        codes = _concat(ident.codes, ident.lens, code, k, _rank_tables(n, L + len(w)))
+        return SuffixMap._trusted(n, L, codes, ident.lens + k)
 
     @staticmethod
     def constant(n, L, t):
-        m = _image_base(n, [t])
-        (code,), (length,) = _encode([t], m)
+        (code,), (length,) = _encode([t], n)
         size = _first_rank(n, L + 1)
         return SuffixMap._trusted(
-            n, L, np.full(size, code, np.int64), np.full(size, length, np.int64), m
+            n, L, np.full(size, code, np.int64), np.full(size, length, np.int64)
         )
 
     @staticmethod
@@ -1372,14 +1332,13 @@ class SuffixMap:
         return SuffixMap(n, L, {u: fn.word_image(u) for u in words_upto(n, L)})
 
     @staticmethod
-    def random(n, L, rng, root_len=2, snippet_len=1):
+    def random(n, L, rng):
         """Build a random suffix-preserving map down the word tree: the image
-        of x + u is an arbitrary prefix glued onto the image of u."""
-        table = {"": "".join(rng.choice(letters(n)) for _ in range(rng.randint(0, root_len)))}
+        of the empty word has up to 2 letters, and the image of x + u is up
+        to one letter glued onto the image of u."""
+        table = {"": "".join(rng.choice(letters(n)) for _ in range(rng.randint(0, 2)))}
         for u in words_upto(n, L)[1:]:
-            snippet = "".join(
-                rng.choice(letters(n)) for _ in range(rng.randint(0, snippet_len))
-            )
+            snippet = "".join(rng.choice(letters(n)) for _ in range(rng.randint(0, 1)))
             table[u] = snippet + table[u[1:]]
         return SuffixMap(n, L, table)
 

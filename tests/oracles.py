@@ -860,14 +860,14 @@ def heap_failures(fn, m, window):
 def bent_codes(efun, n, K, at, image):
     """An ordered function's codes(K), over n letters, with the value at the
     word `at`, or at the zero when `at` is None, replaced by `image`."""
-    base, zero, table, top = efun
-    code = -1 if image is None else int(_encode([image], base)[0][0])
+    zero, table, top = efun
+    code = -1 if image is None else int(_encode([image], n)[0][0])
     if at is None:
         zero = code
     elif len(at) <= K:
         table = table.copy()
         table[words_upto(n, K).index(at)] = code
-    return base, zero, table, max(top, len(image or ""))
+    return zero, table, max(top, len(image or ""))
 
 
 class BentFunction:
@@ -1207,15 +1207,14 @@ class DictSuffixMap:
         return DictSuffixMap(n, L, {u: fn.word_image(u) for u in words_by_length(n, L)})
 
     @staticmethod
-    def random(n, L, rng, root_len=2, snippet_len=1):
+    def random(n, L, rng):
+        """The root image has up to 2 letters, and each step glues on up to 1."""
         alphabet = ascii_lowercase[:n]
-        table = {"": "".join(rng.choice(alphabet) for _ in range(rng.randint(0, root_len)))}
+        table = {"": "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 2)))}
         for k in range(1, L + 1):
             for u in words_by_length(n, k):
                 if len(u) == k:
-                    snippet = "".join(
-                        rng.choice(alphabet) for _ in range(rng.randint(0, snippet_len))
-                    )
+                    snippet = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 1)))
                     table[u] = snippet + table[u[1:]]
         return DictSuffixMap(n, L, table)
 

@@ -57,6 +57,10 @@ def test_empty_table_exits_2(tmp_path, capsys, command):
     assert captured.err == f"error: {empty}: multiplication table is empty\n"
 
 
+Z2_ARROWS = '{"arrows": [[0, 0, 0], [0, 0, 1]], '
+Z2_GROUPOID = '"compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], "leq": [[0, 0], [1, 1]]}\n'
+
+
 @pytest.mark.parametrize("command,text,message", [
     ("hol", None, "cannot read {path}: "),
     ("verify", '{"names": []}\n', "{path}: neither a semigroup nor a groupoid file"),
@@ -64,6 +68,19 @@ def test_empty_table_exits_2(tmp_path, capsys, command):
     ("hol", '{"names": [0, 1], "mul": [[0, 1], [1, 0]]}\n',
      '{path}: "names" must be a list of strings'),
     ("hol", "[[0]]\n", '{path}: expected an object with a "mul" table'),
+    # JSON true is a Python int, but no element index
+    ("verify", '{"mul": [[0, true], [true, 0]]}\n', "{path}: table entry True out of range"),
+    ("hol", '{"mul": [[0, 0], [0, 1]], "identity": true}\n',
+     "{path}: stated identity True disagrees with the table (1)"),
+    ("verify", Z2_ARROWS.replace("1]]", "true]]") + Z2_GROUPOID,
+     "{path}: malformed groupoid data: inverse True out of range"),
+    ("verify", Z2_ARROWS + Z2_GROUPOID.replace("[0, 1, 1]", "[0, true, 1]"),
+     "{path}: malformed groupoid data: composable arrow True out of range"),
+    ("flows", Z2_ARROWS + Z2_GROUPOID.replace('[1, 1]]', '[true, true]]'),
+     "{path}: malformed groupoid data: order pair [True, True] out of range"),
+    # Z2's groupoid with one name for its two arrows
+    ("flows", Z2_ARROWS + Z2_GROUPOID.replace('}', ', "names": ["only"]}'),
+     "{path}: malformed groupoid data: names and arrow count disagree"),
 ])
 def test_unreadable_input_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "input.json"

@@ -397,7 +397,7 @@ def test_induced_premorphism_failures_match_pair_loop():
 
         def codes(self, K):
             images = [u[::-1] for u in P.words_upto(2, K)]
-            return 2, -1, P._encode(images, 2)[0], K
+            return -1, P._encode(images, 2)[0], K
 
     cs, affs = P.ideal_check_families(2, 2)
     fns = [P.ConstZero(2)] + [P.ConstPair(2, w, t) for w, t in cs] + affs + [Reversing()]
@@ -664,11 +664,11 @@ def test_heap_split_matches_triple_loop_on_larger_window():
 
 def _code_action(fn, m, K=2):
     """The action of _hol_act on raw pairs with components up to length K."""
-    act, base, _ = P._hol_act(fn, m, K)
+    act, _ = P._hol_act(fn, m, K)
 
     def on(x):
         u, v = (-1, -1) if x is None else P._encode(x, fn.n)[0]
-        return P._decode_pair(*(int(c) for c in act(np.int64(u), np.int64(v))), base)
+        return P._decode_pair(*(int(c) for c in act(np.int64(u), np.int64(v))), fn.n)
 
     return on
 
@@ -804,8 +804,7 @@ def test_suffix_map_alphabet_errors():
         sm.apply("cccc")  # the window is checked first
     with pytest.raises(AlphabetMismatch):
         sm.agrees_with(P.SuffixMap.identity(3, 3))
-    # an image outside the other map's alphabet cannot be looked up there
-    with pytest.raises(AlphabetMismatch, match="^letter 'b' outside alphabet of size 1$"):
+    with pytest.raises(AlphabetMismatch, match="^alphabet sizes differ: 2 vs 1$"):
         sm.compose(P.SuffixMap.identity(1, 3))
 
 
@@ -874,44 +873,40 @@ def test_suffix_map_matches_dict_oracle(n):
                     assert got == want, (new, new2, L_out)
 
 
-def test_suffix_map_matches_dict_oracle_across_alphabets():
-    # a map on one letter into maps on two: the composite's images are words
-    # over two letters, though it is defined on words over one
-    for into in ["identity", "right_translation", "random"]:
-        def args():
-            return {"identity": (), "right_translation": ("ba",),
-                    "random": (random.Random(5),)}[into]
-        new = P.SuffixMap.right_translation(1, 4, "a").compose(
-            getattr(P.SuffixMap, into)(2, 6, *args()))
-        old = oracles.DictSuffixMap.right_translation(1, 4, "a").compose(
-            getattr(oracles.DictSuffixMap, into)(2, 6, *args()))
-        assert _outcome(lambda: new) == _outcome(lambda: old), into
-        for u in P.words_upto(1, new.L):
-            assert _outcome(lambda: new.transfer(u)) == _outcome(lambda: old.transfer(u))
-        assert new.agrees_with(new) and old.agrees_with(old)
-    # the two-letter composite back into a map on one letter, as the oracle:
-    # the first intermediate image with a "b" stops it
-    two = P.SuffixMap.right_translation(1, 4, "a").compose(
-        P.SuffixMap.right_translation(2, 6, "ba"))
-    with pytest.raises(AlphabetMismatch, match="^letter 'b' outside alphabet of size 1$"):
-        two.compose(P.SuffixMap.identity(1, 9))
-    assert two.agrees_with(P.SuffixMap.right_translation(1, 4, "aba"))
-    assert not two.agrees_with(P.SuffixMap.right_translation(1, 4, "aaa"))
-    # images over one letter, coded over two, agree with the same images
-    # coded over one
-    one = P.SuffixMap.right_translation(1, 4, "a").compose(P.SuffixMap.identity(2, 6))
-    assert one.agrees_with(P.SuffixMap.right_translation(1, 4, "a"))
-    assert not one.agrees_with(P.SuffixMap.right_translation(1, 4, "aa"))
-    # images past the domain's letters are coded over more letters
-    table = {u: u + "c" for u in P.words_upto(2, 2)}
-    new, old = P.SuffixMap(2, 2, table), oracles.DictSuffixMap(2, 2, table)
-    assert _outcome(lambda: new) == _outcome(lambda: old)
-    assert _outcome(lambda: new.compose(P.SuffixMap.identity(3, 3))) == _outcome(
-        lambda: old.compose(oracles.DictSuffixMap.identity(3, 3)))
-    with pytest.raises(AlphabetMismatch, match="^letter 'c' outside alphabet of size 2$"):
-        new.compose(P.SuffixMap.identity(2, 3))
-    with pytest.raises(AlphabetMismatch, match="^letter 'A' outside alphabet of size 26$"):
-        P.SuffixMap.constant(2, 1, "aA")
+def test_foreign_letters_and_mixed_alphabets_are_rejected():
+    """Words are coded over the monoid's own n letters only: an image with
+    a later letter, or one outside the alphabet altogether, raises
+    AlphabetMismatch wherever it enters, and maps on different alphabets
+    do not compose."""
+    entries = [
+        lambda n, w: P.SuffixMap(n, 2, {u: u + w for u in P.words_upto(n, 2)}),
+        lambda n, w: P.SuffixMap.constant(n, 2, w),
+        lambda n, w: P.SuffixMap.right_translation(n, 2, w),
+        lambda n, w: P.SuffixMap.from_affine(n, 2, [w] * n, ""),
+        lambda n, w: P.SuffixMap.from_affine(n, 2, P.letters(n), w),
+        lambda n, w: P.ConstPair(n, w, "").codes(2),
+        lambda n, w: P.ConstPair(n, w, w).codes(2),
+        lambda n, w: P.AffineWordMap(n, (w,) * n, "").codes(2),
+        lambda n, w: P.AffineWordMap(n, tuple(P.letters(n)), w).codes(2),
+        lambda n, w: P.poly(n, "", w),
+    ]
+    # a later letter, and a capital, which int() would misread as a digit
+    # over 12 or 26 letters
+    for n, w, bad in [(1, "ab", "b"), (2, "c", "c"), (2, "aA", "A"), (12, "aA", "A"),
+                      (26, "aA", "A")]:
+        for enter in entries:
+            with pytest.raises(AlphabetMismatch,
+                               match=f"^letter '{bad}' outside alphabet of size {n}$"):
+                enter(n, w)
+            enter(n, P.letters(n)[-1])  # the last letter of the alphabet passes
+    one, two = P.SuffixMap.right_translation(1, 4, "a"), P.SuffixMap.identity(2, 6)
+    for a, b in [(one, two), (two, one)]:
+        with pytest.raises(AlphabetMismatch,
+                           match=f"^alphabet sizes differ: {a.n} vs {b.n}$"):
+            a.compose(b)
+        with pytest.raises(AlphabetMismatch,
+                           match=f"^alphabet sizes differ: {a.n} vs {b.n}$"):
+            a.agrees_with(b)
 
 
 def test_suffix_map_codes_never_wrap():
