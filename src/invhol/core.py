@@ -140,6 +140,14 @@ def first_hits(rows, width, mask_of, entries=BLOCK_ENTRIES):
             yield block.start + r, c
 
 
+def non_indices(values, n):
+    """The values that are not indices of n elements, in order.  An index is
+    an int or a numpy integer in 0..n-1; a bool is none, though JSON true
+    and false are ints to Python.  type(v) is int is tested first, as it
+    decides the common case fastest."""
+    return [v for v in values if not ((type(v) is int or isinstance(v, np.integer)) and 0 <= v < n)]
+
+
 class InverseSemigroup:
     """A finite inverse semigroup given by its multiplication table.
 
@@ -160,16 +168,15 @@ class InverseSemigroup:
         for row in mul:
             if len(row) != n:
                 raise ValueError("multiplication table is not square")
-            for v in row:
-                # not isinstance: JSON true and false are ints to Python
-                if type(v) is not int or not 0 <= v < n:
-                    raise ValueError(f"table entry {v!r} out of range")
+            bad = non_indices(row, n)
+            if bad:
+                raise ValueError(f"table entry {bad[0]!r} out of range")
         self.size = n
         self.names = [str(x) for x in names]
-        self.mul = [list(row) for row in mul]
-        # the same table as an array, for the vectorised sweeps; the lists
-        # stay for the searches, which index them element by element
-        M = self.mul_array = np.array(self.mul, np.intp)
+        # the table as an array, for the vectorised sweeps, and as lists of
+        # Python ints, for the searches, which index them element by element
+        M = self.mul_array = np.array(mul, np.intp)
+        self.mul = M.tolist()
 
         witness = first_nonassociative_table(M)
         if witness is not None:
@@ -438,38 +445,26 @@ class SemilatticeOfGroups:
     """A Clifford semigroup built from a SemilatticeOfGroupsSpec.
 
     Keeps the construction data alongside the validated semigroup so that
-    premorphisms can be decomposed back into (lambda, phi) form.
+    premorphisms can be decomposed back into (lambda, phi) form:
+    ``parts[a]`` is the (component, group element) pair of element a, and
+    component e holds the elements offsets[e], offsets[e] + 1, ...
     """
 
-    def __init__(self, spec, semigroup, meet, offsets, linking):
+    def __init__(self, spec, semigroup, parts, offsets, linking):
         self.spec = spec
         self.semigroup = semigroup
-        self.meet = meet
+        self.parts = parts
         self.offsets = offsets
         self.linking = linking
         self.num_components = len(spec.group_tables)
 
-    def component_of(self, a):
-        for e in range(self.num_components - 1, -1, -1):
-            if a >= self.offsets[e]:
-                return e
-        raise ValueError(a)
-
-    def group_element_of(self, a):
-        return a - self.offsets[self.component_of(a)]
-
     def element(self, e, g):
         return self.offsets[e] + g
 
-    def group_identity(self, e):
-        table = self.spec.group_tables[e]
-        for i in range(len(table)):
-            if all(table[i][j] == j for j in range(len(table))):
-                return i
-        raise ValueError(f"group at {e} has no identity")
-
     def idempotent_of_component(self, e):
-        return self.element(e, self.group_identity(e))
+        # each component holds one idempotent, its group's identity, and
+        # the components lie in order
+        return self.semigroup.idempotents[e]
 
 
 def build_semilattice_of_groups(spec, cap=DEFAULT_SIZE_CAP):
@@ -521,43 +516,31 @@ def build_semilattice_of_groups(spec, cap=DEFAULT_SIZE_CAP):
                             f"linking maps do not compose along chain {e}>={f}>={g}"
                         )
 
-    offsets = []
-    total = 0
-    for e in range(k):
-        offsets.append(total)
-        total += len(spec.group_tables[e])
+    offsets, parts = [], []
+    for e, table in enumerate(spec.group_tables):
+        offsets.append(len(parts))
+        parts += [(e, g) for g in range(len(table))]
+    total = len(parts)
     if cap is not None and total > cap:
         raise SizeCap(total, cap)
 
-    names = []
-    for e in range(k):
-        for g in range(len(spec.group_tables[e])):
-            names.append(f"g{g}@e{e}")
-
-    def comp(a):
-        for e in range(k - 1, -1, -1):
-            if a >= offsets[e]:
-                return e, a - offsets[e]
-        raise ValueError(a)
-
-    mul = [[0] * total for _ in range(total)]
-    for a in range(total):
-        x, g = comp(a)
-        for b in range(total):
-            y, h = comp(b)
+    mul = []
+    for x, g in parts:
+        row = []
+        for y, h in parts:
             m = meet[x][y]
             gm = linking[(x, m)][g]
             hm = linking[(y, m)][h]
-            mul[a][b] = offsets[m] + spec.group_tables[m][gm][hm]
+            row.append(offsets[m] + spec.group_tables[m][gm][hm])
+        mul.append(row)
 
-    S = build_from_table(names, mul, cap=cap)
-    sog = SemilatticeOfGroups(spec, S, meet, offsets, linking)
+    S = build_from_table([f"g{g}@e{e}" for e, g in parts], mul, cap=cap)
+    sog = SemilatticeOfGroups(spec, S, parts, offsets, linking)
 
     # the natural order must pair every element exactly with its images
     # under the downward linking maps
     leq = S.natural_order().leq
-    for a in range(total):
-        x, g = comp(a)
+    for a, (x, g) in enumerate(parts):
         expected = {
             offsets[f] + linking[(x, f)][g] for f in range(k) if spec.leq[f][x]
         }

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import build_from_table, first_hits, hits, replay, row_blocks
+from .core import build_from_table, first_hits, hits, non_indices, replay, row_blocks
 from .errors import NotBelowDomain, NotInductive, SizeCap
 from .report import CheckReport
 
@@ -21,9 +21,9 @@ DEFAULT_FLOW_CAP = 10**6
 
 
 def _check_indices(values, n, what):
-    for v in values:
-        if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and 0 <= v < n):
-            raise ValueError(f"{what} {v!r} out of range")
+    bad = non_indices(values, n)
+    if bad:
+        raise ValueError(f"{what} {bad[0]!r} out of range")
 
 
 class OrderedGroupoid:

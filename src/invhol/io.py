@@ -69,9 +69,12 @@ def read_semigroup(path, cap=core.DEFAULT_SIZE_CAP):
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     for key in ("identity", "zero"):
-        if key in obj and (isinstance(obj[key], bool) or obj[key] != getattr(S, key)):
+        if key not in obj:
+            continue
+        stated = obj[key]  # null states that there is none
+        if stated != getattr(S, key) or stated is not None and core.non_indices([stated], S.size):
             raise ParseError(
-                f"{path}: stated {key} {obj[key]} disagrees with the table "
+                f"{path}: stated {key} {stated} disagrees with the table "
                 f"({getattr(S, key)})"
             )
     return S
@@ -105,10 +108,14 @@ def read_groupoid(path):
         ran = [a[1] for a in arrows]
         inv = [a[2] for a in arrows]
         n = len(arrows)
-        compose = {(g, h): k for g, h, k in obj.get("compose", [])}
+        compose = {}
+        for g, h, k in obj.get("compose", []):
+            if (g, h) in compose:
+                raise ValueError(f"composite of {[g, h]} listed twice")
+            compose[g, h] = k
         leq = [[False] * n for _ in range(n)]
         for a, b in obj.get("leq", []):
-            if not all(type(x) is int and 0 <= x < n for x in (a, b)):  # not a JSON bool
+            if core.non_indices((a, b), n):
                 raise ValueError(f"order pair {[a, b]} out of range")
             leq[a][b] = True
         return OrderedGroupoid(dom, ran, inv, compose, leq, names=names)

@@ -211,49 +211,32 @@ def sog_premorphism_data(sog, theta):
     spec = sog.spec
     k = sog.num_components
 
-    lam = []
-    for e in range(k):
-        ide = sog.idempotent_of_component(e)
-        lam.append(sog.component_of(theta[ide]))
-    lam = tuple(lam)
-    for e in range(k):
-        for f in range(k):
-            if spec.leq[f][e]:
-                assert spec.leq[lam[f]][lam[e]], (
-                    f"lambda is not order preserving at {e}>={f}"
-                )
+    parts = sog.parts
+    lam = tuple(parts[theta[sog.idempotent_of_component(e)]][0] for e in range(k))
+    # sog.linking has a map for each pair e >= f, and for no other pair
+    for e, f in sog.linking:
+        assert spec.leq[lam[f]][lam[e]], f"lambda is not order preserving at {e}>={f}"
 
     phi = {}
     for e in range(k):
-        images = []
-        for g in range(len(spec.group_tables[e])):
-            a = sog.element(e, g)
-            assert sog.component_of(theta[a]) == lam[e], (
-                f"theta does not map component {e} into component {lam[e]}"
-            )
-            images.append(sog.group_element_of(theta[a]))
-        phi[e] = tuple(images)
+        images = [parts[theta[sog.element(e, g)]] for g in range(len(spec.group_tables[e]))]
+        assert all(x == lam[e] for x, _ in images), (
+            f"theta does not map component {e} into component {lam[e]}"
+        )
+        phi[e] = tuple(h for _, h in images)
         te, tl = spec.group_tables[e], spec.group_tables[lam[e]]
         for g in range(len(te)):
             for h in range(len(te)):
                 assert phi[e][te[g][h]] == tl[phi[e][g]][phi[e][h]], (
                     f"phi_{e} is not a homomorphism"
                 )
-    for e in range(k):
-        for f in range(k):
-            if spec.leq[f][e]:
-                for g in range(len(spec.group_tables[e])):
-                    lhs = sog.linking[(lam[e], lam[f])][phi[e][g]]
-                    rhs = phi[f][sog.linking[(e, f)][g]]
-                    assert lhs == rhs, (
-                        f"compatibility square fails at {e}>={f}, g={g}"
-                    )
+    for (e, f), link in sog.linking.items():
+        for g in range(len(spec.group_tables[e])):
+            lhs = sog.linking[(lam[e], lam[f])][phi[e][g]]
+            rhs = phi[f][link[g]]
+            assert lhs == rhs, f"compatibility square fails at {e}>={f}, g={g}"
 
-    relink = {}
-    for e in range(k):
-        for f in range(k):
-            if spec.leq[f][e]:
-                relink[(e, f)] = list(sog.linking[(lam[e], lam[f])])
+    relink = {(e, f): list(sog.linking[(lam[e], lam[f])]) for e, f in sog.linking}
     relinked = build_semilattice_of_groups(
         SemilatticeOfGroupsSpec(
             leq=spec.leq,
@@ -262,10 +245,7 @@ def sog_premorphism_data(sog, theta):
         )
     )
     U = relinked.semigroup
-    sigma = tuple(
-        relinked.element(sog.component_of(a), phi[sog.component_of(a)][sog.group_element_of(a)])
-        for a in range(S.size)
-    )
+    sigma = tuple(relinked.element(e, phi[e][g]) for e, g in parts)
     for a in range(S.size):
         for b in range(S.size):
             assert sigma[S.mul[a][b]] == U.mul[sigma[a]][sigma[b]], (

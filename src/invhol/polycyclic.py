@@ -762,75 +762,43 @@ def classify_ordered_functor(n, L, zero_image, table):
     pair, or affine families, or reject it with a witness.
 
     ``table`` maps every word of length <= L to a word or None; zero_image is
-    the candidate value at the zero idempotent (None for zero).  Windowed
-    order violations and family misfits are both rejections.
+    the candidate value at the zero idempotent (None for zero).  The values
+    at the zero, at the empty word and at the letters name the one family
+    member the candidate can be, and it is accepted iff that member agrees
+    with it on every window word.  Every member is an ordered functor, so an
+    order violation is a rejection too.
     """
     ws = words_upto(n, L)
     for u in ws:
         if u not in table:
             raise WindowExceeded(f"candidate is missing the word {u!r}")
-
-    def value(x):
-        return zero_image if x is None else table[x]
-
-    points = [None, *ws]
-    for x in points:
-        for y in points:
-            if word_leq(x, y) and not word_leq(value(x), value(y)):
-                return Classification(
-                    "not_ordered_functor",
-                    witness=f"order violated: {x!r} <= {y!r} but images "
-                    f"{value(x)!r} !<= {value(y)!r}",
-                )
-
-    if zero_image is None:
-        if all(table[u] is None for u in ws):
-            return Classification("constant_zero")
-        if any(table[u] is None for u in ws):
-            nz = next(u for u in ws if table[u] is not None)
-            z = next(u for u in ws if table[u] is None)
-            return Classification(
-                "not_ordered_functor",
-                witness=f"{z!r} maps to zero but {nz!r} does not",
-            )
-        if L < 1:
-            return Classification(
-                "not_ordered_functor", witness="window too small to fit letter images"
-            )
-        root = table[""]
-        images = []
-        for ch in letters(n):
-            img = table[ch]
-            if not img.endswith(root):
-                return Classification(
-                    "not_ordered_functor",
-                    witness=f"image of {ch!r} does not end with the image of the empty word",
-                )
-            images.append(img[: len(img) - len(root)])
-        cand = AffineWordMap(n, tuple(images), root)
-        for u in ws:
-            if cand.word_image(u) != table[u]:
-                return Classification(
-                    "not_ordered_functor",
-                    witness=f"letter images do not reproduce the value at {u!r}",
-                )
-        return Classification("affine", sigma=tuple(images), w=root)
-
-    # nonzero image at zero forces a constant on words
-    t = table[""]
-    if t is None or any(table[u] != t for u in ws):
-        bad = next((u for u in ws if table[u] != t), "")
+    root = table[""]
+    tops = [table[ch] for ch in letters(n)] if L else []  # letters lie outside window 0
+    member = None
+    if zero_image is not None:
+        if root is not None and zero_image.endswith(root):
+            member = ConstPair(n, zero_image, root)
+            found = Classification("constant_pair", w=zero_image, t=root)
+    elif root is None:
+        member, found = ConstZero(n), Classification("constant_zero")
+    elif tops and all(top is not None and top.endswith(root) for top in tops):
+        images = tuple(top[: len(top) - len(root)] for top in tops)
+        member = AffineWordMap(n, images, root)
+        found = Classification("affine", sigma=images, w=root)
+    if member is None:
         return Classification(
             "not_ordered_functor",
-            witness=f"zero maps to {zero_image!r} but word values are not constant "
-            f"(at {bad!r})",
+            witness=f"no family member takes the values {zero_image!r} at the zero, "
+            f"{root!r} at '' and {tops} at the letters",
         )
-    if not zero_image.endswith(t):
+    bad = next((u for u in ws if member.word_image(u) != table[u]), None)
+    if bad is not None:
         return Classification(
             "not_ordered_functor",
-            witness=f"value at zero {zero_image!r} is not below the constant {t!r}",
+            witness=f"{member}, the one member these values name, maps {bad!r} to "
+            f"{member.word_image(bad)!r}, not {table[bad]!r}",
         )
-    return Classification("constant_pair", w=zero_image, t=t)
+    return found
 
 
 @dataclass(frozen=True)
@@ -1273,26 +1241,19 @@ class SuffixMap:
             lens = lens - cut
         return SuffixMap._trusted(n, self.L - k, codes, lens)
 
-    def compose(self, other, L_out=None):
+    def compose(self, other):
         """Apply self, then other; the result lives on the largest window on
         which every intermediate image fits inside the other map's window.
         Both maps must be on the same alphabet."""
         _check_same_n(self, other)
+        # one less than the length of the first word whose image leaves the
+        # other map's window
         over = self.lens > other.L
-        if L_out is None:
-            # one less than the length of the first word whose image leaves
-            # the other map's window
-            i = int(over.argmax())
-            L_out = int(_lengths(i, _rank_tables(self.n, self.L))) - 1 if over[i] else self.L
+        i = int(over.argmax())
+        L_out = int(_lengths(i, _rank_tables(self.n, self.L))) - 1 if over[i] else self.L
         if L_out < 0:
             raise WindowExceeded("composition has an empty window")
-        k = _first_rank(self.n, L_out + 1)
-        mids, bad = self.codes[:k], over[:k]
-        if bad.any():
-            mid = self._image(int(bad.argmax()))
-            raise WindowExceeded(f"intermediate image {mid!r} is outside window {other.L}")
-        if L_out > self.L:
-            raise _outside_window(letters(self.n)[0] * (self.L + 1), self.L)
+        mids = self.codes[:_first_rank(self.n, L_out + 1)]
         return SuffixMap._trusted(self.n, L_out, other.codes[mids], other.lens[mids])
 
     def agrees_with(self, other, L=None):

@@ -5,11 +5,12 @@ defining property directly, bypassing the library's pruned searches; the
 plain loops, the heap-preservation triple loop, the element-order
 premorphism and heap searches, the flow pair loops with the explicit wreath
 table, the interning polycyclic window sweep, the polycyclic endo, functor
-and heap sweeps on strings, the functor check's composite objects and the
-bicyclic checks' scalar loops are the code that the library's numpy sweeps
-and gathers, inductive-groupoid order, forced heap search, composable-arrow
-flow checks, word-code sweeps, composition helper and pair-array sweeps
-replaced, kept as references.
+and heap sweeps on strings, the functor check's composite objects, the
+bicyclic checks' scalar loops and the order-first functor classifier are the
+code that the library's numpy sweeps and gathers, inductive-groupoid order,
+forced heap search, composable-arrow flow checks, word-code sweeps,
+composition helper, pair-array sweeps and one-member comparison replaced,
+kept as references.
 A hypothesis strategy draws random inverse subsemigroups of I_n.
 """
 
@@ -66,6 +67,7 @@ from invhol.search import backtrack
 from invhol.polycyclic import (
     AffineNat,
     AffineWordMap,
+    Classification,
     _encode,
     _inv,
     _mul,
@@ -74,9 +76,11 @@ from invhol.polycyclic import (
     bicyclic_mul,
     bicyclic_to_poly,
     is_suffix_code,
+    letters,
     pair_leq,
     poly_window,
     rewrite_mul,
+    word_leq,
     words_upto,
 )
 
@@ -648,6 +652,78 @@ def constant_pair_witness(text):
 def window_table(fn, n, L):
     """An ordered function on idempotents as a table on the words of length <= L."""
     return {u: fn.word_image(u) for u in words_upto(n, L)}
+
+
+def classify_ordered_functor_order_first(n, L, zero_image, table):
+    """classify_ordered_functor as a pass over every pair of window points
+    for an order violation, then a bespoke check for each family: the
+    reference for the library's one-member comparison."""
+    ws = words_upto(n, L)
+    for u in ws:
+        if u not in table:
+            raise WindowExceeded(f"candidate is missing the word {u!r}")
+
+    def value(x):
+        return zero_image if x is None else table[x]
+
+    points = [None, *ws]
+    for x in points:
+        for y in points:
+            if word_leq(x, y) and not word_leq(value(x), value(y)):
+                return Classification(
+                    "not_ordered_functor",
+                    witness=f"order violated: {x!r} <= {y!r} but images "
+                    f"{value(x)!r} !<= {value(y)!r}",
+                )
+
+    if zero_image is None:
+        if all(table[u] is None for u in ws):
+            return Classification("constant_zero")
+        if any(table[u] is None for u in ws):
+            nz = next(u for u in ws if table[u] is not None)
+            z = next(u for u in ws if table[u] is None)
+            return Classification(
+                "not_ordered_functor",
+                witness=f"{z!r} maps to zero but {nz!r} does not",
+            )
+        if L < 1:
+            return Classification(
+                "not_ordered_functor", witness="window too small to fit letter images"
+            )
+        root = table[""]
+        images = []
+        for ch in letters(n):
+            img = table[ch]
+            if not img.endswith(root):
+                return Classification(
+                    "not_ordered_functor",
+                    witness=f"image of {ch!r} does not end with the image of the empty word",
+                )
+            images.append(img[: len(img) - len(root)])
+        cand = AffineWordMap(n, tuple(images), root)
+        for u in ws:
+            if cand.word_image(u) != table[u]:
+                return Classification(
+                    "not_ordered_functor",
+                    witness=f"letter images do not reproduce the value at {u!r}",
+                )
+        return Classification("affine", sigma=tuple(images), w=root)
+
+    # nonzero image at zero forces a constant on words
+    t = table[""]
+    if t is None or any(table[u] != t for u in ws):
+        bad = next((u for u in ws if table[u] != t), "")
+        return Classification(
+            "not_ordered_functor",
+            witness=f"zero maps to {zero_image!r} but word values are not constant "
+            f"(at {bad!r})",
+        )
+    if not zero_image.endswith(t):
+        return Classification(
+            "not_ordered_functor",
+            witness=f"value at zero {zero_image!r} is not below the constant {t!r}",
+        )
+    return Classification("constant_pair", w=zero_image, t=t)
 
 
 def apply_nat(f, x):

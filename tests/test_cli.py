@@ -78,6 +78,16 @@ Z2_GROUPOID = '"compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], "leq": [
      "{path}: malformed groupoid data: composable arrow True out of range"),
     ("flows", Z2_ARROWS + Z2_GROUPOID.replace('[1, 1]]', '[true, true]]'),
      "{path}: malformed groupoid data: order pair [True, True] out of range"),
+    # a stated identity or zero is an index, not a float that equals one
+    ("verify", '{"mul": [[0, 0], [0, 1]], "identity": 1.0, "zero": 0.0}\n',
+     "{path}: stated identity 1.0 disagrees with the table (1)"),
+    ("verify", '{"mul": [[0, 0], [0, 1]], "zero": 0.0}\n',
+     "{path}: stated zero 0.0 disagrees with the table (0)"),
+    # Z2's groupoid with the composite of (1, 1) listed twice, in either order
+    ("verify", Z2_ARROWS + Z2_GROUPOID.replace("[1, 1, 0]", "[1, 1, 1], [1, 1, 0]"),
+     "{path}: malformed groupoid data: composite of [1, 1] listed twice"),
+    ("verify", Z2_ARROWS + Z2_GROUPOID.replace("[1, 1, 0]", "[1, 1, 0], [1, 1, 1]"),
+     "{path}: malformed groupoid data: composite of [1, 1] listed twice"),
     # Z2's groupoid with one name for its two arrows
     ("flows", Z2_ARROWS + Z2_GROUPOID.replace('}', ', "names": ["only"]}'),
      "{path}: malformed groupoid data: names and arrow count disagree"),

@@ -1,6 +1,8 @@
 import random
+import re
 from itertools import product
 
+import numpy as np
 import pytest
 
 from invhol import core
@@ -39,6 +41,18 @@ def test_z2_table():
     assert S.inv == [0, 1]
     assert S.idempotents == [0]
     assert S.identity == 0 and S.zero is None
+
+
+def test_numpy_table_builds_the_same_semigroup():
+    I2 = build_symmetric_inverse_monoid(2)
+    S = build_from_table(I2.names, np.array(I2.mul))
+    assert (S.mul, S.names, S.inv, S.idempotents, S.identity, S.zero) == (
+        I2.mul, I2.names, I2.inv, I2.idempotents, I2.identity, I2.zero)
+    assert all(type(v) is int for row in S.mul for v in row)
+    # bools and floats are no indices, as Python values or numpy ones
+    for bad in [True, 1.0, np.True_, np.float64(1)]:
+        with pytest.raises(ValueError, match=f"^table entry {re.escape(repr(bad))} out of range$"):
+            build_from_table(None, [[0, bad], [bad, 0]])
 
 
 def test_not_associative_witness():
