@@ -8,7 +8,6 @@ of the inductive groupoid: idempotents, then each element with its inverse.
 Output order is lexicographic on the value vector.
 """
 
-import operator
 from dataclasses import dataclass, field
 
 from .errors import NotSemilatticeOfGroups
@@ -56,8 +55,8 @@ def is_endomorphism(S, theta):
 
 
 def _maps_by_products(S, rel, budget):
-    """Value vectors theta with rel((ab)theta, a.theta b.theta) for all a, b,
-    lexicographic.
+    """Value vectors theta with rel[(ab)theta][a.theta b.theta] for all a, b,
+    lexicographic; rel is a table of bools indexed by two elements of S.
 
     Such a theta, for the natural order as for equality, is an ordered
     functor of the inductive groupoid: it maps E into E, a^-1 to
@@ -98,7 +97,7 @@ def _maps_by_products(S, rel, budget):
 
     def ok_at(theta, k):
         for a, b, ab in sched[k]:
-            if not rel(theta[ab], mul[theta[a]][theta[b]]):
+            if not rel[theta[ab]][mul[theta[a]][theta[b]]]:
                 return False
         return True
 
@@ -112,7 +111,7 @@ def enumerate_premorphisms(S, budget=DEFAULT_NODE_BUDGET):
     Closure under composition and presence of the identity are asserted
     (Prem(S) is a monoid).  Raises SearchBudgetExceeded past the node budget.
     """
-    vecs = _maps_by_products(S, S.natural_order().leq, budget)
+    vecs = _maps_by_products(S, S.natural_order().table, budget)
     assert_transformation_monoid(vecs, "premorphisms")
     return vecs
 
@@ -121,7 +120,8 @@ def enumerate_endomorphisms(S, budget=DEFAULT_NODE_BUDGET):
     """All endomorphisms of S as value vectors, in lexicographic order: the
     same search as for premorphisms with equality in place of the natural
     order."""
-    vecs = _maps_by_products(S, operator.eq, budget)
+    eq = [[a == b for b in range(S.size)] for a in range(S.size)]
+    vecs = _maps_by_products(S, eq, budget)
     assert_transformation_monoid(vecs, "endomorphisms")
     return vecs
 

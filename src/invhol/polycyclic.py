@@ -396,25 +396,40 @@ def verify_poly_window(n, L, cap=DEFAULT_SIZE_CAP):
     """Normal-form multiplication against the rewriting rules on a window,
     plus associativity, inverses, idempotents and the order comparison.
     Every line reads the pair keys of _window_codes: matches_rewriting
-    compares its products of two window elements with rewrite_mul, and the
-    inverse, idempotent and order lines look them up.  Past cap elements or
-    distinct products of two, raises SizeCap before any product is taken."""
+    compares its products of two window elements with the rewriting of
+    their middle words, and the inverse, idempotent and order lines look
+    them up.  Past cap elements or distinct products of two, raises SizeCap
+    before any product is taken."""
     rep = CheckReport(f"polycyclic arithmetic, n={n}, window L={L}")
     ids, codes, left, right = _window_codes(n, L, cap)
     elems = poly_window(n, L)
     size, s, radix = len(elems), _first_rank(n, L + 1), _code_radix(n, L)
     rep.add("window", True, detail=f"{size} elements, components up to length {L}")
-    ranks = _word_ranks(n, 2 * L)
+    (u, v), at = _window_pairs(n, L), np.arange(size)
+    tables = _rank_tables(n, 3 * L)
 
-    def rewriting_differs(rows):
-        want = [-1 if xy is None else ranks[xy[0]] * radix + ranks[xy[1]]
-                for xy in (rewrite_mul(x, y) for x in elems[rows] for y in elems)]
-        return codes[ids[rows]] != np.array(want, np.int64).reshape(-1, size)
+    # rewriting u^-1 v p^-1 q cancels letters only in its middle v p^-1: when
+    # ("", v) (p, "") rewrites to (p', v'), the product is (p' u, v' q), and
+    # the zero when the middle is; so each of the s * s middles is rewritten
+    # once.  The sweep's blocks are a quarter of the usual: at full size
+    # their temporaries raised the peak RSS of `poly --check arith` 0.4 MB.
+    middles = [rewrite_mul(("", b), (c, "")) for b, c in product(words_upto(n, L), repeat=2)]
+    (mp, mpl), (mv, mvl) = (_encode([m[k] if m else "" for m in middles], n) for k in (0, 1))
+    mp[[m is None for m in middles]] = -1
+    ul, vl = _lengths(u, tables), _lengths(v, tables)
+
+    def rewritten(i, j):
+        """The keys of x_i x_j by the rewriting of its middle."""
+        m = np.maximum(v[i], 0) * s + np.maximum(u[j], 0)
+        p = _concat(mp[m], mpl[m], u[i], ul[i], tables)
+        q = _concat(mv[m], mvl[m], v[j], vl[j], tables)
+        return np.where(np.minimum(np.minimum(u[i], u[j]), mp[m]) < 0, -1, p * radix + q)
 
     rep.first_failure("matches_rewriting", (
         f"{elems[i]} * {elems[j]}: table {_decode_pair(*_key_pairs(codes[ids[i, j]], radix), n)}"
-        f" vs rewriting {rewrite_mul(elems[i], elems[j])}"
-        for i, j in first_hits(size, size, rewriting_differs, CODE_BLOCK_ENTRIES)
+        f" vs rewriting {_decode_pair(*_key_pairs(rewritten(i, j), radix), n)}"
+        for i, j in first_hits(size, size, lambda r: codes[ids[r]] != rewritten(at[r, None], at),
+                               CODE_BLOCK_ENTRIES // 4)
     ))
 
     bad = first_nonassociative_table(ids, left, right)
@@ -424,8 +439,7 @@ def verify_poly_window(n, L, cap=DEFAULT_SIZE_CAP):
     # element i is (u, v) = divmod(i - 1, s) and its inverse (v, u) is
     # element inv[i]; x_i x_i^-1, (u, u) or the zero, is element unit[i],
     # whose row of ids holds it times each window element
-    u, v = _window_pairs(n, L)
-    keys, at = np.where(u < 0, -1, u * radix + v), np.arange(size)
+    keys = np.where(u < 0, -1, u * radix + v)
     inv = np.where(u < 0, 0, 1 + v * s + u)
     eu, ev = _key_pairs(codes[ids[at, inv]], radix)
     unit = np.where(eu < 0, 0, 1 + eu * s + ev)
@@ -442,8 +456,6 @@ def verify_poly_window(n, L, cap=DEFAULT_SIZE_CAP):
     ))
 
     # the defining order (via a = a a^-1 b) agrees with suffix comparison
-    tables = _rank_tables(n, 3 * L)
-
     def order_differs(rows):
         below = codes[ids[unit[rows]]] == keys[rows, None]
         return below != _pair_leq((u[rows, None], v[rows, None]), (u, v), tables)
@@ -505,22 +517,32 @@ def _differ(x, y):
 
 def verify_bicyclic(window=6, param=4):
     """The pair formula, the endomorphism family and its affine composition,
-    all validated against single-letter polycyclic rewriting.  The family's
-    lines compare the window's pairs, or their products, as arrays, once
-    per parameter pair."""
+    all validated against single-letter polycyclic rewriting.  The formula
+    is compared, as arrays, with the rewritten middle a^j a^-k of each
+    product, and the family's lines compare the window's pairs, or their
+    products, as arrays, once per parameter pair."""
     rep = CheckReport(f"bicyclic monoid, window {window}, parameters up to {param}")
     pairs = [(i, j) for i in range(window + 1) for j in range(window + 1)]
     grid = tuple(np.array(pairs).T)  # the pairs as two component arrays
 
-    def formula_failures():
-        for x in pairs:
-            for y in pairs:
-                via_words = rewrite_mul(bicyclic_to_poly(x), bicyclic_to_poly(y))
-                got = bicyclic_mul(x, y)
-                if via_words != bicyclic_to_poly(got):
-                    yield f"{x} * {y}: pair formula {got} vs rewriting {via_words}"
+    # (i, j)(k, l) rewrites as its middle a^j a^-k, the pair (j, k), does: to
+    # (p' a^i, v' a^l) when the middle gives (p', v'), and to the zero with it
+    mids = [rewrite_mul(("", "a" * j), ("a" * k, "")) for j, k in pairs]
+    mp, mv = (np.array([len(m[s]) if m else 0 for m in mids]) for s in (0, 1))
+    off = np.array([not m or m != bicyclic_to_poly((len(m[0]), len(m[1]))) for m in mids])
+    rows = (grid[0][:, None], grid[1][:, None])
+    products, at = bicyclic_mul(rows, grid), rows[1] * (window + 1) + grid[0]
+    differs = off[at] | (products[0] != rows[0] + mp[at]) | (products[1] != mv[at] + grid[1])
 
-    rep.first_failure("pair_formula_matches_rewriting", formula_failures())
+    def witness(a, b):
+        (i, j), (k, l) = pairs[a], pairs[b]
+        m = mids[j * (window + 1) + k]
+        return (f"{pairs[a]} * {pairs[b]}: pair formula {bicyclic_mul(pairs[a], pairs[b])}"
+                f" vs rewriting {m and (m[0] + 'a' * i, m[1] + 'a' * l)}")
+
+    rep.first_failure("pair_formula_matches_rewriting", (
+        witness(*divmod(t, len(pairs))) for t in np.flatnonzero(differs).tolist()
+    ))
 
     rep.first_failure("identity", (
         "identity (0,0) fails"
@@ -531,8 +553,6 @@ def verify_bicyclic(window=6, param=4):
     params = [(k, p) for k in range(param + 1) for p in range(param + 1)]
 
     def multiplicativity_failures():
-        rows = (grid[0][:, None], grid[1][:, None])
-        products = bicyclic_mul(rows, grid)
         for k, p in params:
             nu = bicyclic_endo(k, p)
             images = bicyclic_mul(nu.apply_pair(rows), nu.apply_pair(grid))

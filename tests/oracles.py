@@ -1122,6 +1122,18 @@ def bicyclic_hol_report_by_loops(param=4, window=6):
     return rep
 
 
+def rewrite_by_middle(x, y):
+    """polycyclic.rewrite_mul of u^-1 v and p^-1 q through their middle
+    v p^-1 alone: when ("", v) (p, "") rewrites to (p', v'), the product is
+    (p' u, v' q), and the zero when the middle is.  The scalar form of the
+    identity that verify_poly_window and verify_bicyclic rest on."""
+    if x is None or y is None:
+        return None
+    (u, v), (p, q) = x, y
+    middle = rewrite_mul(("", v), (p, ""))
+    return middle and (middle[0] + u, middle[1] + q)
+
+
 def rescan_rewrite_mul(x, y):
     """polycyclic.rewrite_mul by rescanning the signed-letter sequence from
     its start after every rewrite, until no rule  z z^-1 -> 1  or

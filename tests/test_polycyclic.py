@@ -55,6 +55,26 @@ def test_rewrite_mul_matches_rescanning_reference(n, L):
             assert P.rewrite_mul(x, y) == oracles.rescan_rewrite_mul(x, y), (x, y)
 
 
+@pytest.mark.parametrize("n, L", [(2, 3), (3, 2), (1, 6), (2, 1)])
+def test_rewriting_is_decided_by_the_middle_word(n, L):
+    """rewrite_mul of u^-1 v and p^-1 q is the rewriting of the middle
+    v p^-1 with u put before and q after, zero included: the identity on
+    which verify_poly_window builds its rewriting keys."""
+    elems = P.poly_window(n, L)
+    for x in elems:
+        for y in elems:
+            assert oracles.rewrite_by_middle(x, y) == P.rewrite_mul(x, y), (x, y)
+
+
+def test_bicyclic_rewriting_is_decided_by_the_middle_word():
+    """The same identity on the one-letter pairs of window 6, whose 49
+    middles a^j a^-k verify_bicyclic rewrites."""
+    pairs = [P.bicyclic_to_poly((i, j)) for i in range(7) for j in range(7)]
+    for x in pairs:
+        for y in pairs:
+            assert oracles.rewrite_by_middle(x, y) == P.rewrite_mul(x, y), (x, y)
+
+
 @given(words2, words2, words2, words2, words2, words2)
 @settings(max_examples=300, deadline=None)
 def test_poly_mul_associative(u1, v1, u2, v2, u3, v3):
@@ -149,18 +169,49 @@ def test_bent_window_code_gives_the_interning_witness():
 
 def test_window_codes_are_checked_against_mul(monkeypatch):
     """verify_poly_window compares the codes of two window elements' products
-    with rewrite_mul's values: a rewriting bent at one pair fails the
-    matches_rewriting line there, the table's product being _mul's."""
+    with the rewriting of their middle words: a rewriting bent at one middle
+    fails the matches_rewriting line at the first product that carries it,
+    the table's product being _mul's and the rewriting's the bent middle's."""
     rewrite = P.rewrite_mul
-    x, y = ("a", ""), ("", "a")
+    middle = (("", "a"), ("a", ""))
 
     def bent(p, q):
-        return ("", "b") if (p, q) == (x, y) else rewrite(p, q)
+        return ("", "b") if (p, q) == middle else rewrite(p, q)
 
     monkeypatch.setattr(P, "rewrite_mul", bent)
+    elems = P.poly_window(2, 1)
+    x, y = next((x, y) for x in elems[1:] for y in elems[1:] if (x[1], y[0]) == ("a", "a"))
     check = P.verify_poly_window(2, 1).checks[1]
     assert check.name == "matches_rewriting" and not check.ok
-    assert check.witness == f"{x} * {y}: table {P._mul(x, y)} vs rewriting ('', 'b')"
+    want = (x[0], "b" + y[1])
+    assert check.witness == f"{x} * {y}: table {P._mul(x, y)} vs rewriting {want}"
+
+
+def test_rewriting_witness_is_put_together_from_the_middle(monkeypatch):
+    """With rewrite_mul bent at the middle ("", "a") ("a", "") and the table
+    bent to agree on that product itself, the first product whose table and
+    rewriting differ is the next that carries the middle, and its witness
+    is the rewriting put together from the bent middle, not a rewriting of
+    the whole product."""
+    rewrite, window_codes = P.rewrite_mul, P._window_codes
+    middle, wrong = (("", "a"), ("a", "")), ("", "b")
+    at = P.poly_window(2, 1).index
+
+    def bent(p, q):
+        return wrong if (p, q) == middle else rewrite(p, q)
+
+    def bent_codes(n, L, cap=None):
+        ids, codes, left, right = window_codes(n, L, cap)
+        ids = ids.copy()
+        ids[at(middle[0]), at(middle[1])] = ids[at(("", "")), at(wrong)]
+        return ids, codes, left, right
+
+    monkeypatch.setattr(P, "rewrite_mul", bent)
+    monkeypatch.setattr(P, "_window_codes", bent_codes)
+    check = P.verify_poly_window(2, 1).checks[1]
+    x, y = ("", "a"), ("a", "a")
+    assert check.name == "matches_rewriting" and not check.ok
+    assert check.witness == f"{x} * {y}: table {P._mul(x, y)} vs rewriting ('', 'ba')"
 
 
 def test_window_code_radix_guard(monkeypatch):
@@ -308,6 +359,24 @@ def test_bent_bicyclic_checks_match_scalar_loops(monkeypatch, kind, where):
     assert got == [oracles.bicyclic_report_by_loops().to_dict(),
                    oracles.bicyclic_hol_report_by_loops().to_dict()]
     assert not all(rep["ok"] for rep in got)
+
+
+@pytest.mark.parametrize("wrong", [None, ("", "b"), ("a", "a")])
+def test_bent_bicyclic_rewriting_matches_scalar_loops(monkeypatch, wrong):
+    """rewrite_mul bent at the middle a^2 a^-1, which is also the product
+    (0,2)(1,0), the first that carries it: the pair formula line fails
+    there with the witness of the scalar loops, which rewrite every pair."""
+    rewrite, at = P.rewrite_mul, (("", "aa"), ("a", ""))
+
+    def bent(x, y):
+        return wrong if (x, y) == at else rewrite(x, y)
+
+    monkeypatch.setattr(P, "rewrite_mul", bent)
+    monkeypatch.setattr(oracles, "rewrite_mul", bent)
+    got = P.verify_bicyclic().to_dict()
+    assert got == oracles.bicyclic_report_by_loops().to_dict()
+    assert got["checks"][0]["name"] == "pair_formula_matches_rewriting"
+    assert not got["checks"][0]["ok"]
 
 
 def test_every_bicyclic_line_fails_under_some_bend(monkeypatch):
@@ -488,14 +557,24 @@ def test_heap_check_work(monkeypatch):
 
 
 def test_poly_window_work(monkeypatch):
-    """Every line reads the pair codes of the window's products, so
-    verify_poly_window(2, 3) rewrites each of the 51,076 products of two
-    window elements once and takes no scalar product.  Interning every
-    product through _mul made 1,825,854."""
+    """Every line reads the pair codes of the window's products, and
+    matches_rewriting rewrites only their middle words, so
+    verify_poly_window(2, 3) rewrites each of the 15 * 15 middles once and
+    takes no scalar product.  Rewriting each of the 51,076 products made
+    51,076 rewrites; interning every product through _mul made 1,825,854
+    products."""
     muls = _counting(monkeypatch, P, "_mul")
     rewrites = _counting(monkeypatch, P, "rewrite_mul")
     assert P.verify_poly_window(2, 3).ok
-    assert len(rewrites) == 51_076 and not muls
+    assert len(rewrites) == 225 and not muls
+
+
+def test_bicyclic_work(monkeypatch):
+    """verify_bicyclic(6, 4) rewrites each of its 49 middles a^j a^-k once,
+    where rewriting every pair of the window made 2,401 rewrites."""
+    rewrites = _counting(monkeypatch, P, "rewrite_mul")
+    assert P.verify_bicyclic(6, 4).ok
+    assert len(rewrites) == 49
 
 
 def test_zappa_translation_work(monkeypatch):
