@@ -47,11 +47,23 @@ def _forcing_plan(S):
     The smallest unplaced element is a branching position; the placed set is
     then closed under <a,b,c>, each newly reached element appended in
     ascending order as a derived position with its first witness (a, b, c)
-    among the elements placed before it.  Every heap triple (a, b, c, h) and
-    every strict order pair a < b is checked at the level of its last-placed
-    member.  Returns (order, witnesses, pairs, triples): witnesses[k] is None
-    at a branching level, pairs[k] is (A, B) and triples[k] is (A, B, C, H),
-    arrays of element indices.
+    among the elements placed before it.  So the branching positions G
+    generate S under <a,b,c>, and each closed prefix of the order is
+    generated by the branching positions in it.
+
+    As <a, <g1,g2,g3>, c> = <<a,g3,g2>, g1, c>, the middles g at which a map
+    preserves <a, g, c> for every a and c are closed under <a,b,c>; so a map
+    preserving every triple (a, g, c) with g in G preserves all n^3, and the
+    plan checks only these n^2 |G| triples.  Each of them, and every strict
+    order pair a < b, is checked at the level of its last-placed member.
+    Within a level the triples in which the level's element occurs two or
+    more times among (a, g, c, <a,g,c>) come first, and each of the two
+    parts is in (a, g, c) order.
+
+    Returns (order, witnesses, pairs, triples, heap_flat): witnesses[k] is
+    None at a branching level, pairs[k] is (A, B) and triples[k] is
+    (A, B, C, H), arrays of element indices, and heap_flat[(a n + b) n + c]
+    is <a, b, c>, in int32.
     """
     n = S.size
     mul = S.mul_array.astype(np.int32)
@@ -86,15 +98,16 @@ def _forcing_plan(S):
         bounds = levels[by].searchsorted(np.arange(n + 1)).tolist()
         return [by[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    levels = np.maximum(np.maximum(rank[:, None], rank)[:, :, None], rank)
-    np.maximum(levels, rank[H], out=levels)
-    triples = [
-        tuple(x.astype(np.int32) for x in (t // (n * n), t // n % n, t % n, H.ravel()[t]))
-        for t in by_level(levels.ravel())
-    ]
+    G = np.array([x for x, w in zip(order, witnesses) if w is None], np.int32)
+    a, g, c = np.indices((n, len(G), n), np.int32).reshape(3, -1)
+    members = np.stack([a, G[g], c, H[:, G].ravel()])
+    levels = rank[members].max(axis=0)
+    repeats = (members == np.array(order, np.int32)[levels]).sum(axis=0)
+    first = (repeats < 2).argsort(kind="stable")
+    triples = [tuple(members[:, first[t]]) for t in by_level(levels[first])]
     lo, hi = (S.natural_order().array & (np.arange(n)[:, None] != np.arange(n))).nonzero()
     pairs = [(lo[i], hi[i]) for i in by_level(np.maximum(rank[lo], rank[hi]))]
-    return order, witnesses, pairs, triples
+    return order, witnesses, pairs, triples, H.ravel()
 
 
 def enumerate_sha(S, budget=DEFAULT_NODE_BUDGET):
@@ -106,30 +119,35 @@ def enumerate_sha(S, budget=DEFAULT_NODE_BUDGET):
     fills each derived position with one gather.  It runs depth first over
     blocks of partial vectors (int32 rows indexed by element, at most
     core.BLOCK_ENTRIES entries per gather); a level keeps the rows that pass
-    its order pairs and then its heap triples, the triples tested in slices
-    of 16, 32, 64, ... so that most wrong rows die on a short prefix.
+    its order pairs and then its heap triples, in the plan's order, tested
+    in slices of 16, 32, 64, ... so that most wrong rows die on a short
+    prefix.  Each <x, y, z> is one gather of the plan's flat heap table.
+
+    The plan's triples are those whose middle is a branching position.  A
+    row that passes them on a placed set closed under <a,b,c> preserves
+    every triple of that set, so every map found preserves the heap; inside
+    a run of derived levels a wrong row may live a few levels longer than
+    it would against all n^3 triples.
 
     The branching positions ascend and every element below one is placed
     before it, so the blocks, each branched in value order, come out in
     lexicographic order without a sort.  One node is counted for the root and
-    one for each partial vector that passes its level, as search.backtrack
-    counts; past `budget` nodes SearchBudgetExceeded is raised with the
-    vectors found so far.  The result is asserted to be a monoid.
+    one for each partial vector that passes its level, a block at a time;
+    once the count passes `budget`, SearchBudgetExceeded is raised with the
+    count and the number of vectors found.  The result is asserted to be a
+    monoid.
     """
     n = S.size
-    mul = S.mul_array.astype(np.int32)
-    # flat gathers: mul[Q[x, y], z] is mul_flat[Qn[x * n + y] + z]
-    mul_flat = mul.ravel()
-    Qn = (mul[:, S.inv_array] * n).ravel()
     leq = S.natural_order().array
-    order, witnesses, pairs, triples = _forcing_plan(S)
+    order, witnesses, pairs, triples, heap_flat = _forcing_plan(S)
     values = np.arange(n, dtype=np.int32)
     found = []
     nodes = 0
 
     def heap_of(R, a, b, c):
-        """<R[:, a], R[:, b], R[:, c]> for each row of R."""
-        return mul_flat[Qn[R[:, a] * n + R[:, b]] + R[:, c]]
+        """<R[:, a], R[:, b], R[:, c]> for each row of R; the flat index is
+        taken in intp, so it cannot wrap in int32."""
+        return heap_flat[(R[:, a].astype(np.intp) * n + R[:, b]) * n + R[:, c]]
 
     def keep(R, width, ok):
         """The rows of R on which ok holds, tested a row block at a time."""
@@ -139,8 +157,9 @@ def enumerate_sha(S, budget=DEFAULT_NODE_BUDGET):
         return R[mask]
 
     def passing(R, k):
-        # a <= b iff a = <a, a, b>, so the order pairs are implied by the
-        # triples; they go first as the cheaper filter
+        # a <= b iff a = <a, a, b>, so once every level has run the triples
+        # imply the order pairs; at level k they need not, and the pairs go
+        # first as the cheaper filter
         A, B = pairs[k]
         if len(A):
             R = keep(R, len(A), lambda X: leq[X[:, A], X[:, B]].all(axis=1))
@@ -157,7 +176,7 @@ def enumerate_sha(S, budget=DEFAULT_NODE_BUDGET):
         nonlocal nodes
         nodes += len(R)
         if budget is not None and nodes > budget:
-            raise SearchBudgetExceeded(budget + 1, sum(map(len, found)), budget)
+            raise SearchBudgetExceeded(nodes, sum(map(len, found)), budget)
 
     def branch(R, pos):
         """Each row of R once with every value at pos, in value order."""

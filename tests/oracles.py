@@ -413,18 +413,30 @@ def sha_embedding_report_by_loops(S, sha=None):
     return rep
 
 
-def heap_preserving_by_loops(S, eta):
-    """heap.is_heap_preserving by a loop over every triple (a, b, c)."""
+def heap_preserving_by_loops(S, eta, middles=None):
+    """heap.is_heap_preserving by a loop over every triple (a, b, c), or
+    over those whose middle b is in `middles`."""
     mul, inv = S.mul, S.inv
     n = S.size
     for a in range(n):
-        for b in range(n):
+        for b in range(n) if middles is None else middles:
             ab = mul[a][inv[b]]
             hab = mul[eta[a]][inv[eta[b]]]
             for c in range(n):
                 if eta[mul[ab][c]] != mul[hab][eta[c]]:
                     return False
     return True
+
+
+def heap_closure_by_loops(S, gens):
+    """The elements of S reached from `gens` by <a,b,c> = a b^-1 c."""
+    mul, inv = S.mul, S.inv
+    reached = set(gens)
+    while True:
+        new = {mul[mul[a][inv[b]]][c] for a in reached for b in reached for c in reached}
+        if new <= reached:
+            return reached
+        reached |= new
 
 
 def sha_monoid_iso_report_by_loops(M, sha=None, mon=None):

@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from invhol import core, io
 from invhol.errors import NotHeapPreserving, SearchBudgetExceeded
 from invhol.heap import (
+    _forcing_plan,
     bijective_heap_maps,
     enumerate_sha,
     heap,
@@ -53,7 +55,7 @@ def test_sha_matches_schedule_reference(zoo):
     I3 = core.build_symmetric_inverse_monoid(3)
     cases = list(zoo.items())
     cases += [("I2xchain2", S) for S in oracles.seeded_relabellings(I2xC2, "I2xchain2", 4)]
-    cases += [("I3", S) for S in oracles.seeded_relabellings(I3, "I3", 1)]
+    cases += [("I3", S) for S in oracles.seeded_relabellings(I3, "I3", 4)]
     for name, S in cases:
         got = enumerate_sha(S)
         assert got == oracles.ordered_heap_maps_by_schedule(S), name
@@ -94,18 +96,127 @@ def test_sha_matches_brute_force_on_brandt_semigroup():
     assert enumerate_sha(B12) == oracles.ordered_heap_maps_by_filter(B12)
 
 
-@pytest.mark.parametrize("name, total, count", [("I2", 102, 23), ("diamond", 64, 25)])
+def _i3(relabelling=0):
+    """I3, or its relabelling by seeded_permutation(34, "I3", relabelling)."""
+    I3 = core.build_symmetric_inverse_monoid(3)
+    if relabelling:
+        return oracles.relabelled(I3, oracles.seeded_permutation(I3.size, "I3", relabelling))
+    return I3
+
+
+@pytest.mark.parametrize("name, total, count", [
+    ("I2", 102, 23), ("diamond", 64, 25), ("I3", 4679, 301), ("I3/1", 9569, 301),
+    ("I3/2", 7916, 301), ("I3/3", 8126, 301), ("I3/4", 12842, 301),
+])
 def test_sha_node_totals(zoo, name, total, count):
     # the root plus every partial vector that passes its level; I2 is read
-    # from data/i2.json, the table behind the CLI's budget cases
+    # from data/i2.json, the table behind the CLI's budget cases, and I3/k
+    # is I3 relabelled by seed k
     if name == "I2":
         S = io.read_semigroup(Path(__file__).resolve().parents[1] / "data" / "i2.json")
+    elif name.startswith("I3"):
+        S = _i3(int(name[3:] or 0))
     else:
         S = zoo[name]
     assert len(enumerate_sha(S, budget=total)) == count
     with pytest.raises(SearchBudgetExceeded) as exc:
         enumerate_sha(S, budget=total - 1)
     assert (exc.value.nodes, exc.value.budget) == (total, total - 1)
+
+
+@pytest.mark.parametrize("budget, nodes", [(100, 174), (2000, 2080)])
+def test_sha_budget_stop_reports_the_nodes_counted(budget, nodes):
+    # one block of partial vectors can take the count well past the budget;
+    # the error carries the count at the end of that block, so a budget one
+    # below it stops there too and a budget equal to it gets past it
+    S = _i3()
+    for b in (budget, nodes - 1):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            enumerate_sha(S, budget=b)
+        assert (exc.value.nodes, exc.value.found, exc.value.budget) == (nodes, 0, b)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        enumerate_sha(S, budget=nodes)
+    assert exc.value.nodes > nodes
+
+
+def test_sha_on_i4_within_a_budget():
+    # I4 (209 elements, 33 branching positions) cannot be searched to the end
+    # in tier-1; its first 1,500 nodes find the 10 lexicographically
+    # smallest heap maps
+    S = core.build_symmetric_inverse_monoid(4)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        enumerate_sha(S, budget=1500)
+    assert (exc.value.nodes, exc.value.found) == (1501, 10)
+
+
+def test_plan_checks_each_generator_middle_triple_once(zoo):
+    # the plan's triples are those (a, g, c) with g a branching position, each
+    # once, with its heap value, at the level of its last-placed member; in a
+    # level the triples where the level's element occurs twice or more come
+    # first, each part in (a, g, c) order.  On I3 that is 34^2 * 15 = 17,340
+    # triples where the cube has 39,304
+    for name, S in dict(zoo, I3=_i3(), **{"I3/1": _i3(1)}).items():
+        n = S.size
+        order, witnesses, pairs, triples, heap_flat = _forcing_plan(S)
+        assert heap_flat.tolist() == [
+            heap(S, a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+        G = [x for x, w in zip(order, witnesses) if w is None]
+        rank = {x: k for k, x in enumerate(order)}
+        got = []
+        for k, level in enumerate(triples):
+            level = list(zip(*(x.tolist() for x in level)))
+            repeated = [(a, g, c, h).count(order[k]) >= 2 for a, g, c, h in level]
+            assert repeated == sorted(repeated, reverse=True), (name, k)
+            for part in (True, False):
+                ours = [t for t, r in zip(level, repeated) if r == part]
+                assert ours == sorted(ours), (name, k)
+            for a, g, c, h in level:
+                assert h == heap(S, a, g, c) and max(rank[x] for x in (a, g, c, h)) == k
+            got += [t[:3] for t in level]
+        assert sorted(got) == [(a, g, c) for a in range(n) for g in sorted(G) for c in range(n)]
+        if name == "I3":
+            assert (len(G), len(got)) == (15, 17340)
+
+
+def _maps_to_test(S, rng):
+    """Every heap map of S, 20 random maps, and up to 20 heap maps with one
+    value bent."""
+    sha = enumerate_sha(S)
+    maps = sha + [tuple(rng.choices(range(S.size), k=S.size)) for _ in range(20)]
+    for eta in rng.sample(sha, min(20, len(sha))):
+        bent = list(eta)
+        bent[rng.randrange(S.size)] = rng.randrange(S.size)
+        maps.append(tuple(bent))
+    return maps
+
+
+def _generator_middles_decide(S, rng):
+    """The branching positions generate S under <a,b,c>, and a map preserves
+    <a, g, c> for every a, c and every branching position g iff it preserves
+    the heap; returns the verdicts seen."""
+    order, witnesses = _forcing_plan(S)[:2]
+    G = [x for x, w in zip(order, witnesses) if w is None]
+    assert oracles.heap_closure_by_loops(S, G) == set(range(S.size))
+    verdicts = set()
+    for eta in _maps_to_test(S, rng):
+        want = oracles.heap_preserving_by_loops(S, eta)
+        assert oracles.heap_preserving_by_loops(S, eta, middles=G) == want, eta
+        verdicts.add(want)
+    return verdicts
+
+
+def test_generator_middles_decide_heap_preservation(zoo):
+    rng = random.Random("generator middles")
+    verdicts = set()
+    for S in dict(zoo, I3=_i3()).values():
+        verdicts |= _generator_middles_decide(S, rng)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(oracles.inverse_subsemigroups(max_points=3, cap=6), st.randoms(use_true_random=False))
+def test_generator_middles_decide_heap_preservation_on_random_inverse_subsemigroups(S, rng):
+    _generator_middles_decide(S, rng)
 
 
 def test_sha_memory_on_i3():
@@ -194,14 +305,8 @@ def test_heap_preservation_gather_matches_triple_loop(zoo):
     # zoo and I3
     rng = random.Random("heap gather")
     verdicts = set()
-    for name, S in dict(zoo, I3=core.build_symmetric_inverse_monoid(3)).items():
-        sha = enumerate_sha(S)
-        maps = sha + [tuple(rng.choices(range(S.size), k=S.size)) for _ in range(20)]
-        for eta in rng.sample(sha, min(20, len(sha))):
-            bent = list(eta)
-            bent[rng.randrange(S.size)] = rng.randrange(S.size)
-            maps.append(tuple(bent))
-        for eta in maps:
+    for name, S in dict(zoo, I3=_i3()).items():
+        for eta in _maps_to_test(S, rng):
             got = is_heap_preserving(S, eta)
             assert got == oracles.heap_preserving_by_loops(S, eta), (name, eta)
             verdicts.add(got)
