@@ -3,11 +3,11 @@
 Subcommands: verify, hol, sha, flows, esn, poly.  Reports are deterministic
 given identical inputs, caps and seed; exit codes are 0 for all-pass, 1 for
 check failures, 2 for usage or parse errors, a `--dump` path that cannot be
-written and an input that is not a valid structure (`verify` reports that
-as a check failure), 3 for an exhausted budget or cap, or a word window
-whose integer codes would overflow int64; such a stopped run prints the
-report so far with the verdict `overall: incomplete` (`"ok": false` in
-JSON).
+written or is given to verify, flows or poly (which write none), and an
+input that is not a valid structure (`verify` reports that as a check
+failure), 3 for an exhausted budget or cap, or a word window whose integer
+codes would overflow int64; such a stopped run prints the report so far
+with the verdict `overall: incomplete` (`"ok": false` in JSON).
 """
 
 import json
@@ -70,24 +70,25 @@ class Output:
         return "\n".join(out)
 
 
-def _load_semigroup(args):
+def _load_semigroup(args, obj=None):
     """The input table; one that the constructor rejects is a usage error
     here, and a failing report only under `verify`."""
     try:
-        return io.read_semigroup(args.path, cap=args.cap_size)
+        return io.read_semigroup(args.path, cap=args.cap_size, obj=obj)
     except (NotAssociative, NotInverse) as exc:
         raise ParseError(f"{args.path}: {exc}") from exc
 
 
 def cmd_verify(args, out):
     path = args.path
-    if io.detect_kind(path) != "semigroup":
-        out.sections.append(groupoid.verify_ordered_groupoid(io.read_groupoid(path)))
+    kind, obj = io.load_structure(path)
+    if kind != "semigroup":
+        out.sections.append(groupoid.verify_ordered_groupoid(io.read_groupoid(path, obj)))
         return
     rep = CheckReport(f"semigroup table {path}")
     out.sections.append(rep)
     try:
-        S = io.read_semigroup(path, cap=args.cap_size)
+        S = io.read_semigroup(path, cap=args.cap_size, obj=obj)
     except (NotAssociative, NotInverse, SizeCap) as exc:
         rep.add("table_is_inverse_semigroup", False, str(exc))
         return
@@ -111,7 +112,7 @@ def cmd_hol(args, out):
     if S.identity is not None:
         mon = holomorph.mon_hol(S, morphisms.enumerate_premorphisms(S, budget=args.budget))
         out.sections.append(holomorph.verify_mon_hol(S, table, mon))
-    if args.dump:
+    if args.dump is not None:
         io._dump(
             {
                 "elements": [
@@ -133,17 +134,18 @@ def cmd_sha(args, out):
     if S.identity is not None:
         mon = holomorph.mon_hol(S, morphisms.enumerate_premorphisms(S, budget=args.budget))
         out.sections.append(heap.verify_sha_monoid_iso(S, sha, mon, by_eta))
-    if args.dump:
+    if args.dump is not None:
         io._dump({"elements": [{"eta": list(eta)} for eta in sha]}, args.dump)
         out.lines.append(f"dumped {len(sha)} maps to {args.dump}")
 
 
 def cmd_flows(args, out):
-    if io.detect_kind(args.path) == "semigroup":
-        G = groupoid.esn_forward(_load_semigroup(args))
+    kind, obj = io.load_structure(args.path)
+    if kind == "semigroup":
+        G = groupoid.esn_forward(_load_semigroup(args, obj))
         out.lines.append("input is a semigroup table; using its ordered groupoid")
     else:
-        G = io.read_groupoid(args.path)
+        G = io.read_groupoid(args.path, obj)
         bad = groupoid.verify_ordered_groupoid(G).failures()
         if bad:
             raise ParseError(f"{args.path}: not an ordered groupoid, "
@@ -166,7 +168,7 @@ def cmd_esn(args, out):
     rep.add("pseudoproduct_recovers_table", same,
             None if same else "recovered table differs")
     out.sections.append(rep)
-    if args.dump:
+    if args.dump is not None:
         io.write_groupoid(args.dump, G)
         out.lines.append(f"wrote groupoid to {args.dump}")
 
@@ -297,6 +299,8 @@ def main(argv=None):
             raise ParseError("alphabet size must be between 1 and 26")
         if getattr(args, "samples", 0) < 0:
             raise ParseError("samples must not be negative")
+        if args.dump is not None and args.command not in ("hol", "sha", "esn"):
+            raise ParseError(f"--dump applies only to hol, sha and esn, not to {args.command}")
         COMMANDS[args.command](args, out)
     except SearchBudgetExceeded as exc:
         out.stopped = True

@@ -313,6 +313,8 @@ def verify_semigroup_properties(S):
                 ):
                     yield f"meet not associative at ({e},{f},{g})"
 
+    # replayed from each flagged row: meet_idempotents may raise midway
+    # through the loop (AssertionError, NotIdempotent), as in the plain loop
     rep.first_failure("idempotent_meets", replay(_meet_flags(S, L), meet_failures))
     return rep
 

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import build_from_table, first_hits, hits, non_indices, replay, row_blocks
+from .core import build_from_table, first_hits, hits, non_indices, row_blocks
 from .errors import NotBelowDomain, NotInductive, SizeCap
 from .report import CheckReport
 
@@ -112,8 +112,9 @@ def _glbs(G, xs, ys):
 def verify_ordered_groupoid(G):
     """Check every groupoid and order axiom; failures carry a witness.
 
-    Each axiom is decided by one sweep over the arrays; on a failure the
-    per-arrow loop body runs from the first flagged arrow to name the witness.
+    Each axiom is decided by one sweep over the arrays.  A failing line names
+    the sweep's first hit in the order of the loop stating the axiom, and the
+    condition that loop tests first where one row breaks two.
     """
     rep = CheckReport(f"ordered groupoid axioms on {G!r}")
     n = G.n
@@ -121,15 +122,12 @@ def verify_ordered_groupoid(G):
     L, C, ar = G.leq_array, G.composite, np.arange(n)
     ids, is_id = G.identity_array, np.array(G.is_identity, bool)
 
-    def endpoint_failures(g):
-        if not (G.is_identity[G.dom[g]] and G.is_identity[G.ran[g]]):
-            yield f"arrow {g} has non-identity endpoint"
-        if G.inv[G.inv[g]] != g or G.dom[G.inv[g]] != G.ran[g] or G.ran[G.inv[g]] != G.dom[g]:
-            yield f"inverse of arrow {g} is malformed"
-
-    rep.first_failure("endpoints_and_inverses", replay(
-        ~(is_id[dom] & is_id[ran]) | (inv[inv] != ar) | (dom[inv] != ran) | (ran[inv] != dom),
-        endpoint_failures,
+    endpoint = ~(is_id[dom] & is_id[ran])
+    malformed = (inv[inv] != ar) | (dom[inv] != ran) | (ran[inv] != dom)
+    rep.first_failure("endpoints_and_inverses", (
+        f"arrow {g} has non-identity endpoint" if endpoint[g]
+        else f"inverse of arrow {g} is malformed"
+        for g in (endpoint | malformed).nonzero()[0].tolist()
     ))
 
     rep.first_failure("composition_domain", (
@@ -137,16 +135,11 @@ def verify_ordered_groupoid(G):
         for g, h in hits((C >= 0) != (ran[:, None] == dom))
     ))
 
-    def law_failures(g):
-        gd, gr = G.dom[g], G.ran[g]
-        if G.compose.get((gd, g)) != g or G.compose.get((g, gr)) != g:
-            yield f"identity laws fail at arrow {g}"
-        if G.compose.get((g, G.inv[g])) != gd or G.compose.get((G.inv[g], g)) != gr:
-            yield f"inverse laws fail at arrow {g}"
-
-    rep.first_failure("identity_and_inverse_laws", replay(
-        (C[dom, ar] != ar) | (C[ar, ran] != ar) | (C[ar, inv] != dom) | (C[inv, ar] != ran),
-        law_failures,
+    identity = (C[dom, ar] != ar) | (C[ar, ran] != ar)
+    inverse = (C[ar, inv] != dom) | (C[inv, ar] != ran)
+    rep.first_failure("identity_and_inverse_laws", (
+        f"identity laws fail at arrow {g}" if identity[g] else f"inverse laws fail at arrow {g}"
+        for g in (identity | inverse).nonzero()[0].tolist()
     ))
 
     # composable pairs in the dict's order, each against every third arrow
@@ -154,43 +147,40 @@ def verify_ordered_groupoid(G):
     pairs = np.array([pair for pair, _ in items], np.intp).reshape(-1, 2)
     first, second = pairs[:, 0], pairs[:, 1]
     both = np.array([gh for _, gh in items], np.intp)
-    flags = (dom[both] != dom[first]) | (ran[both] != ran[second])
-    for rows in row_blocks(len(items), n):
+    endpoints = (dom[both] != dom[first]) | (ran[both] != ran[second])
+
+    def nonassociative(rows):
         hk = C[second[rows]]
         lhs, rhs = C[both[rows]], C[first[rows, None], hk]
-        flags[rows] |= ((hk >= 0) & ((lhs < 0) | (rhs < 0) | (lhs != rhs))).any(axis=1)
+        return (hk >= 0) & ((lhs < 0) | (rhs < 0) | (lhs != rhs))
 
-    def associativity_failures(i):
-        (g, h), gh = items[i]
-        if G.dom[gh] != G.dom[g] or G.ran[gh] != G.ran[h]:
-            yield f"endpoints of composite ({g},{h}) are wrong"
-        for k in range(n):
-            if (h, k) in G.compose:
-                # a missing composite on either side fails, as in the sweep
-                lhs = G.compose.get((gh, k))
-                if lhs is None or lhs != G.compose.get((g, G.compose[(h, k)])):
-                    yield f"associativity fails at ({g},{h},{k})"
+    flags = endpoints.copy()
+    for rows in row_blocks(len(items), n):
+        flags[rows] |= nonassociative(rows).any(axis=1)
 
-    rep.first_failure("associativity", replay(flags, associativity_failures))
+    def associativity_witness(i):
+        (g, h), _ = items[i]
+        if endpoints[i]:
+            return f"endpoints of composite ({g},{h}) are wrong"
+        return f"associativity fails at ({g},{h},{nonassociative(slice(i, i + 1)).argmax()})"
 
-    def order_failures(a):
-        if not G.leq[a][a]:
-            yield f"order not reflexive at {a}"
-        for b in range(n):
-            if G.leq[a][b] and G.leq[b][a] and a != b:
-                yield f"order not antisymmetric at ({a},{b})"
-            if G.leq[a][b]:
-                for c in range(n):
-                    if G.leq[b][c] and not G.leq[a][c]:
-                        yield f"order not transitive at ({a},{b},{c})"
+    rep.first_failure("associativity", map(associativity_witness, flags.nonzero()[0].tolist()))
 
+    antisymmetric = L & L.T & (ar[:, None] != ar)
     Lf = L.astype(np.float32)
-    rep.first_failure("partial_order", replay(
-        ~L[ar, ar]
-        | (L & L.T & (ar[:, None] != ar)).any(axis=1)
-        | ((Lf @ Lf > 0) & ~L).any(axis=1),
-        order_failures,
-    ))
+
+    def order_witness(a):
+        if not L[a, a]:
+            return f"order not reflexive at {a}"
+        above = L[a, :, None] & L & ~L[a]  # above[b, c]: a <= b <= c, not a <= c
+        b = int((antisymmetric[a] | above.any(axis=1)).argmax())
+        if antisymmetric[a, b]:
+            return f"order not antisymmetric at ({a},{b})"
+        return f"order not transitive at ({a},{b},{above[b].argmax()})"
+
+    rep.first_failure("partial_order", map(order_witness, (
+        ~L[ar, ar] | antisymmetric.any(axis=1) | ((Lf @ Lf > 0) & ~L).any(axis=1)
+    ).nonzero()[0].tolist()))
 
     rep.first_failure("OG1_inversion_ordered", (
         f"OG1 fails at {g}<={h}"
@@ -210,17 +200,16 @@ def verify_ordered_groupoid(G):
         for p, q in first_hits(len(P1), len(P1), og2_mask)
     ))
 
-    def restriction_failures(g):
-        for x in G.identities:
-            if G.leq[x][G.dom[g]]:
-                cands = [h for h in range(n) if G.dom[h] == x and G.leq[h][g]]
-                if len(cands) != 1:
-                    yield f"OG3: {len(cands)} restrictions of {g} to {x}: {cands}"
+    # unrestricted[i, g]: g has not exactly one restriction to ids[i] <= dom g
+    unrestricted = L[ids][:, dom] & (G.restrictions < 0)
 
-    R = G.restrictions
-    rep.first_failure("OG3_unique_restriction", replay(
-        (L[ids][:, dom] & (R < 0)).any(axis=0), restriction_failures
-    ))
+    def restriction_witness(g):
+        x = ids[unrestricted[:, g].argmax()]
+        cands = ((dom == x) & L[:, g]).nonzero()[0].tolist()
+        return f"OG3: {len(cands)} restrictions of {g} to {x}: {cands}"
+
+    rep.first_failure("OG3_unique_restriction", map(
+        restriction_witness, unrestricted.any(axis=0).nonzero()[0].tolist()))
 
     # OG3* follows from endpoints, OG1 and OG3 (Lawson, Inverse Semigroups,
     # ch. 4), so it passes without the sweep that tests/oracles.py keeps.  For

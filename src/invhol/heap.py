@@ -2,27 +2,26 @@
 self-maps preserving it, with its embedding into the holomorph.
 """
 
+from functools import cache
+
 import numpy as np
 
-from .core import replay, row_blocks
+from .core import hits, row_blocks
 from .errors import NotHeapPreserving, SearchBudgetExceeded
 from .holomorph import (
     HolElement,
-    alpha_ids,
+    diamond_table,
     hol_action,
-    hol_diamond,
     hol_from_mon,
     is_valid_hol,
-    mon_diamond,
     mon_from_hol,
     mon_hol,
     pair_arrays,
-    pair_diamonds,
     tau_positions,
 )
 from .morphisms import DEFAULT_NODE_BUDGET, is_endomorphism, is_premorphism
 from .report import CheckReport
-from .search import assert_transformation_monoid, composite_rows
+from .search import assert_transformation_monoid, composite_rows, row_lookup
 
 
 def heap(S, a, b, c):
@@ -241,29 +240,20 @@ def bijective_heap_maps(sha):
     return [eta for eta in sha if len(set(eta)) == len(eta)]
 
 
-def multiplicative_failures(S, sha, by_eta, A, T, R, diamond, witness):
-    """The pairs (e1, e2) of ``sha``, in loop order, where by_eta of the
-    composite e1 then e2 is not diamond(S, by_eta of e1, by_eta of e2), as
-    ``witness`` texts; a composite outside ``sha`` raises KeyError.  A sweep
-    flags the e1 to replay the loop at: composite j of i is C[i, j] of
-    composite_rows, and its image, row j of the alphas A beside the rest T,
-    keyed by alpha_ids, must be that of pair_diamonds with R."""
-    n, k = S.size, len(sha)
-    mul = S.mul_array.astype(np.int32)
-    ids, alpha = alpha_ids(A)
-    keyed = np.column_stack([ids, T])
-    flagged = np.zeros(k, bool)
-    for rows, C in composite_rows(np.array(sha, np.int32).reshape(k, n)):
-        diamonds = pair_diamonds(mul, R, A, T, ids, alpha, rows).transpose(1, 0, 2)
-        flagged[rows] = ((C < 0) | (keyed[C] != diamonds).any(axis=2)).any(axis=1)
-
-    def failures(i):
-        e1 = sha[i]
-        for e2 in sha:
-            if by_eta[tuple(e2[a] for a in e1)] != diamond(S, by_eta[e1], by_eta[e2]):
-                yield witness.format(e1, e2)
-
-    return replay(flagged, failures)
+def multiplicative_failures(S, sha, A, T, R, witness):
+    """The pairs (e1, e2) of ``sha``, in loop order, where the image of e1
+    then e2 is not the diamond of their images, as ``witness`` texts; a
+    composite outside ``sha`` raises KeyError, as a dict of their images
+    would.  Image i is row i of the alphas A beside the rest T, and
+    diamond_table with R gives the lowest image row equal to each diamond."""
+    images = np.hstack([A, T])
+    lowest, D = row_lookup(images)(images), diamond_table(S.mul_array.astype(np.int32), R, A, T)
+    for rows, C in composite_rows(np.array(sha, np.int32).reshape(len(sha), S.size)):
+        for i, j in hits((C < 0) | (lowest[C] != D[rows])):
+            e1, e2 = sha[rows.start + i], sha[j]
+            if C[i, j] < 0:
+                raise KeyError(tuple(e2[a] for a in e1))
+            yield witness.format(e1, e2)
 
 
 def verify_sha_embedding(S, sha=None, by_eta=None):
@@ -285,8 +275,8 @@ def verify_sha_embedding(S, sha=None, by_eta=None):
     rep.first_failure("embedding_injective", injectivity_failures())
 
     rep.first_failure("embedding_multiplicative", multiplicative_failures(
-        S, sha, by_eta, *pair_arrays(S, [by_eta[eta] for eta in sha]),
-        tau_positions(S), hol_diamond, "embedding not multiplicative at ({},{})"))
+        S, sha, *pair_arrays(S, [by_eta[eta] for eta in sha]), tau_positions(S),
+        "embedding not multiplicative at ({},{})"))
 
     mul, inv = S.mul, S.inv
 
@@ -313,7 +303,8 @@ def verify_sha_monoid_iso(M, sha=None, mon=None, by_eta=None):
         sha = enumerate_sha(M)
     if mon is None:
         mon = mon_hol(M)
-    sub = [a for a in mon if is_endomorphism(M, a.alpha)]
+    is_endo = cache(lambda alpha: is_endomorphism(M, alpha))  # one call per distinct alpha
+    sub = [a for a in mon if is_endo(a.alpha)]
     rep.add(
         "counts",
         len(sub) == len(sha),
@@ -329,7 +320,7 @@ def verify_sha_monoid_iso(M, sha=None, mon=None, by_eta=None):
     def forward_failures():
         for eta in sha:
             a = by_eta[eta]
-            if not is_endomorphism(M, a.alpha):
+            if not is_endo(a.alpha):
                 yield f"embedded pair of {eta} has non-endomorphism first component"
             elif a not in sub_set:
                 yield f"embedded pair of {eta} missing from the submonoid"
@@ -353,6 +344,6 @@ def verify_sha_monoid_iso(M, sha=None, mon=None, by_eta=None):
     # the bijection is an isomorphism of monoids
     pairs = np.array([by_eta[eta].alpha + (by_eta[eta].m,) for eta in sha], np.int32)
     rep.first_failure("monoid_isomorphism", multiplicative_failures(
-        M, sha, by_eta, *np.hsplit(pairs.reshape(len(sha), M.size + 1), [M.size]),
-        np.zeros(M.size, np.intp), mon_diamond, "not multiplicative at ({},{})"))
+        M, sha, *np.hsplit(pairs.reshape(len(sha), M.size + 1), [M.size]),
+        np.zeros(M.size, np.intp), "not multiplicative at ({},{})"))
     return rep

@@ -150,44 +150,30 @@ def enumerate_holomorph(S, prems=None, budget=DEFAULT_NODE_BUDGET, tau_cap=DEFAU
     return out
 
 
-def alpha_ids(A):
-    """ids[i] = the position of the row A[i] among the distinct rows of A,
-    and the composition table of those distinct rows: C[u, v] is the id of
-    alpha u then alpha v, -1 where that composite is not among them."""
+def diamond_table(mul, R, A, T):
+    """D[i, j] = the row of pair i <> pair j among the pairs (A, T), or -1
+    where that diamond is not one of them.  Pair i is alpha A[i] beside the
+    row T[i].  A diamond is keyed as (alpha id, rest): ids[i] is the position
+    of A[i] among the distinct alphas, whose composition table C holds the id
+    of alpha u then alpha v (-1 where it is none of them), so the alpha id is
+    C[ids[i], ids[j]]; the rest is mul[A[j, t], T[j, R[t]]] with t = T[i].
+    Over Hol, T holds tau and R[t] is the position of t^-1 t; over the
+    compressed pairs, T is the column m and R is zero, which gives (m beta)
+    n.  The keys are looked up a block of rows at a time."""
     first = row_lookup(A)(A)
     is_first = first == np.arange(len(A))
-    distinct = A[is_first]
+    ids, distinct = (np.cumsum(is_first) - 1)[first], A[is_first]
     C = np.empty((len(distinct), len(distinct)), np.int32)
     for rows, block in composite_rows(distinct):
         C[rows] = block
-    return (np.cumsum(is_first) - 1)[first], C
-
-
-def pair_diamonds(mul, R, A, T, ids, C, rows):
-    """Pair i <> pair j for each i in ``rows`` and every j, keyed as (alpha
-    id, rest), in an array (len(A), len(rows), 1 + width) indexed [j, i].
-    Pair i is alpha A[i], with id ids[i] in the composition table C of
-    alpha_ids, beside the row T[i]; the diamond's alpha id is C[ids[i],
-    ids[j]] and the rest is mul[A[j, t], T[j, R[t]]] with t = T[i].  Over
-    Hol, T holds tau and R[t] is the position of t^-1 t; over the
-    compressed pairs, T is the column m and R is zero, which gives
-    (m beta) n."""
-    t = T[rows]
-    alpha = C[ids[rows][None, :], ids[:, None]]
-    return np.concatenate([alpha[:, :, None], mul[A[:, t], T[:, R[t]]]], axis=2)
-
-
-def diamond_table(mul, R, A, T):
-    """D[i, j] = the row of pair i <> pair j among the pairs (A, T), or -1
-    where that diamond is not one of them: the (alpha id, T) rows of
-    pair_diamonds looked up a block of rows at a time."""
     n, width = len(A), 1 + T.shape[1]
-    ids, C = alpha_ids(A)
     lookup = row_lookup(np.column_stack([ids, T]))
     D = np.empty((n, n), np.int32)
     for rows in row_blocks(n, n * width):
-        keys = pair_diamonds(mul, R, A, T, ids, C, rows).reshape(-1, width)
-        D[rows] = lookup(keys).reshape(n, -1).T
+        t = T[rows]
+        alpha = C[ids[rows][None, :], ids[:, None]]
+        keys = np.concatenate([alpha[:, :, None], mul[A[:, t], T[:, R[t]]]], axis=2)
+        D[rows] = lookup(keys.reshape(-1, width)).reshape(n, -1).T
     return D
 
 
@@ -366,7 +352,7 @@ def verify_mon_hol(M, table=None, mon=None):
     Array sweeps decide each line: the expansions of the compressed pairs,
     looked up among the pairs of the Hol table, give one permutation pi
     (-1 where not found), and diamond_table fills the compressed table Dm.
-    A flagged row replays the pair loop, so witnesses and errors are its."""
+    A failing line names the first hit of its sweep in pair-loop order."""
     rep = CheckReport(f"inverse-monoid holomorph form on {M!r}")
     if table is None:
         table = hol_table(M)
@@ -394,25 +380,17 @@ def verify_mon_hol(M, table=None, mon=None):
     leq = M.natural_order().array
     lo, hi = leq[np.ix_(E, E)].nonzero()
     valid = (mul[tau, M.inv_array[tau]] == MA[:, E]).all(axis=1)
-    expansion_bad = (pi < 0) | ~valid | ~leq[tau[:, lo], tau[:, hi]].all(axis=1)
-    expansion_bad |= mul[MA[:, M.identity], m] != m
+    not_pair = (pi < 0) | ~valid | ~leq[tau[:, lo], tau[:, hi]].all(axis=1)
+    round_trip = mul[MA[:, M.identity], m] != m
     tau_bad = (mul[H[:, E], Htau[:, M.idempotent_position[M.identity], None]] != Htau).any(axis=1)
-
-    def expansion_failures(i):
-        a = mon[i]
-        h = hol_from_mon(M, a)
-        if h not in table.index or not is_valid_hol(M, h.alpha, h.tau):
-            yield f"expansion of {a} is not a holomorph pair"
-        elif mon_from_hol(M, h) != a:
-            yield f"round trip fails at {a}"
-
-    def tau_failures(i):
-        h = hol[i]
-        if hol_from_mon(M, mon_from_hol(M, h)) != h:
-            yield f"tau of {h} is not determined by its identity value"
-
-    rep.first_failure("bijection", chain(
-        replay(expansion_bad, expansion_failures), replay(tau_bad, tau_failures)))
+    rep.first_failure("bijection", chain((
+        f"expansion of {mon[i]} is not a holomorph pair" if not_pair[i]
+        else f"round trip fails at {mon[i]}"
+        for i in (not_pair | round_trip).nonzero()[0].tolist()
+    ), (
+        f"tau of {hol[i]} is not determined by its identity value"
+        for i in tau_bad.nonzero()[0].tolist()
+    )))
 
     # pi[Dm] == D[pi][:, pi] where every index is found; a -1 flags its row
     Dm = diamond_table(mul, np.zeros(n, np.intp), MA, m[:, None])
@@ -426,6 +404,8 @@ def verify_mon_hol(M, table=None, mon=None):
                     M, hol_from_mon(M, a), hol_from_mon(M, b)):
                 yield f"diamonds disagree at ({a},{b})"
 
+    # replayed from each flagged row: the loop's hol_diamond asserts that each
+    # diamond is a valid pair, which the expansions of a crafted mon may break
     rep.first_failure("diamonds_agree", replay(
         ~(found & (image == D[pi][:, pi])).all(axis=1), diamond_failures))
 

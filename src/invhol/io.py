@@ -55,8 +55,8 @@ def _check_names(path, names):
         raise ParseError(f"{path}: \"names\" must be a list of strings")
 
 
-def read_semigroup(path, cap=core.DEFAULT_SIZE_CAP):
-    obj = _load(path)
+def read_semigroup(path, cap=core.DEFAULT_SIZE_CAP, obj=None):
+    obj = _load(path) if obj is None else obj
     if not isinstance(obj, dict) or "mul" not in obj:
         raise ParseError(f"{path}: expected an object with a \"mul\" table")
     names = obj.get("names")
@@ -96,8 +96,8 @@ def write_groupoid(path, G):
     _dump(groupoid_to_dict(G), path)
 
 
-def read_groupoid(path):
-    obj = _load(path)
+def read_groupoid(path, obj=None):
+    obj = _load(path) if obj is None else obj
     if not isinstance(obj, dict) or "arrows" not in obj:
         raise ParseError(f"{path}: expected an object with an \"arrows\" list")
     arrows = obj["arrows"]
@@ -123,10 +123,12 @@ def read_groupoid(path):
         raise ParseError(f"{path}: malformed groupoid data: {exc}") from exc
 
 
-def detect_kind(path):
+def load_structure(path):
+    """The kind of a structure file, "semigroup" or "groupoid", and its
+    parsed JSON, which read_semigroup and read_groupoid take as ``obj``."""
     obj = _load(path)
     if isinstance(obj, dict) and "mul" in obj:
-        return "semigroup"
+        return "semigroup", obj
     if isinstance(obj, dict) and "arrows" in obj:
-        return "groupoid"
+        return "groupoid", obj
     raise ParseError(f"{path}: neither a semigroup nor a groupoid file")

@@ -1404,7 +1404,7 @@ def verify_zappa(n=2, L=3, samples=6, seed=0, cap=DEFAULT_SIZE_CAP):
         if phi.apply(u + v) != phi.transfer(v).apply(u) + phi.apply(v)
     ))
 
-    def associativity_failures():
+    def twisted_failures():
         twisted = lru_cache(maxsize=None)(zappa_compose)
         for phi, psi, chi in product(maps[:4], repeat=3):
             for u, v, x in product(words[:2], repeat=3):
@@ -1418,7 +1418,7 @@ def verify_zappa(n=2, L=3, samples=6, seed=0, cap=DEFAULT_SIZE_CAP):
                 ):
                     yield f"({phi},{u!r}),({psi},{v!r}),({chi},{x!r})"
 
-    rep.first_failure("twisted_product_associative", associativity_failures())
+    rep.first_failure("twisted_product_associative", twisted_failures())
 
     rep.first_failure("translations_transfer_trivially", (
         f"v={v!r}, w={trans!r}"

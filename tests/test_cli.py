@@ -176,6 +176,34 @@ def test_dump_to_unwritable_path_is_a_usage_error(files, tmp_path, capsys, comma
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "flows", "poly"])
+def test_dump_on_a_subcommand_that_writes_none_is_a_usage_error(files, tmp_path, capsys, command):
+    argv = ["poly", "--check", "bicyclic"] if command == "poly" else [command, files[1]["Z2"]]
+    target = tmp_path / "d.json"
+    assert main([*argv, "--dump", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --dump applies only to hol, sha and esn, not to {command}\n")
+    assert not target.exists()
+
+
+def test_dump_to_the_empty_path_is_a_usage_error(files, capsys):
+    assert main(["hol", files[1]["Z2"], "--dump", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write : ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "flows"])
+def test_verify_and_flows_parse_their_input_once(files, capsys, monkeypatch, command):
+    texts, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text: texts.append(text) or loads(text))
+    assert main([command, files[1]["I2"]]) == 0
+    assert len(texts) == 1
+
+
 def test_deeply_nested_expression(capsys):
     deep = 10000
     assert main(["poly", "(" * deep + "a" + ")" * deep + "^-1", "--format", "json"]) == 0

@@ -1,6 +1,8 @@
+import ast
 import random
 import re
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,3 +362,28 @@ def test_names_default_to_canonical_forms():
     I2 = build_symmetric_inverse_monoid(2)
     assert I2.names[I2.zero] == "--"
     assert I2.names[I2.identity] == "12"
+
+
+def _replay_calls():
+    """(module, top-level function, check line) for each call of core.replay
+    in the package's source; the line is the name that the first_failure
+    call taking it gives, or None."""
+    calls = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            found = [c for c in ast.walk(node) if isinstance(c, ast.Call)]
+            lines = {id(c.args[1]): c.args[0].value for c in found
+                     if getattr(c.func, "attr", None) == "first_failure" and len(c.args) > 1}
+            calls += [(path.stem, getattr(node, "name", None), lines.get(id(c)))
+                      for c in found if getattr(c.func, "id", None) == "replay"]
+    return calls
+
+
+def test_only_loops_that_raise_midway_are_replayed():
+    """A failing line names the first hit of its sweep; core.replay runs a
+    loop body again only where that body calls code that may raise midway:
+    meet_idempotents in idempotent_meets, hol_diamond in diamonds_agree."""
+    assert _replay_calls() == [
+        ("core", "verify_semigroup_properties", "idempotent_meets"),
+        ("holomorph", "verify_mon_hol", "diamonds_agree"),
+    ]

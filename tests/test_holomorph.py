@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from invhol import core, heap, holomorph
+from invhol import catalog, core, heap, holomorph
 from invhol.errors import NotMonoid
 from invhol.heap import enumerate_sha, verify_sha_embedding, verify_sha_monoid_iso
 from invhol.holomorph import (
@@ -461,6 +461,51 @@ def test_sha_sweeps_match_loop_oracles(zoo):
     assert min(failing.values()) >= 10, failing
 
 
+def test_bijection_line_names_a_pair_that_fails_both_conditions():
+    # the first compressed pair of Z3 replaced by (alpha, m) = ((1, 0, 0), 1):
+    # its expansion is not a holomorph pair, and 1 alpha m = 1 * 1 = 2 is not
+    # m, so the round trip fails too; the loop tests the expansion first
+    S = catalog.standard_examples()["Z3"]
+    table, mon = hol_table(S), mon_hol(S)
+    mon[0] = MonHolElement((1, 0, 0), 1)
+    assert S.mul[mon[0].alpha[S.identity]][mon[0].m] != mon[0].m
+    got = outcome(verify_mon_hol, S, table, mon)
+    assert got == outcome(oracles.mon_hol_report_by_loops, S, table.pairs, mon)
+    assert _check_line(verify_mon_hol(S, table, mon), "bijection").witness == (
+        "expansion of MonHolElement(alpha=(1, 0, 0), m=1) is not a holomorph pair")
+
+
+@pytest.mark.parametrize("swap,want", [
+    # the first mismatch, at ((0,0,0),(0,2,1)), comes before the first
+    # composite of two kept maps that is the dropped identity map
+    ((0, 4), "not multiplicative at ((0, 0, 0),(0, 2, 1))"),
+    # the first failing pair has a composite outside the maps
+    ((3, 5), ("KeyError", "(0, 1, 2)")),
+])
+def test_multiplicative_lines_meet_mismatch_and_missing_composite_in_loop_order(swap, want):
+    # Sha(Z3) without its identity map (0, 1, 2), with the images of two
+    # maps exchanged: each line fails at its first pair in row-major order,
+    # by the mismatch or by the KeyError of the dict lookup, whichever the
+    # pair loop meets first
+    S = catalog.standard_examples()["Z3"]
+    sha, mon = enumerate_sha(S), mon_hol(S)
+    maps = sha[:1] + sha[2:]
+    assert (0, 1, 2) == sha[1] == tuple(sha[2][a] for a in sha[2])  # (0,2,1) twice
+    by_eta = {eta: heap.embed(S, eta) for eta in maps}
+    p, q = (sha[k] for k in swap)
+    by_eta[p], by_eta[q] = by_eta[q], by_eta[p]
+    for check, args, name, prefix in [
+        (verify_sha_embedding, (S, maps, by_eta), "embedding_multiplicative", "embedding "),
+        (verify_sha_monoid_iso, (S, maps, mon, by_eta), "monoid_isomorphism", ""),
+    ]:
+        got = outcome(check, *args)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            (line,) = [c for c in got["checks"] if c["name"] == name]
+            assert line["witness"] == prefix + want
+
+
 def _counted(calls, f):
     """f, recording its name in ``calls`` at each call."""
     def wrapper(*args):
@@ -470,11 +515,12 @@ def _counted(calls, f):
 
 
 def test_law_checks_compute_no_pair_diamond_when_they_pass(zoo, monkeypatch):
-    # on passing inputs the three checks decide every pair from the tables
+    # on passing inputs the three checks decide every pair from the tables;
+    # the heap checks hold no pair diamond at all, only diamond_table
+    assert not {"hol_diamond", "mon_diamond"} & set(vars(heap))
     calls = []
-    for module in (holomorph, heap):
-        for f in ("hol_diamond", "mon_diamond"):
-            monkeypatch.setattr(module, f, _counted(calls, getattr(module, f)))
+    for f in ("hol_diamond", "mon_diamond"):
+        monkeypatch.setattr(holomorph, f, _counted(calls, getattr(holomorph, f)))
     for name, S in zoo.items():
         sha = enumerate_sha(S)
         reports = [verify_sha_embedding(S, sha)]
@@ -483,6 +529,18 @@ def test_law_checks_compute_no_pair_diamond_when_they_pass(zoo, monkeypatch):
             reports += [verify_mon_hol(S, hol_table(S), mon), verify_sha_monoid_iso(S, sha, mon)]
         assert all(r.ok for r in reports), name
     assert calls == []
+
+
+def test_sha_monoid_iso_decides_each_alpha_once(monkeypatch):
+    # I2's 39 compressed pairs share 20 alphas, and its 23 heap maps embed
+    # onto pairs among them: is_endomorphism runs once per distinct alpha
+    S = core.build_symmetric_inverse_monoid(2)
+    sha, mon, calls = enumerate_sha(S), mon_hol(S), []
+    real = heap.is_endomorphism
+    monkeypatch.setattr(heap, "is_endomorphism",
+                        lambda M, alpha: calls.append(alpha) or real(M, alpha))
+    assert verify_sha_monoid_iso(S, sha, mon).ok
+    assert sorted(calls) == sorted({a.alpha for a in mon})
 
 
 def test_monoid_and_interchange_checks_gather_actions_and_composites(zoo, monkeypatch):

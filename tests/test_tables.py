@@ -192,6 +192,48 @@ def test_groupoid_layer_agrees_on_corruptions(all_structures):
     }
 
 
+def _i2_groupoid_with(dom=None, compose=None, leq=None):
+    """I2's ordered groupoid with some entries replaced.  Its arrows: the
+    identities 0 (the zero), 2, 3 and 4 (the identity of I2), 1: 2 -> 3 with
+    inverse 5: 3 -> 2, and the transposition 6: 4 -> 4."""
+    G = esn_forward(core.build_symmetric_inverse_monoid(2))
+    order = [row[:] for row in G.leq]
+    for (a, b), v in (leq or {}).items():
+        order[a][b] = v
+    return OrderedGroupoid(dom or G.dom, G.ran, G.inv, {**G.compose, **(compose or {})},
+                           order, names=G.names)
+
+
+@pytest.mark.parametrize("line,change,witness", [
+    # arrow 1 gets domain 1, not an identity, so its inverse 5 ends at
+    # 2 != 1 as well: the endpoint comes first
+    ("endpoints_and_inverses", dict(dom=[0, 1, 2, 3, 4, 3, 4]),
+     "arrow 1 has non-identity endpoint"),
+    # 2 * 1 = 5 breaks an identity law at 1, 1 * 5 = 1 an inverse law there
+    ("identity_and_inverse_laws", dict(compose={(2, 1): 5, (1, 5): 1}),
+     "identity laws fail at arrow 1"),
+    # 1 * 3 = 5 starts at 3, and 5 * 3 is undefined: the endpoints come first
+    ("associativity", dict(compose={(1, 3): 5}), "endpoints of composite (1,3) are wrong"),
+    # 0 <= 0 dropped, and 0 <= 1 <= 6 without 0 <= 6
+    ("partial_order", dict(leq={(0, 0): False, (0, 6): False}), "order not reflexive at 0"),
+    # 1 <= 0 <= 1, and 0 <= 1 <= 6 without 0 <= 6: at b = 1 antisymmetry first
+    ("partial_order", dict(leq={(1, 0): True, (0, 6): False}),
+     "order not antisymmetric at (0,1)"),
+    # 1 <= 6 dropped: no arrow below 6 starts at 2
+    ("OG3_unique_restriction", dict(leq={(1, 6): False}), "OG3: 0 restrictions of 6 to 2: []"),
+    # 2 <= 1 added: both 1 and 2 lie below 1 and start at 2
+    ("OG3_unique_restriction", dict(leq={(2, 1): True}),
+     "OG3: 2 restrictions of 1 to 2: [1, 2]"),
+])
+def test_groupoid_lines_name_the_condition_the_loop_tests_first(line, change, witness):
+    """A row that breaks two conditions of one line is reported by the one
+    the oracle's loop tests first, and OG3 lists every candidate."""
+    H = _i2_groupoid_with(**change)
+    assert_groupoid_layer_agrees(H)
+    (c,) = [c for c in verify_ordered_groupoid(H).checks if c.name == line]
+    assert (c.ok, c.witness) == (False, witness)
+
+
 def test_corestriction_line_follows_from_the_lines_before_it(all_structures):
     """verify_ordered_groupoid passes OG3star_corestriction without a sweep,
     because endpoints, OG1 and OG3 imply it.  The oracle's sweep agrees on
